@@ -28,6 +28,16 @@ from .polynomials import ParseError, parse_poly
 from .rings import RingPresentation, basis_monomials, toy_ring
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_ring(args, parser: argparse.ArgumentParser) -> RingPresentation:
     if getattr(args, "toy", False):
         return toy_ring()
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deg", help="filtration degree of an element, two ways")
     _add_ring_options(p)
     p.add_argument("element", help="element expression, e.g. 'S*Y + 3'")
-    p.add_argument("--bound", type=int, default=None, help="iteration budget")
+    p.add_argument("--bound", type=_non_negative_int, default=None, help="iteration budget")
     p.set_defaults(func=cmd_deg)
 
     p = sub.add_parser("nf", help="normal form of a polynomial in the quotient")
@@ -326,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run the full verification battery")
     _add_ring_options(p)
-    p.add_argument("--bound", type=int, default=None, help="window bound for the checks")
+    p.add_argument(
+        "--bound", type=_non_negative_int, default=None, help="window bound for the checks"
+    )
     p.set_defaults(func=cmd_verify_suite)
 
     return parser

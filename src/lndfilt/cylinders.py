@@ -211,7 +211,8 @@ def _solve_full(step: FullStep) -> tuple[PolyEndo, RecoveryStage]:
     # recovery: the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z
     a1 = (ell + 4 * x ** e * s * t).divide_exact(x)
     b = (y * f + ell * f + 4 * x ** n * y * t - 4 * t * s * y * y).divide_exact(x)
-    assert img_t == y * z + (x * z) * a1 + b, "T-image split disagrees with the solver"
+    if img_t != y * z + (x * z) * a1 + b:
+        raise RuntimeError("T-image split disagrees with the solver")
 
     mixed = VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"))
     low = {"X": "x", "S": "s", "Y": "y", "T": "t"}
@@ -256,9 +257,8 @@ def _solve_danielewski(step: DanielewskiStep) -> tuple[PolyEndo, RecoveryStage]:
 
     # recovery: the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree
     yfree = (ell * s + ell * h - d * t * s ** d - d * x * t * qt).divide_exact(x)
-    assert img_t == y * s + (d + 1) * x ** n * y * t + yfree, (
-        "T-image split disagrees with the solver"
-    )
+    if img_t != y * s + (d + 1) * x ** n * y * t + yfree:
+        raise RuntimeError("T-image split disagrees with the solver")
 
     mixed = VarSet(("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"))
     low = {"X": "x", "S": "s", "T": "t"}

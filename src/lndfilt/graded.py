@@ -9,7 +9,7 @@ with its degree.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, power_by_squaring
 from .rings import QuotElem, RingPresentation
 
 
@@ -68,18 +68,16 @@ class GradedElem:
         keep = {}
         for exps, c in reduced.terms.items():
             got = self.ring.monomial_degree(exps)
-            assert got <= grade, f"degree grew under multiplication: {exps}"
+            if got > grade:
+                raise RuntimeError(f"degree grew under multiplication: {exps}")
             if got == grade:
                 keep[exps] = c
         return GradedElem(self.ring, grade, MultiPoly(self.ring.varset, keep))
 
     def __pow__(self, k: int) -> GradedElem:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = GradedElem(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
-        for _ in range(k):
-            out = out * self
-        return out
+        return power_by_squaring(
+            self, k, lambda: GradedElem(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedElem):

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import lcm
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -97,6 +100,114 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _from_terms(varset: VarSet, terms: dict[tuple[int, ...], Fraction]) -> MultiPoly:
+    """A polynomial around an already clean term map (no copy, no checks)."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.varset = varset
+    out.terms = terms
+    return out
+
+
+def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
+    """base**k by binary exponentiation, for any type with an associative `*`.
+
+    `one()` supplies the result for k = 0; every other result is a product
+    of squares of base, so base itself is returned unchanged for k = 1.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return one() if result is None else result
+
+
+# ---------------------------------------------------------- product kernel
+#
+# Products run on plain ints (after Monagan & Pearce, CASC 2007): each operand
+# is scaled to integer numerators over its least common denominator, and each
+# exponent tuple is packed into one int (Kronecker packing), so that a term
+# pair costs one int addition and one int product.  The field width is taken
+# per call from the operands' largest exponents, so a packed sum never carries
+# into the next field.  Surviving terms are unpacked once, back to exponent
+# tuples and Fraction coefficients.  The helpers return iterators, so that no
+# list of a product's size lives beside the product itself.
+
+
+def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Iterator[int], int]:
+    """The coefficients as integer numerators over their least common denominator."""
+    coeffs = terms.values()
+    den = lcm(*[c.denominator for c in coeffs])
+    if den == 1:
+        return (c.numerator for c in coeffs), 1
+    return (c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _fractions(nums: Iterable[int], den: int) -> Iterator[Fraction]:
+    if den == 1:
+        return map(Fraction, nums)
+    return (Fraction(n, den) for n in nums)
+
+
+def _scaled(c: Fraction, terms: Mapping[tuple[int, ...], Fraction]) -> Iterable[Fraction]:
+    """The coefficients of terms, each times the nonzero scalar c."""
+    if c == 1:
+        return terms.values()
+    nums, den = _numerators(terms)
+    return _fractions(map(c.numerator.__mul__, nums), c.denominator * den)
+
+
+def _product(
+    a: Mapping[tuple[int, ...], Fraction],
+    b: Mapping[tuple[int, ...], Fraction],
+) -> dict[tuple[int, ...], Fraction]:
+    """The term map of the product of two term maps.
+
+    Terms come out in the order of the schoolbook double loop over a, then
+    b, where a key that cancels and reappears moves to the end; so the
+    order of .terms depends only on the operands' term orders.
+    """
+    if not a or not b:
+        return {}
+    if len(a) > 1 and len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial shifts and scales the other operand's terms, which stay
+        # distinct, so nothing cancels
+        ((exps, c),) = a.items()
+        keys = (tuple(map(add, exps, e)) for e in b) if any(exps) else b
+        return dict(zip(keys, _scaled(c, b)))
+    # the largest exponent sum of any variable fits in `width` bits
+    width = max(map(add, map(max, zip(*a)), map(max, zip(*b)))).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(next(iter(a))), width)
+
+    def pack(exps: tuple[int, ...]) -> int:
+        return sum([e << s for e, s in zip(exps, shifts)])
+
+    def unpack(key: int) -> tuple[int, ...]:
+        return tuple([(key >> s) & mask for s in shifts])
+
+    nums_a, den_a = _numerators(a)
+    nums_b, den_b = _numerators(b)
+    packed_b = list(zip(map(pack, b), nums_b))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, ca in zip(map(pack, a), nums_a):
+        for kb, cb in packed_b:
+            key = ka + kb
+            s = get(key, 0) + ca * cb
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return dict(zip(map(unpack, acc), _fractions(acc.values(), den_a * den_b)))
 
 
 class MultiPoly:
@@ -191,16 +302,12 @@ class MultiPoly:
                 acc[exps] = s
             else:
                 acc.pop(exps, None)
-        out = MultiPoly.zero(self.varset)
-        out.terms = acc
-        return out
+        return _from_terms(self.varset, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        out = MultiPoly.zero(self.varset)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _from_terms(self.varset, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: object) -> MultiPoly:
         q = self._coerce(other)
@@ -217,39 +324,18 @@ class MultiPoly:
     def __mul__(self, other: object) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            out = MultiPoly.zero(self.varset)
-            if c:
-                out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            if not c:
+                return MultiPoly.zero(self.varset)
+            return _from_terms(self.varset, dict(zip(self.terms, _scaled(c, self.terms))))
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(key, 0) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = MultiPoly.zero(self.varset)
-        out.terms = acc
-        return out
+        return _from_terms(self.varset, _product(self.terms, q.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> MultiPoly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        result = MultiPoly.constant(self.varset, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power_by_squaring(self, k, lambda: MultiPoly.constant(self.varset, 1))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -273,9 +359,7 @@ class MultiPoly:
             nxt = list(exps)
             nxt[k] -= 1
             acc[tuple(nxt)] = c * exps[k]
-        out = MultiPoly.zero(self.varset)
-        out.terms = acc
-        return out
+        return _from_terms(self.varset, acc)
 
     def substitute(self, images: Mapping[str, MultiPoly]) -> MultiPoly:
         """Evaluate at polynomial images of the variables.
@@ -314,14 +398,27 @@ class MultiPoly:
                 pow_cache[key] = got
             return got
 
-        total = MultiPoly.zero(target)
+        # every term adds into one accumulator, in the order (and with the
+        # cancellations) of summing the terms one by one
+        acc: dict[tuple[int, ...], Fraction] = {}
+        get = acc.get
+        constant_key = (0,) * len(target)
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(target, c)
+            factor: MultiPoly | None = None
             for k in used:
                 if exps[k]:
-                    term = term * power(k, exps[k])
-            total = total + term
-        return total
+                    factor = power(k, exps[k]) if factor is None else factor * power(k, exps[k])
+            if factor is None:
+                products = [(constant_key, c)]
+            else:
+                products = zip(factor.terms, _scaled(c, factor.terms))
+            for key, v in products:
+                s = get(key, 0) + v
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        return _from_terms(target, acc)
 
     def rename(self, target: VarSet) -> MultiPoly:
         """Transport to a varset that contains all variables used here."""
@@ -332,9 +429,7 @@ class MultiPoly:
             for k, e in enumerate(exps):
                 out[mapping[k]] = e
             acc[tuple(out)] = c
-        p = MultiPoly.zero(target)
-        p.terms = acc
-        return p
+        return _from_terms(target, acc)
 
     def weight_degree(self, w: WeightFunction) -> int | None:
         """Max weight of a term under w; None for the zero polynomial."""
@@ -347,11 +442,9 @@ class MultiPoly:
     def top_component(self, w: WeightFunction) -> MultiPoly:
         """The sum of terms of maximal w-weight (0 for the zero polynomial)."""
         d = self.weight_degree(w)
-        out = MultiPoly.zero(self.varset)
-        if d is None:
-            return out
-        out.terms = {e: c for e, c in self.terms.items() if w.of_exponents(e) == d}
-        return out
+        return _from_terms(
+            self.varset, {e: c for e, c in self.terms.items() if w.of_exponents(e) == d}
+        )
 
     def divide_exact(self, divisor: MultiPoly) -> MultiPoly:
         """Exact division by a single-term divisor; raises if any term fails.
@@ -372,9 +465,7 @@ class MultiPoly:
                     f"not divisible by {divisor}"
                 )
             acc[out] = c / dc
-        p = MultiPoly.zero(self.varset)
-        p.terms = acc
-        return p
+        return _from_terms(self.varset, acc)
 
     # -------------------------------------------------------------- printing
 
@@ -453,13 +544,24 @@ class _Parser:
     atom   := int ('/' int)? | name | '(' expr ')'
 
     '/' only forms rational literals p/q; it is not general division.
+    Parentheses and unary minus nest at most MAX_NESTING deep together, so
+    that hostile input fails with ParseError, well before the interpreter's
+    recursion limit.
     """
+
+    MAX_NESTING = 100
 
     def __init__(self, tokens: list[tuple[str, str, int]], varset: VarSet, length: int):
         self.tokens = tokens
         self.varset = varset
         self.pos = 0
         self.length = length
+        self.depth = 0
+
+    def enter(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            raise ParseError(f"nesting deeper than {self.MAX_NESTING} levels", at)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -508,7 +610,10 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.take()
-            return -self.factor()
+            self.enter(tok[2])
+            p = -self.factor()
+            self.depth -= 1
+            return p
         p = self.atom()
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "^":
@@ -539,8 +644,10 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", at)
             return MultiPoly.variable(self.varset, text)
         if kind == "op" and text == "(":
+            self.enter(at)
             p = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {text!r}", at)
 
@@ -549,6 +656,7 @@ def parse_poly(text: str, varset: VarSet) -> MultiPoly:
     """Parse an expression with +, -, *, ^, parentheses and p/q literals.
 
     Multiplication must be explicit ("2*X", not "2X").  Unknown variable
-    names and syntax errors raise ParseError with a position.
+    names, syntax errors and parentheses or unary minus nested more than
+    100 levels deep raise ParseError with a position.
     """
     return _Parser(_tokenize(text), varset, len(text)).parse()

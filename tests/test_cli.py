@@ -243,3 +243,25 @@ def test_missing_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    deep = "(" * 5000 + "X" + ")" * 5000
+    code, _, err = run(capsys, "nf", "--toy", deep)
+    assert code == 2
+    assert "parse error" in err and "nesting deeper than 100" in err
+    code, _, err = run(capsys, "nf", "--toy", "--", "-" * 101 + "X")
+    assert code == 2
+    assert "nesting deeper than 100" in err
+    code, out, _ = run(capsys, "nf", "--toy", "--", "-(" * 50 + "X" + ")" * 50)
+    assert code == 0
+    assert out.strip() == "X"
+
+
+@pytest.mark.parametrize("command", ["deg", "verify-suite"])
+def test_negative_bound_is_usage_error(capsys, command):
+    argv = [command, "--toy", "--bound", "-5"] + (["S"] if command == "deg" else [])
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--bound: must be >= 0, got -5" in capsys.readouterr().err

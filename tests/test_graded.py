@@ -6,7 +6,7 @@ from lndfilt.graded import GradedElem, gr_leading, graded_generators, hat_ideal_
 from lndfilt.polynomials import MultiPoly, parse_poly
 from lndfilt.rings import RingPresentation
 
-from util import grid_rings, random_element
+from util import grid_rings, mixed_small_rings, random_element
 
 
 def test_gr_leading_toy(toy):
@@ -105,3 +105,16 @@ def test_graded_class_validation(toy):
     zero_class = GradedElem(toy, 5, MultiPoly.zero(toy.varset))
     assert zero_class.is_zero()
     assert str(gr_leading(toy.element("2*S"))) == "[2*S]_1"
+
+
+def test_power_is_the_repeated_product(rng):
+    for ring in (*mixed_small_rings(), *grid_rings()[:4]):
+        classes = [gr_leading(random_element(rng, ring, 6)) for _ in range(3)]
+        classes += list(graded_generators(ring).values())
+        for g in classes:
+            product = GradedElem(ring, 0, MultiPoly.constant(ring.varset, 1))
+            for k in range(6):
+                assert g ** k == product
+                product = product * g
+    with pytest.raises(ValueError, match="non-negative integer"):
+        g ** -1

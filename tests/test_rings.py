@@ -279,3 +279,47 @@ def test_cylinder_presentation(toy):
     assert cyl.base() == toy
     with pytest.raises(ValueError, match="base ring"):
         basis_monomials(cyl, 3)
+
+
+# --------------------------------------------------------------- rule tails
+
+
+def test_rule_tails_built_once_per_ring(monkeypatch, rng):
+    builds = []
+    original = RingPresentation._build_rule_tails
+
+    def counting(ring):
+        builds.append(ring)
+        return original(ring)
+
+    monkeypatch.setattr(RingPresentation, "_build_rule_tails", counting)
+    ring = RingPresentation.full(2, 2, ["X^2", "X", "0"], ["X", "0"])
+    tails = ring._rule_tails()
+    for _ in range(5):
+        ring.normal_form(random_poly(rng, ring.varset), with_cofactors=True)
+        ring.element("S^4*Y^3") * ring.element("Y^2*S^3")
+    assert ring._rule_tails() is tails
+    assert builds == [ring]
+    # an equal but distinct presentation builds its own tails, once
+    twin = RingPresentation.full(2, 2, ["X^2", "X", "0"], ["X", "0"])
+    twin.element("S^5")
+    twin.element("Y^5")
+    assert builds == [ring, twin]
+
+
+def test_rule_that_keeps_the_measure_is_rejected(toy):
+    vs = toy.varset
+    s_head = (0, 2, 0, 0)
+    y_head = (0, 0, 2, 0)
+    # X^2*Y is the real s-tail of the toy ring; S*Y (degree 3), Z (degree 4)
+    # and S^2 itself (an equal measure) do not drop below S^2's (2, 2)
+    toy._check_rule_drops(s_head, MultiPoly.monomial(vs, (2, 0, 1, 0)))
+    for bad in ("X^2*Y + S*Y", "Z", "S^2"):
+        with pytest.raises(RuntimeError, match="does not drop the termination measure"):
+            toy._check_rule_drops(s_head, parse_poly(bad, vs))
+    toy._check_rule_drops(y_head, parse_poly("S + X*Z", vs))
+    with pytest.raises(RuntimeError, match="does not drop"):
+        toy._check_rule_drops(y_head, parse_poly("S + X*Z + X*S*Y^2", vs))
+    # the check runs when the tails are built
+    for ring in mixed_small_rings():
+        ring._rule_tails()

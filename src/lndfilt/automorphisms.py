@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .checks import CheckReport
 from .derivations import canonical_derivation
-from .polynomials import MultiPoly, VarSet, parse_poly
+from .polynomials import MultiPoly, VarSet, load_json, parse_poly
 from .rings import QuotElem, RingPresentation, evaluate_in_ring
 
 _X_ONLY = VarSet(("X",))
@@ -77,13 +77,7 @@ class AutParams:
 
     @classmethod
     def from_json(cls, text: str) -> AutParams:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"bad parameter JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ValueError("parameter JSON must be an object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(load_json(text, "parameter"))
 
 
 def _require_normalized(ring: RingPresentation) -> None:

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polynomials import MultiPoly, VarSet, parse_poly
+from .graded import hat_ideal_tops
+from .polynomials import MultiPoly, VarSet, load_json, parse_poly
 from .rings import RingPresentation, evaluate_in_ring
 
 
@@ -95,66 +96,7 @@ class PolyEndo:
 
     @classmethod
     def from_json(cls, text: str) -> PolyEndo:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"bad endomorphism JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ValueError("endomorphism JSON must be an object")
-        return cls.from_json_dict(data)
-
-
-@dataclass(frozen=True)
-class FullStep:
-    """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
-
-    n: int
-    e: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.e < 1:
-            raise ValueError("the twist step starts at e >= 1")
-
-    def source_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e, ["1", "0"], ["0", "0"], cylinder=True)
-
-    def target_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e + 1, ["1", "0"], ["0", "0"], cylinder=True)
-
-
-@dataclass(frozen=True)
-class DanielewskiStep:
-    """One size increment n -> n+1 for a fixed P = S^d + X*Qt(X,S) + c, c != 0."""
-
-    n: int
-    p_coeffs: tuple
-
-    def __init__(self, n: int, p_coeffs: Sequence):
-        ring = RingPresentation.danielewski(max(n, 1), p_coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p_coeffs", ring.p_coeffs)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        c = self.constant()
-        if c == 0:
-            raise ValueError("P must have a nonzero constant term")
-        for i, f in enumerate(self.p_coeffs):
-            residue = f.constant_value() if i else f.constant_value() - c
-            if residue != 0:
-                raise ValueError(
-                    "every coefficient of P - S^d - c must be divisible by X"
-                )
-
-    def constant(self) -> Fraction:
-        return self.p_coeffs[0].constant_value()
-
-    def source_ring(self) -> RingPresentation:
-        return RingPresentation.danielewski(self.n, self.p_coeffs, cylinder=True)
-
-    def target_ring(self) -> RingPresentation:
-        return RingPresentation.danielewski(self.n + 1, self.p_coeffs, cylinder=True)
+        return cls.from_json_dict(load_json(text, "endomorphism"))
 
 
 @dataclass(frozen=True)
@@ -190,113 +132,183 @@ def _relabel(p: MultiPoly, mapping: Mapping[str, str], vs: VarSet) -> MultiPoly:
     return p.substitute(images)
 
 
-def _solve_full(step: FullStep) -> tuple[PolyEndo, RecoveryStage]:
-    src = step.source_ring()
-    vs = src.varset
-    n, e = step.n, step.e
-    x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
-    p = src.p_poly()
+@dataclass(frozen=True)
+class FullStep:
+    """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
 
-    h = x ** (n + e) * t
-    ident = {nm: _v(vs, nm) for nm in vs.names}
-    p_shift = p.substitute({**ident, "S": s + h})
-    ell = (p_shift - p).divide_exact(x ** n)
-    f = (2 * y * ell + ell * ell - h).divide_exact(x ** e)
-    img_y = y + ell
-    img_z = x * z + f
-    rhs = 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y)
-    img_t = (img_y * img_z - rhs).divide_exact(x)
-    endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
+    n: int
+    e: int
 
-    # recovery: the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z
-    a1 = (ell + 4 * x ** e * s * t).divide_exact(x)
-    b = (y * f + ell * f + 4 * x ** n * y * t - 4 * t * s * y * y).divide_exact(x)
-    if img_t != y * z + (x * z) * a1 + b:
-        raise RuntimeError("T-image split disagrees with the solver")
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.e < 1:
+            raise ValueError("the twist step starts at e >= 1")
 
-    mixed = VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"))
-    low = {"X": "x", "S": "s", "Y": "y", "T": "t"}
-    mx, ms, my, mz, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "Z", "T"))
-    rx, rs, ry, rt = (_v(mixed, nm) for nm in ("x", "s", "y", "t"))
-    r_xz, r_yz, r_sz = (_v(mixed, nm) for nm in ("xz", "yz", "sz"))
-    rows = [
-        RecoveryRow("x", mx, x),
-        RecoveryRow("t", Fraction(-1, 4) * (my * mz - mx * mt), t),
-        RecoveryRow("s", ms - rx ** (n + e) * rt, s),
-        RecoveryRow("y", my - _relabel(ell, low, mixed), y),
-        RecoveryRow("xz", mz - _relabel(f, low, mixed), x * z),
-        RecoveryRow(
-            "yz",
-            mt - r_xz * _relabel(a1, low, mixed) - _relabel(b, low, mixed),
-            y * z,
-        ),
-        RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
-        RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
-    ]
-    stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"})
-    return endo, stage
+    def source_ring(self) -> RingPresentation:
+        return RingPresentation.full(self.n, self.e, ["1", "0"], ["0", "0"], cylinder=True)
 
+    def target_ring(self) -> RingPresentation:
+        return RingPresentation.full(self.n, self.e + 1, ["1", "0"], ["0", "0"], cylinder=True)
 
-def _solve_danielewski(step: DanielewskiStep) -> tuple[PolyEndo, RecoveryStage]:
-    src = step.source_ring()
-    vs = src.varset
-    n, d = step.n, src.d
-    c = step.constant()
-    x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
-    p = src.p_poly()
-    qt = (p - s ** d - c).divide_exact(x)
+    def solve(self) -> tuple[PolyEndo, RecoveryStage]:
+        """The step isomorphism and its recovery chain, every division checked exact."""
+        src = self.source_ring()
+        vs = src.varset
+        n, e = self.n, self.e
+        x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
+        p = src.p_poly()
 
-    h = x ** n * t
-    ident = {nm: _v(vs, nm) for nm in vs.names}
-    p_shift = p.substitute({**ident, "S": s + h})
-    ell = (p_shift - p).divide_exact(x ** n)
-    img_y = x * y + ell
-    rhs = d * t * (p - c - x ** (n + 1) * y)
-    img_t = (img_y * (s + h) - rhs).divide_exact(x)
-    endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
+        h = x ** (n + e) * t
+        ident = {nm: _v(vs, nm) for nm in vs.names}
+        p_shift = p.substitute({**ident, "S": s + h})
+        ell = (p_shift - p).divide_exact(x ** n)
+        f = (2 * y * ell + ell * ell - h).divide_exact(x ** e)
+        img_y = y + ell
+        img_z = x * z + f
+        # the displacement identity phi(Y*Z - X*T) = rhs forces the T-image
+        img_t = (img_y * img_z - self.displacement()[1]).divide_exact(x)
+        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
 
-    # recovery: the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree
-    yfree = (ell * s + ell * h - d * t * s ** d - d * x * t * qt).divide_exact(x)
-    if img_t != y * s + (d + 1) * x ** n * y * t + yfree:
-        raise RuntimeError("T-image split disagrees with the solver")
+        # recovery: the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z
+        a1 = (ell + 4 * x ** e * s * t).divide_exact(x)
+        b = (y * f + ell * f + 4 * x ** n * y * t - 4 * t * s * y * y).divide_exact(x)
+        if img_t != y * z + (x * z) * a1 + b:
+            raise RuntimeError("T-image split disagrees with the solver")
 
-    mixed = VarSet(("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"))
-    low = {"X": "x", "S": "s", "T": "t"}
-    mx, ms, my, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "T"))
-    rx, rs, rt = (_v(mixed, nm) for nm in ("x", "s", "t"))
-    r_xy, r_sy = _v(mixed, "xy"), _v(mixed, "sy")
-    rows = [
-        RecoveryRow("x", mx, x),
-        RecoveryRow("t", (Fraction(-1) / (d * c)) * (my * ms - mx * mt), t),
-        RecoveryRow("s", ms - rx ** n * rt, s),
-        RecoveryRow("xy", my - _relabel(ell, low, mixed), x * y),
-        RecoveryRow(
-            "sy",
-            mt - (d + 1) * rx ** (n - 1) * rt * r_xy - _relabel(yfree, low, mixed),
-            s * y,
-        ),
-        RecoveryRow(
-            "y",
-            (Fraction(1) / c)
-            * (
-                rx ** (n - 1) * r_xy * r_xy
-                - r_sy * rs ** (d - 1)
-                - r_xy * _relabel(qt, low, mixed)
+        mixed = VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"))
+        low = {"X": "x", "S": "s", "Y": "y", "T": "t"}
+        mx, ms, my, mz, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "Z", "T"))
+        rx, rs, ry, rt = (_v(mixed, nm) for nm in ("x", "s", "y", "t"))
+        r_xz, r_yz, r_sz = (_v(mixed, nm) for nm in ("xz", "yz", "sz"))
+        rows = [
+            RecoveryRow("x", mx, x),
+            RecoveryRow("t", Fraction(-1, 4) * (my * mz - mx * mt), t),
+            RecoveryRow("s", ms - rx ** (n + e) * rt, s),
+            RecoveryRow("y", my - _relabel(ell, low, mixed), y),
+            RecoveryRow("xz", mz - _relabel(f, low, mixed), x * z),
+            RecoveryRow(
+                "yz",
+                mt - r_xz * _relabel(a1, low, mixed) - _relabel(b, low, mixed),
+                y * z,
             ),
-            y,
-        ),
-    ]
-    stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "T": "t"})
-    return endo, stage
+            RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
+            RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
+        ]
+        stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"})
+        return endo, stage
+
+    def displacement(self) -> tuple[MultiPoly, MultiPoly, int]:
+        """(lhs, rhs, unit): the step maps Y*Z - X*T to rhs, which is -unit*T in the target."""
+        vs = self.source_ring().varset
+        x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
+        n, e = self.n, self.e
+        rhs = 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y)
+        return y * z - x * t, rhs, 4
+
+
+@dataclass(frozen=True)
+class DanielewskiStep:
+    """One size increment n -> n+1 for a fixed P = S^d + X*Qt(X,S) + c, c != 0."""
+
+    n: int
+    p_coeffs: tuple
+
+    def __init__(self, n: int, p_coeffs: Sequence):
+        ring = RingPresentation.danielewski(max(n, 1), p_coeffs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p_coeffs", ring.p_coeffs)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        c = self.constant()
+        if c == 0:
+            raise ValueError("P must have a nonzero constant term")
+        for i, f in enumerate(self.p_coeffs):
+            residue = f.constant_value() if i else f.constant_value() - c
+            if residue != 0:
+                raise ValueError(
+                    "every coefficient of P - S^d - c must be divisible by X"
+                )
+
+    def constant(self) -> Fraction:
+        return self.p_coeffs[0].constant_value()
+
+    def source_ring(self) -> RingPresentation:
+        return RingPresentation.danielewski(self.n, self.p_coeffs, cylinder=True)
+
+    def target_ring(self) -> RingPresentation:
+        return RingPresentation.danielewski(self.n + 1, self.p_coeffs, cylinder=True)
+
+    def solve(self) -> tuple[PolyEndo, RecoveryStage]:
+        """The step isomorphism and its recovery chain, every division checked exact."""
+        src = self.source_ring()
+        vs = src.varset
+        n, d = self.n, src.d
+        c = self.constant()
+        x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
+        p = src.p_poly()
+        qt = (p - s ** d - c).divide_exact(x)
+
+        h = x ** n * t
+        ident = {nm: _v(vs, nm) for nm in vs.names}
+        p_shift = p.substitute({**ident, "S": s + h})
+        ell = (p_shift - p).divide_exact(x ** n)
+        img_y = x * y + ell
+        # the displacement identity phi(Y*S - X*T) = rhs forces the T-image
+        img_t = (img_y * (s + h) - self.displacement()[1]).divide_exact(x)
+        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
+
+        # recovery: the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree
+        yfree = (ell * s + ell * h - d * t * s ** d - d * x * t * qt).divide_exact(x)
+        if img_t != y * s + (d + 1) * x ** n * y * t + yfree:
+            raise RuntimeError("T-image split disagrees with the solver")
+
+        mixed = VarSet(("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"))
+        low = {"X": "x", "S": "s", "T": "t"}
+        mx, ms, my, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "T"))
+        rx, rs, rt = (_v(mixed, nm) for nm in ("x", "s", "t"))
+        r_xy, r_sy = _v(mixed, "xy"), _v(mixed, "sy")
+        rows = [
+            RecoveryRow("x", mx, x),
+            RecoveryRow("t", (Fraction(-1) / (d * c)) * (my * ms - mx * mt), t),
+            RecoveryRow("s", ms - rx ** n * rt, s),
+            RecoveryRow("xy", my - _relabel(ell, low, mixed), x * y),
+            RecoveryRow(
+                "sy",
+                mt - (d + 1) * rx ** (n - 1) * rt * r_xy - _relabel(yfree, low, mixed),
+                s * y,
+            ),
+            RecoveryRow(
+                "y",
+                (Fraction(1) / c)
+                * (
+                    rx ** (n - 1) * r_xy * r_xy
+                    - r_sy * rs ** (d - 1)
+                    - r_xy * _relabel(qt, low, mixed)
+                ),
+                y,
+            ),
+        ]
+        stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "T": "t"})
+        return endo, stage
+
+    def displacement(self) -> tuple[MultiPoly, MultiPoly, Fraction]:
+        """(lhs, rhs, unit): the step maps Y*S - X*T to rhs, which is -unit*T in the target."""
+        src = self.source_ring()
+        x, s, y, t = (_v(src.varset, nm) for nm in ("X", "S", "Y", "T"))
+        d, c = src.d, self.constant()
+        return y * s - x * t, d * t * (src.p_poly() - c - x ** (self.n + 1) * y), d * c
+
+
+def _require_step(step) -> FullStep | DanielewskiStep:
+    if not isinstance(step, (FullStep, DanielewskiStep)):
+        raise TypeError(f"not a cylinder step: {step!r}")
+    return step
 
 
 def solve_step(step) -> PolyEndo:
     """The step isomorphism, with every division checked exact."""
-    if isinstance(step, FullStep):
-        return _solve_full(step)[0]
-    if isinstance(step, DanielewskiStep):
-        return _solve_danielewski(step)[0]
-    raise TypeError(f"not a cylinder step: {step!r}")
+    return _require_step(step).solve()[0]
 
 
 @dataclass
@@ -386,22 +398,9 @@ def _verify(
         )
 
     if atomic_step is not None:
-        x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
-        if isinstance(atomic_step, FullStep):
-            z = _v(vs, "Z")
-            n, e = atomic_step.n, atomic_step.e
-            moved = endo.apply(y * z - x * t)
-            rhs = 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y)
-            ok_exact = moved == rhs
-            unit = 4
-        else:
-            n = atomic_step.n
-            d = source.d
-            c = atomic_step.constant()
-            moved = endo.apply(y * s - x * t)
-            rhs = d * t * (source.p_poly() - c - x ** (n + 1) * y)
-            ok_exact = moved == rhs
-            unit = d * c
+        lhs, rhs, unit = atomic_step.displacement()
+        moved = endo.apply(lhs)
+        ok_exact = moved == rhs
         cert.checks.append(
             {
                 "name": "displacement-identity",
@@ -409,7 +408,7 @@ def _verify(
                 "detail": "exact identity" if ok_exact else f"residual {moved - rhs}",
             }
         )
-        residue = target.normal_form(moved + unit * t)
+        residue = target.normal_form(moved + unit * _v(vs, "T"))
         ok_cong = residue.is_zero()
         cert.checks.append(
             {
@@ -475,22 +474,12 @@ def _verify(
 
 def verify_step(endo: PolyEndo, step) -> IsoCertificate:
     """Certify one atomic step endomorphism against its endpoint rings."""
-    if isinstance(step, FullStep):
-        _, stage = _solve_full(step)
-    elif isinstance(step, DanielewskiStep):
-        _, stage = _solve_danielewski(step)
-    else:
-        raise TypeError(f"not a cylinder step: {step!r}")
+    _, stage = _require_step(step).solve()
     return _verify(endo, step.source_ring(), step.target_ring(), [stage], atomic_step=step)
 
 
 def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
-    solved = []
-    for st in steps:
-        if isinstance(st, FullStep):
-            solved.append((st, *_solve_full(st)))
-        else:
-            solved.append((st, *_solve_danielewski(st)))
+    solved = [(st, *st.solve()) for st in steps]
     for st, endo, stage in solved:
         atomic = _verify(endo, st.source_ring(), st.target_ring(), [stage], atomic_step=st)
         if not atomic.passed:
@@ -542,7 +531,9 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
     """A cancellation counter-example: isomorphic cylinders, distinct bases.
 
     Builds and verifies the chain between the two cylinders and pairs the
-    certificate with the base-ring fingerprints that tell the bases apart.
+    certificate with the evidence that tells the bases apart: the top
+    components of their defining relations (the relations of the associated
+    graded algebras), compared rather than assumed to differ.
     """
     if e1 == e2:
         raise ValueError("the two twists must differ")
@@ -550,20 +541,20 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
     endo, cert = compose_chain(n, lo, hi)
     if not cert.passed:
         raise ValueError("chain verification failed; no certificate to report")
-    base1 = RingPresentation.full(n, e1, ["1", "0"], ["0", "0"])
-    base2 = RingPresentation.full(n, e2, ["1", "0"], ["0", "0"])
+    bases = [RingPresentation.full(n, e, ["1", "0"], ["0", "0"]) for e in (e1, e2)]
+    tops = [[str(t) for t in hat_ideal_tops(base)] for base in bases]
     return {
         "cylinders_isomorphic": True,
         "direction": f"built from twist {lo} up to {hi}",
         "certificate": cert.to_json_dict(),
         "base_fingerprints": [
-            {"n": n, "e": e1, "d": 2, "m": 2, "ring": base1.fingerprint()},
-            {"n": n, "e": e2, "d": 2, "m": 2, "ring": base2.fingerprint()},
+            {"n": n, "e": e, "d": 2, "m": 2, "ring": base.fingerprint(), "hat_ideal_tops": top}
+            for e, base, top in zip((e1, e2), bases, tops)
         ],
-        "bases_distinct": e1 != e2,
+        "bases_distinct": tops[0] != tops[1],
         "note": (
-            "the two base rings have distinct parameter fingerprints "
-            f"(twists {e1} and {e2}), yet their cylinders are isomorphic "
-            "by the certified chain"
+            f"the base rings with twists {e1} and {e2} have different "
+            "graded relations (hat-ideal tops), yet their cylinders are "
+            "isomorphic by the certified chain"
         ),
     }

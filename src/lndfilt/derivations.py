@@ -78,8 +78,7 @@ class Derivation:
         if a.is_zero():
             return 1
         total = max(sum(exps) for exps in a.rep.terms)
-        scale = self.ring.d * (self.ring.m if self.ring.family == "full" else 1)
-        return scale * total + 1
+        return max(self.ring.weights) * total + 1
 
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:
         """min{ i : D^(i+1)(a) = 0 }, or None for a = 0 (minus infinity).

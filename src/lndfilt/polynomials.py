@@ -7,6 +7,7 @@ exact; there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -108,6 +109,21 @@ def _from_terms(varset: VarSet, terms: dict[tuple[int, ...], Fraction]) -> Multi
     out.varset = varset
     out.terms = terms
     return out
+
+
+def load_json(text: str, what: str, kind: type = dict, shape: str = "an object"):
+    """Decode one JSON document whose top level must be of type kind.
+
+    Both failures raise ValueError naming what the document holds, e.g.
+    "bad ring JSON: ..." or "ring JSON must be an object".
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"bad {what} JSON: {err}") from None
+    if not isinstance(data, kind):
+        raise ValueError(f"{what} JSON must be {shape}")
+    return data
 
 
 def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:

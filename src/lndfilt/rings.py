@@ -7,33 +7,44 @@ Two presentations are supported, over the rationals:
 
 with P = S^d + f_{d-1}(X)*S^{d-1} + ... + f_0(X) monic of degree d >= 2 in S,
 and Q = Y^m + g_{m-1}(X)*Y^{m-1} + ... + g_0(X) monic of degree m >= 2 in Y.
-The full family requires (n, e) != (1, 0).
+The full family requires (n, e) != (1, 0).  A danielewski ring is the full
+construction without the second relation; the two families differ only in
+that relation, and each ring states its family data once: the defining
+relations, each with the head of its rewrite rule, and one weight vector
+(0, 1, d, m*d) on (x, s, y, z), the cylinder variable t weighing 0.
 
 Every residue class has a unique representative whose monomials satisfy
 s-exponent < d and (full family) y-exponent < m; x (and z, and the cylinder
-variable t) are unconstrained.  normal_form computes it by rewriting
+variable t) are unconstrained.  normal_form computes it by rewriting with
+one rule per relation, derived from that relation as head -> head - rel/c
+(c the head's coefficient in rel):
 
     S^d -> X^n*Y - sum_i f_i(X)*S^i        (s-rule)
     Y^m -> S + X^e*Z - sum_j g_j(X)*Y^j    (y-rule, full family)
 
 until no monomial is reducible.  Each pass rewrites all reducible monomials
-once; the per-monomial measure ((0,1,d,m*d)-weight, then s-exp + y-exp) drops
+once; the per-monomial measure (filtration weight, then s-exp + y-exp) drops
 strictly on every applied rule.  The measure is linear in the exponents, so
 this is checked once per ring, rule head against each tail term, when the
-rule tails are built.
+rules are built.  The heads S^d and Y^m have coprime leading monomials, so by
+Buchberger's first criterion (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 sec. 9) the rewriting is confluent, and a strategy only
+decides which rule is tried first on a monomial that both rules reduce.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polynomials import (
     MultiPoly,
-    ParseError,
     VarSet,
     WeightFunction,
+    _from_terms,
+    load_json,
     parse_poly,
     power_by_squaring,
 )
@@ -58,6 +69,25 @@ def _coerce_x_poly(c: CoeffLike, what: str) -> MultiPoly:
     return c
 
 
+def _coerce_x_polys(coeffs: Sequence[CoeffLike], name: str) -> tuple[MultiPoly, ...]:
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError(f"{name} must be a list of coefficients, got {coeffs!r}")
+    return tuple(_coerce_x_poly(c, f"{name} coefficient") for c in coeffs)
+
+
+def _add_into(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
+    v = acc.get(key, 0) + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+# one rewrite rule: (head variable index, head power, tail terms, relation
+# index, 1/(head coefficient in the relation))
+_Rule = tuple[int, int, tuple[tuple[tuple[int, ...], Fraction], ...], int, Fraction]
+
+
 class RingPresentation:
     """One ring of either family, plus the optional adjoined cylinder variable T.
 
@@ -66,7 +96,8 @@ class RingPresentation:
     """
 
     __slots__ = (
-        "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m", "_tails",
+        "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
+        "weights", "_tails",
     )
 
     def __init__(
@@ -80,16 +111,18 @@ class RingPresentation:
     ):
         if family not in ("full", "danielewski"):
             raise ValueError(f"unknown family {family!r}")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if not isinstance(e, int) or e < 0:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
             raise ValueError(f"e must be an integer >= 0, got {e!r}")
+        if not isinstance(cylinder, bool):
+            raise ValueError(f"cylinder must be true or false, got {cylinder!r}")
         self.family = family
         self.n = n
         self.e = e
-        self.cylinder = bool(cylinder)
-        self.p_coeffs = tuple(_coerce_x_poly(c, "P coefficient") for c in p_coeffs)
-        self.q_coeffs = tuple(_coerce_x_poly(c, "Q coefficient") for c in q_coeffs)
+        self.cylinder = cylinder
+        self.p_coeffs = _coerce_x_polys(p_coeffs, "P")
+        self.q_coeffs = _coerce_x_polys(q_coeffs, "Q")
         self.d = len(self.p_coeffs)
         self.m = len(self.q_coeffs)
         if self.d < 2:
@@ -99,17 +132,19 @@ class RingPresentation:
                 raise ValueError(f"Q must have degree >= 2 in Y (got m={self.m})")
             if (n, e) == (1, 0):
                 raise ValueError("the full family excludes (n, e) = (1, 0)")
-            names = ["X", "S", "Y", "Z"]
+            names, weights = ["X", "S", "Y", "Z"], [0, 1, self.d, self.m * self.d]
         else:
             if self.q_coeffs:
                 raise ValueError("danielewski rings have no Q")
             if e != 0:
                 raise ValueError("danielewski rings have no twist exponent e")
-            names = ["X", "S", "Y"]
+            names, weights = ["X", "S", "Y"], [0, 1, self.d]
         if self.cylinder:
             names.append("T")
+            weights.append(0)
         self.varset = VarSet(names)
-        self._tails: tuple[MultiPoly, MultiPoly | None] | None = None
+        self.weights = tuple(weights)
+        self._tails: dict[str, tuple[_Rule, ...]] | None = None
 
     # -------------------------------------------------------------- factories
 
@@ -138,28 +173,37 @@ class RingPresentation:
 
     # ------------------------------------------------------------- structure
 
+    def _key(self) -> tuple:
+        return (self.family, self.n, self.e, self.cylinder, self.p_coeffs, self.q_coeffs)
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingPresentation)
-            and self.family == other.family
-            and (self.n, self.e, self.cylinder) == (other.n, other.e, other.cylinder)
-            and self.p_coeffs == other.p_coeffs
-            and self.q_coeffs == other.q_coeffs
-        )
+        if self is other:
+            return True
+        return isinstance(other, RingPresentation) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.family, self.n, self.e, self.cylinder, self.p_coeffs, self.q_coeffs))
+        return hash(self._key())
+
+    def _params(self) -> dict:
+        """The presentation's parameters in display order; a danielewski ring has no e, m, Q."""
+        out = {
+            "family": self.family,
+            "n": self.n,
+            "e": self.e,
+            "d": self.d,
+            "m": self.m,
+            "P": [str(c) for c in self.p_coeffs],
+            "Q": [str(c) for c in self.q_coeffs],
+        }
+        if self.family != "full":
+            del out["e"], out["m"], out["Q"]
+        return out
 
     def fingerprint(self) -> str:
-        bits = [f"family={self.family}", f"n={self.n}"]
-        if self.family == "full":
-            bits.append(f"e={self.e}")
-        bits.append(f"d={self.d}")
-        if self.family == "full":
-            bits.append(f"m={self.m}")
-        bits.append("P=[" + ", ".join(str(c) for c in self.p_coeffs) + "]")
-        if self.family == "full":
-            bits.append("Q=[" + ", ".join(str(c) for c in self.q_coeffs) + "]")
+        bits = [
+            f"{key}=[{', '.join(value)}]" if isinstance(value, list) else f"{key}={value}"
+            for key, value in self._params().items()
+        ]
         if self.cylinder:
             bits.append("cylinder")
         return "(" + "; ".join(bits) + ")"
@@ -185,18 +229,23 @@ class RingPresentation:
             out = out + g.rename(vs) * (MultiPoly.variable(vs, "Y") ** j)
         return out
 
+    def _relations(self) -> list[tuple[tuple[int, ...], MultiPoly]]:
+        """Each defining relation with the head of its rewrite rule.
+
+        X^n*Y - P with head S^d, and for the full family Q - X^e*Z - S with
+        head Y^m.  The rewrite rules, their cofactors and the relations that
+        the certificates transport all come from this one list.
+        """
+        x, s, y = (MultiPoly.variable(self.varset, nm) for nm in ("X", "S", "Y"))
+        rels = [(self._head("S", self.d), x ** self.n * y - self.p_poly())]
+        if self.family == "full":
+            z = MultiPoly.variable(self.varset, "Z")
+            rels.append((self._head("Y", self.m), self.q_poly() - x ** self.e * z - s))
+        return rels
+
     def relation_polys(self) -> list[MultiPoly]:
         """The defining relations in the presentation's ambient variables."""
-        vs = self.varset
-        x = MultiPoly.variable(vs, "X")
-        y = MultiPoly.variable(vs, "Y")
-        first = x ** self.n * y - self.p_poly()
-        if self.family == "danielewski":
-            return [first]
-        s = MultiPoly.variable(vs, "S")
-        z = MultiPoly.variable(vs, "Z")
-        second = self.q_poly() - x ** self.e * z - s
-        return [first, second]
+        return [rel for _, rel in self._relations()]
 
     def eliminated_relation(self) -> MultiPoly:
         """X^n*Y - P(X, Q(X,Y) - X^e*Z): the one relation after S is eliminated.
@@ -216,20 +265,21 @@ class RingPresentation:
 
     def degree_weights(self) -> WeightFunction:
         """The filtration weight of each ambient variable (x, t weigh 0)."""
-        w = {"X": 0, "S": 1, "Y": self.d, "T": 0}
-        if self.family == "full":
-            w["Z"] = self.m * self.d
-        return WeightFunction(self.varset, [w[nm] for nm in self.varset.names])
+        return WeightFunction(self.varset, self.weights)
 
     def monomial_degree(self, exps: Sequence[int]) -> int:
         """Filtration degree of one stored monomial: s + d*y (+ m*d*z)."""
-        exps = tuple(exps)
-        if len(exps) != len(self.varset):
-            raise ValueError(f"expected {len(self.varset)} exponents, got {exps}")
-        deg = exps[1] + self.d * exps[2]
-        if self.family == "full":
-            deg += self.m * self.d * exps[3]
-        return deg
+        if len(exps) != len(self.weights):
+            raise ValueError(f"expected {len(self.weights)} exponents, got {tuple(exps)}")
+        return sum(map(mul, self.weights, exps))
+
+    def basis_exponents(self, a: int, l: int, j: int, i: int) -> tuple[int, ...]:
+        """The exponent tuple of x^a*s^l*y^j*z^i, for (l, j, i) from basis_monomials.
+
+        z, where the ring has it, gets i, and t gets 0; a danielewski basis
+        triple always has i = 0.
+        """
+        return (a, l, j, i, 0)[: len(self.varset)]
 
     # ----------------------------------------------------------- normal form
 
@@ -251,8 +301,8 @@ class RingPresentation:
                     f"measure at {texps}"
                 )
 
-    def _rule_tails(self) -> tuple[MultiPoly, MultiPoly | None]:
-        """Right-hand sides of the two rewrite rules, over the ring varset.
+    def _rule_tails(self) -> dict[str, tuple[_Rule, ...]]:
+        """The rewrite rules in the order each strategy tries them.
 
         Built, and checked against the termination measure, once per ring.
         """
@@ -260,23 +310,26 @@ class RingPresentation:
             self._tails = self._build_rule_tails()
         return self._tails
 
-    def _build_rule_tails(self) -> tuple[MultiPoly, MultiPoly | None]:
-        vs = self.varset
-        x = MultiPoly.variable(vs, "X")
-        y = MultiPoly.variable(vs, "Y")
-        s = MultiPoly.variable(vs, "S")
-        s_rhs = x ** self.n * y
-        for i, f in enumerate(self.p_coeffs):
-            s_rhs = s_rhs - f.rename(vs) * s ** i
-        self._check_rule_drops(self._head("S", self.d), s_rhs)
-        if self.family != "full":
-            return s_rhs, None
-        z = MultiPoly.variable(vs, "Z")
-        y_rhs = s + x ** self.e * z
-        for j, g in enumerate(self.q_coeffs):
-            y_rhs = y_rhs - g.rename(vs) * y ** j
-        self._check_rule_drops(self._head("Y", self.m), y_rhs)
-        return s_rhs, y_rhs
+    def _build_rule_tails(self) -> dict[str, tuple[_Rule, ...]]:
+        """Derive one rewrite rule per relation: head -> head - rel/c.
+
+        c is the head's coefficient in rel, so replacing c'*base*head by
+        c'*base*tail changes the polynomial by (c'/c)*base*rel, which the
+        relation's cofactor absorbs.  Because the rules are derived, the
+        cofactor identity p = rep + sum(cofactor*rel) checks only the rewrite
+        loop.  What stays independent of this derivation: the written-out
+        golden degrees and derivation images of acceptance #1 and #2, the
+        written-out hat-ideal tops of acceptance #7, and the written-out tops
+        in graded_relations_check.
+        """
+        rules = []
+        for index, (head, rel) in enumerate(self._relations()):
+            scale = 1 / rel.terms[head]
+            tail = MultiPoly.monomial(self.varset, head) - rel * scale
+            self._check_rule_drops(head, tail)
+            var = next(k for k, power in enumerate(head) if power)
+            rules.append((var, head[var], tuple(tail.terms.items()), index, scale))
+        return {"s_first": tuple(rules), "y_first": tuple(reversed(rules))}
 
     def _head(self, name: str, power: int) -> tuple[int, ...]:
         """Exponents of the rule head name^power."""
@@ -298,74 +351,36 @@ class RingPresentation:
         """
         if p.varset != self.varset:
             raise ValueError(f"polynomial varset {p.varset!r} does not match ring {self.varset!r}")
-        if strategy not in ("s_first", "y_first"):
+        rules = self._rule_tails().get(strategy)
+        if rules is None:
             raise ValueError(f"unknown strategy {strategy!r}")
-        s_rhs, y_rhs = self._rule_tails()
-        d, m = self.d, self.m
-        s_ix, y_ix = 1, 2
-        is_full = self.family == "full"
-        track = with_cofactors
-        cof_a: dict[tuple[int, ...], Fraction] = {}
-        cof_b: dict[tuple[int, ...], Fraction] = {}
-
-        def add_into(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
-            v = acc.get(key, 0) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-
+        cofactors = [{} for _ in rules] if with_cofactors else None
         current = dict(p.terms)
         while True:
             todo = []
             for exps in current:
-                use_s = exps[s_ix] >= d
-                use_y = is_full and exps[y_ix] >= m
-                if not (use_s or use_y):
-                    continue
-                if use_s and use_y:
-                    rule = "s" if strategy == "s_first" else "y"
-                elif use_s:
-                    rule = "s"
-                else:
-                    rule = "y"
-                todo.append((exps, rule))
+                for rule in rules:
+                    if exps[rule[0]] >= rule[1]:
+                        todo.append((exps, rule))
+                        break
             if not todo:
                 break
-            for exps, rule in todo:
+            for exps, (var, power, tail, index, scale) in todo:
                 # an earlier rewrite in this pass may have cancelled the term
                 c = current.pop(exps, None)
                 if c is None:
                     continue
                 base = list(exps)
-                if rule == "s":
-                    base[s_ix] -= d
-                    tail = s_rhs
-                else:
-                    base[y_ix] -= m
-                    tail = y_rhs
-                for texps, tc in tail.terms.items():
-                    key = tuple(b + t for b, t in zip(base, texps))
-                    add_into(current, key, c * tc)
-                if track:
-                    # replacing base*S^d by base*s_rhs adds base*rel1 (and the
-                    # y-rule subtracts base*rel2), so the cofactors absorb it
-                    if rule == "s":
-                        add_into(cof_a, tuple(base), -c)
-                    else:
-                        add_into(cof_b, tuple(base), c)
-        rep = MultiPoly.zero(self.varset)
-        rep.terms = current
-        elem = QuotElem(self, rep, _trusted=True)
-        if not with_cofactors:
+                base[var] -= power
+                for texps, tc in tail:
+                    _add_into(current, tuple(map(add, base, texps)), c * tc)
+                if cofactors is not None:
+                    _add_into(cofactors[index], tuple(base), c * scale)
+        elem = QuotElem(self, _from_terms(self.varset, current), _trusted=True)
+        if cofactors is None:
             return elem
-        a = MultiPoly.zero(self.varset)
-        a.terms = cof_a
-        if not is_full:
-            return elem, (a, None)
-        b = MultiPoly.zero(self.varset)
-        b.terms = cof_b
-        return elem, (a, b)
+        # the pair (A, B), with B None where there is no second relation
+        return elem, (*(_from_terms(self.varset, cof) for cof in cofactors), None)[:2]
 
     # ------------------------------------------------------------- elements
 
@@ -392,15 +407,7 @@ class RingPresentation:
     # ------------------------------------------------------------------ JSON
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "family": self.family,
-            "n": self.n,
-        }
-        if self.family == "full":
-            out["e"] = self.e
-        out["P"] = [str(c) for c in self.p_coeffs]
-        if self.family == "full":
-            out["Q"] = [str(c) for c in self.q_coeffs]
+        out = {k: v for k, v in self._params().items() if k not in ("d", "m")}
         if self.cylinder:
             out["cylinder"] = True
         return out
@@ -410,30 +417,24 @@ class RingPresentation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> RingPresentation:
-        try:
-            family = data["family"]
-            n = data["n"]
-            p = data["P"]
-        except KeyError as missing:
-            raise ValueError(f"ring JSON lacks key {missing}") from None
-        cylinder = bool(data.get("cylinder", False))
-        if family == "full":
-            if "Q" not in data:
-                raise ValueError("ring JSON lacks key 'Q'")
-            return cls.full(n, data.get("e", 0), p, data["Q"], cylinder)
-        if family == "danielewski":
-            return cls.danielewski(n, p, cylinder)
-        raise ValueError(f"unknown family {family!r}")
+        unknown = sorted(set(data) - {"family", "n", "e", "P", "Q", "cylinder"})
+        if unknown:
+            raise ValueError(f"ring JSON has unknown keys {unknown}")
+        for key in ("family", "n", "P"):
+            if key not in data:
+                raise ValueError(f"ring JSON lacks key {key!r}")
+        return cls(
+            data["family"],
+            data["n"],
+            data.get("e", 0),
+            data["P"],
+            data.get("Q", ()),
+            data.get("cylinder", False),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> RingPresentation:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"bad ring JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise ValueError("ring JSON must be an object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(load_json(text, "ring"))
 
 
 def toy_ring(cylinder: bool = False) -> RingPresentation:
@@ -544,11 +545,7 @@ class QuotElem:
     # ------------------------------------------------------------------ JSON
 
     def to_json_list(self) -> list[dict]:
-        keys = ["x", "s", "y"]
-        if self.ring.family == "full":
-            keys.append("z")
-        if self.ring.cylinder:
-            keys.append("t")
+        keys = [nm.lower() for nm in self.ring.varset.names]
         out = []
         for exps, c in self.rep.sorted_terms():
             entry = {k: e for k, e in zip(keys, exps)}
@@ -561,11 +558,7 @@ class QuotElem:
 
     @classmethod
     def from_json_list(cls, ring: RingPresentation, data: Iterable[Mapping]) -> QuotElem:
-        keys = ["x", "s", "y"]
-        if ring.family == "full":
-            keys.append("z")
-        if ring.cylinder:
-            keys.append("t")
+        keys = [nm.lower() for nm in ring.varset.names]
         terms: dict[tuple[int, ...], Fraction] = {}
         for entry in data:
             exps = tuple(int(entry.get(k, 0)) for k in keys)
@@ -576,13 +569,7 @@ class QuotElem:
 
     @classmethod
     def from_json(cls, ring: RingPresentation, text: str) -> QuotElem:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"bad element JSON: {err}") from None
-        if not isinstance(data, list):
-            raise ValueError("element JSON must be a list of term objects")
-        return cls.from_json_list(ring, data)
+        return cls.from_json_list(ring, load_json(text, "element", list, "a list of term objects"))
 
 
 def evaluate_in_ring(p: MultiPoly, env: Mapping[str, QuotElem]) -> QuotElem:

@@ -24,6 +24,7 @@ from lndfilt.checks import (
     degree_consistency,
     graded_relations_check,
     kernel_check,
+    random_element,
 )
 from lndfilt.cylinders import (
     DanielewskiStep,
@@ -39,7 +40,7 @@ from lndfilt.graded import gr_leading, hat_ideal_tops
 from lndfilt.polynomials import MultiPoly, parse_poly
 from lndfilt.rings import RingPresentation, toy_ring
 
-from util import grid_rings, mixed_small_rings, random_element, random_poly
+from util import grid_rings, mixed_small_rings, random_poly
 
 from test_cylinders import SIZE_DISPLAY, SIZE_P, TWIST_DISPLAY, TWIST_DISPLAY_T
 
@@ -121,8 +122,8 @@ def test_criterion_05_graded_properties(report):
     violations = []
     for ring in rings:
         for _ in range(40):
-            a = random_element(rng, ring, degree_bound=8)
-            b = random_element(rng, ring, degree_bound=8)
+            a = random_element(ring, rng, 8, x_cap=4)
+            b = random_element(ring, rng, 8, x_cap=4)
             if a.is_zero() or b.is_zero():
                 continue
             # P1: degrees add and leading classes multiply, unless the top cancels

@@ -239,6 +239,13 @@ def test_cancellation_report_shape():
     prints = [entry["ring"] for entry in report["base_fingerprints"]]
     assert prints[0] != prints[1]
     assert "e=1" in prints[0] and "e=2" in prints[1]
+    # the verdict is computed from the graded relations of the two bases
+    tops = [entry["hat_ideal_tops"] for entry in report["base_fingerprints"]]
+    assert tops == [["X^2*Y - S^2", "-X*Z + Y^2"], ["X^2*Y - S^2", "-X^2*Z + Y^2"]]
+    assert cancellation_report(1, 3, 1)["base_fingerprints"][0]["hat_ideal_tops"] == [
+        "X*Y - S^2",
+        "-X^3*Z + Y^2",
+    ]
     with pytest.raises(ValueError):
         cancellation_report(2, 1, 1)
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from lndfilt.checks import random_element
 from lndfilt.polynomials import MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
-from util import mixed_small_rings, random_element, random_poly
+from util import mixed_small_rings, random_poly
 
 
 def nf_str(ring, text):
@@ -251,17 +252,29 @@ def test_ring_json_roundtrip(toy):
 
 
 def test_ring_json_errors():
-    with pytest.raises(ValueError, match="lacks key"):
-        RingPresentation.from_json('{"family": "full", "n": 2}')
-    with pytest.raises(ValueError, match="bad ring JSON"):
-        RingPresentation.from_json("{nope")
-    with pytest.raises(ValueError, match="unknown family"):
-        RingPresentation.from_json('{"family": "x", "n": 1, "P": ["0", "0"]}')
+    cases = [
+        ('{"family": "full", "n": 2}', "lacks key 'P'"),
+        ("{nope", "bad ring JSON"),
+        ("[1, 2]", "ring JSON must be an object"),
+        ('{"family": "x", "n": 1, "P": ["0", "0"]}', "unknown family"),
+        # a danielewski ring has no e and no Q; neither is dropped silently
+        ('{"family": "danielewski", "n": 1, "e": 3, "P": ["1", "0"], "Q": ["0", "0"]}', "no Q"),
+        ('{"family": "danielewski", "n": 1, "e": 3, "P": ["1", "0"]}', "no twist exponent"),
+        ('{"family": "danielewski", "n": 1, "P": ["1", "0"], "cylinder": "false"}', "cylinder must be"),
+        ('{"family": "danielewski", "n": true, "P": ["1", "0"]}', "n must be"),
+        ('{"family": "full", "n": 2, "e": false, "P": ["1", "0"], "Q": ["0", "0"]}', "e must be"),
+        ('{"family": "danielewski", "n": 1, "P": ["1", "0"], "name": "B"}', r"unknown keys \['name'\]"),
+        ('{"family": "danielewski", "n": 1, "P": "10"}', "P must be a list"),
+        ('{"family": "full", "n": 2, "P": ["1", "0"], "Q": 7}', "Q must be a list"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ValueError, match=match):
+            RingPresentation.from_json(text)
 
 
 def test_element_json_roundtrip(toy, rng):
     for _ in range(10):
-        a = random_element(rng, toy, 8)
+        a = random_element(toy, rng, 8, x_cap=4)
         back = QuotElem.from_json(toy, a.to_json())
         assert back == a
     entry = json.loads(toy.element("3/4*S*Z^2 - X").to_json())

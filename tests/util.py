@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from lndfilt.polynomials import MultiPoly, VarSet
-from lndfilt.rings import QuotElem, RingPresentation, basis_monomials
+from lndfilt.rings import RingPresentation
 
 
 def random_fraction(rng: Random, span: int = 9, max_den: int = 5) -> Fraction:
@@ -23,25 +23,6 @@ def random_poly(
         exps = tuple(rng.randint(0, max_exp) for _ in varset.names)
         terms[exps] = random_fraction(rng)
     return MultiPoly(varset, terms)
-
-
-def random_element(
-    rng: Random,
-    ring: RingPresentation,
-    degree_bound: int,
-    x_cap: int = 4,
-    max_terms: int = 5,
-) -> QuotElem:
-    """A random canonical-form element of filtration degree <= degree_bound."""
-    pool = basis_monomials(ring, degree_bound)
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        _, (l, j, i) = rng.choice(pool)
-        a = rng.randint(0, x_cap)
-        key = (a, l, j) if ring.family == "danielewski" else (a, l, j, i)
-        terms[key] = random_fraction(rng)
-    rep = MultiPoly(ring.varset, terms)
-    return QuotElem(ring, rep, _trusted=True)
 
 
 def grid_rings() -> list[RingPresentation]:

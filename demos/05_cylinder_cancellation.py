@@ -22,7 +22,10 @@ for nm in ("X", "S", "Y", "Z", "T"):
 
 # The certificate records, with exact arithmetic throughout:
 #   * both defining relations transported onto the target relations,
-#   * the eliminated three-variable relation transported likewise,
+#   * the eliminated three-variable relation transported likewise; this
+#     entry is derived from the two transports (eliminating S kills the
+#     second relation and turns the first into the eliminated one), and it
+#     is expanded only when a transport fails,
 #   * the displacement identity pinning the image of T,
 #   * a recovery program exhibiting every source generator (hence
 #     surjectivity, hence bijectivity for these presentations).

@@ -30,12 +30,20 @@ rules are built.  The heads S^d and Y^m have coprime leading monomials, so by
 Buchberger's first criterion (Cox, Little, O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 sec. 9) the rewriting is confluent, and a strategy only
 decides which rule is tried first on a monomial that both rules reduce.
+
+The rewrite loop runs on plain ints.  Each rule's tail coefficients and
+cofactor scale are stored once per ring as integer numerators over one tail
+denominator td; the input becomes integer numerators over one denominator,
+each pass moves that denominator on by td (nothing to do when td is 1, as for
+integer f_i and g_j), and the result turns back into Fractions once.  An input
+that is already canonical is returned as it is.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -43,7 +51,9 @@ from .polynomials import (
     MultiPoly,
     VarSet,
     WeightFunction,
+    _fractions,
     _from_terms,
+    _numerators,
     load_json,
     parse_poly,
     power_by_squaring,
@@ -75,17 +85,23 @@ def _coerce_x_polys(coeffs: Sequence[CoeffLike], name: str) -> tuple[MultiPoly, 
     return tuple(_coerce_x_poly(c, f"{name} coefficient") for c in coeffs)
 
 
-def _add_into(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
-    v = acc.get(key, 0) + c
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
-
-
 # one rewrite rule: (head variable index, head power, tail terms, relation
-# index, 1/(head coefficient in the relation))
-_Rule = tuple[int, int, tuple[tuple[tuple[int, ...], Fraction], ...], int, Fraction]
+# index, 1/(head coefficient in the relation)); the tail coefficients and the
+# cofactor scale are integer numerators over the ring's tail denominator
+_Rule = tuple[int, int, tuple[tuple[tuple[int, ...], int], ...], int, int]
+# the tail denominator and the rules in the order a strategy tries them
+_RuleSet = tuple[int, tuple[_Rule, ...]]
+
+
+def _reducible(terms: Iterable[tuple[int, ...]], rules: Sequence[_Rule]) -> list:
+    """(exponents, rule) for each monomial that a rule reduces, first rule first."""
+    todo = []
+    for exps in terms:
+        for rule in rules:
+            if exps[rule[0]] >= rule[1]:
+                todo.append((exps, rule))
+                break
+    return todo
 
 
 class RingPresentation:
@@ -144,7 +160,7 @@ class RingPresentation:
             weights.append(0)
         self.varset = VarSet(names)
         self.weights = tuple(weights)
-        self._tails: dict[str, tuple[_Rule, ...]] | None = None
+        self._tails: dict[str, _RuleSet] | None = None
 
     # -------------------------------------------------------------- factories
 
@@ -301,8 +317,8 @@ class RingPresentation:
                     f"measure at {texps}"
                 )
 
-    def _rule_tails(self) -> dict[str, tuple[_Rule, ...]]:
-        """The rewrite rules in the order each strategy tries them.
+    def _rule_tails(self) -> dict[str, _RuleSet]:
+        """The tail denominator and the rewrite rules in each strategy's order.
 
         Built, and checked against the termination measure, once per ring.
         """
@@ -310,7 +326,7 @@ class RingPresentation:
             self._tails = self._build_rule_tails()
         return self._tails
 
-    def _build_rule_tails(self) -> dict[str, tuple[_Rule, ...]]:
+    def _build_rule_tails(self) -> dict[str, _RuleSet]:
         """Derive one rewrite rule per relation: head -> head - rel/c.
 
         c is the head's coefficient in rel, so replacing c'*base*head by
@@ -321,15 +337,28 @@ class RingPresentation:
         golden degrees and derivation images of acceptance #1 and #2, the
         written-out hat-ideal tops of acceptance #7, and the written-out tops
         in graded_relations_check.
+
+        Every tail coefficient and cofactor scale is stored as an integer
+        numerator over one tail denominator td, the lcm of their
+        denominators, for the integer loop in normal_form.
         """
-        rules = []
+        derived = []
         for index, (head, rel) in enumerate(self._relations()):
             scale = 1 / rel.terms[head]
             tail = MultiPoly.monomial(self.varset, head) - rel * scale
             self._check_rule_drops(head, tail)
             var = next(k for k, power in enumerate(head) if power)
-            rules.append((var, head[var], tuple(tail.terms.items()), index, scale))
-        return {"s_first": tuple(rules), "y_first": tuple(reversed(rules))}
+            derived.append((var, head[var], tail.terms, index, scale))
+        td = lcm(*[c.denominator for _, _, tail, _, scale in derived for c in (*tail.values(), scale)])
+
+        def over_td(c: Fraction) -> int:
+            return c.numerator * (td // c.denominator)
+
+        rules = tuple(
+            (var, power, tuple((texps, over_td(tc)) for texps, tc in tail.items()), index, over_td(scale))
+            for var, power, tail, index, scale in derived
+        )
+        return {"s_first": (td, rules), "y_first": (td, rules[::-1])}
 
     def _head(self, name: str, power: int) -> tuple[int, ...]:
         """Exponents of the rule head name^power."""
@@ -348,39 +377,70 @@ class RingPresentation:
         Returns a QuotElem, or (QuotElem, cofactors) when with_cofactors is
         set; cofactors is the pair (A, B) with  p = rep + A*rel1 + B*rel2
         exactly (B is None for the danielewski family).
+
+        The loop runs on integer numerators over one denominator den (after
+        Monagan & Pearce, J. Symb. Comp. 2011).  Each pass pops every
+        reducible monomial, moves what is left (and the cofactors) from den
+        to den*td, and adds c*tail for each popped numerator c with int
+        arithmetic; the values turn back into Fractions once, at the end.
+        Each monomial's rule is fixed by the strategy and the total
+        coefficient rewritten through it is fixed by the input, so the
+        representative and the cofactors do not depend on the order of the
+        rewrites within a pass.
         """
         if p.varset != self.varset:
             raise ValueError(f"polynomial varset {p.varset!r} does not match ring {self.varset!r}")
-        rules = self._rule_tails().get(strategy)
-        if rules is None:
+        ruleset = self._rule_tails().get(strategy)
+        if ruleset is None:
             raise ValueError(f"unknown strategy {strategy!r}")
+        td, rules = ruleset
+        todo = _reducible(p.terms, rules)
+        if not todo:
+            # already canonical: no conversion, no copy
+            elem = QuotElem(self, p, _trusted=True)
+            if not with_cofactors:
+                return elem
+            zero = MultiPoly.zero(self.varset)
+            return elem, (zero, zero if len(rules) > 1 else None)
+        nums, den = _numerators(p.terms)
+        current = dict(zip(p.terms, nums))
         cofactors = [{} for _ in rules] if with_cofactors else None
-        current = dict(p.terms)
-        while True:
-            todo = []
-            for exps in current:
-                for rule in rules:
-                    if exps[rule[0]] >= rule[1]:
-                        todo.append((exps, rule))
-                        break
-            if not todo:
-                break
-            for exps, (var, power, tail, index, scale) in todo:
-                # an earlier rewrite in this pass may have cancelled the term
-                c = current.pop(exps, None)
-                if c is None:
-                    continue
+        while todo:
+            popped = [(current.pop(exps), exps, rule) for exps, rule in todo]
+            if td != 1:
+                den *= td
+                current = {k: v * td for k, v in current.items()}
+                if cofactors is not None:
+                    cofactors = [{k: v * td for k, v in cof.items()} for cof in cofactors]
+            get = current.get
+            for c, exps, (var, power, tail, index, scale) in popped:
                 base = list(exps)
                 base[var] -= power
                 for texps, tc in tail:
-                    _add_into(current, tuple(map(add, base, texps)), c * tc)
+                    key = tuple(map(add, base, texps))
+                    v = get(key, 0) + c * tc
+                    if v:
+                        current[key] = v
+                    else:
+                        del current[key]
                 if cofactors is not None:
-                    _add_into(cofactors[index], tuple(base), c * scale)
-        elem = QuotElem(self, _from_terms(self.varset, current), _trusted=True)
+                    cof = cofactors[index]
+                    key = tuple(base)
+                    v = cof.get(key, 0) + c * scale
+                    if v:
+                        cof[key] = v
+                    else:
+                        del cof[key]
+            todo = _reducible(current, rules)
+
+        def poly(terms: dict[tuple[int, ...], int]) -> MultiPoly:
+            return _from_terms(self.varset, dict(zip(terms, _fractions(terms.values(), den))))
+
+        elem = QuotElem(self, poly(current), _trusted=True)
         if cofactors is None:
             return elem
         # the pair (A, B), with B None where there is no second relation
-        return elem, (*(_from_terms(self.varset, cof) for cof in cofactors), None)[:2]
+        return elem, (*map(poly, cofactors), None)[:2]
 
     # ------------------------------------------------------------- elements
 
@@ -558,11 +618,30 @@ class QuotElem:
 
     @classmethod
     def from_json_list(cls, ring: RingPresentation, data: Iterable[Mapping]) -> QuotElem:
+        """The element whose terms are the objects {"x": 1, ..., "c": "3/4"} of data.
+
+        An absent exponent is 0.  A term that is not an object, lacks "c",
+        has a key that names no variable, or has an exponent that is not a
+        non-negative integer raises ValueError.
+        """
         keys = [nm.lower() for nm in ring.varset.names]
         terms: dict[tuple[int, ...], Fraction] = {}
         for entry in data:
-            exps = tuple(int(entry.get(k, 0)) for k in keys)
-            c = Fraction(str(entry["c"]))
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"element term must be an object, got {entry!r}")
+            unknown = sorted(set(entry) - {*keys, "c"})
+            if unknown:
+                raise ValueError(f"element term has unknown keys {unknown}")
+            if "c" not in entry:
+                raise ValueError(f"element term lacks its coefficient 'c': {entry!r}")
+            exps = tuple(entry.get(k, 0) for k in keys)
+            for k, e in zip(keys, exps):
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponent {k!r} must be an integer >= 0, got {e!r}")
+            try:
+                c = Fraction(str(entry["c"]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient {entry['c']!r} in element term") from None
             if c:
                 terms[exps] = terms.get(exps, Fraction(0)) + c
         return QuotElem(ring, MultiPoly(ring.varset, terms))

@@ -225,6 +225,66 @@ def test_mutated_t_image_fails_all_the_way():
     assert "displacement-identity" in failed
 
 
+def _direct_eliminated_entry(endo, step):
+    """relation-transport-eliminated by expansion: phi(E), then S -> Q - X^e*Z."""
+    source, target = step.source_ring(), step.target_ring()
+    vs = target.varset
+    images = {nm: MultiPoly.variable(vs, nm) for nm in vs.names}
+    images["S"] = target.q_poly() - MultiPoly.variable(vs, "X") ** target.e * MultiPoly.variable(vs, "Z")
+    got = endo.apply(source.eliminated_relation()).substitute(images)
+    want = target.eliminated_relation()
+    ok = got == want
+    return ok, "exact identity after eliminating S" if ok else f"residual {got - want}"
+
+
+def test_eliminated_check_is_derived_not_expanded(monkeypatch):
+    seen = []
+    original = PolyEndo.apply
+
+    def spying(endo, p):
+        seen.append(p)
+        return original(endo, p)
+
+    monkeypatch.setattr(PolyEndo, "apply", spying)
+    step = FullStep(1, 1)
+    certs = [verify_step(solve_step(step), step), compose_chain(1, 1, 3)[1]]
+    eliminated = [FullStep(1, e).source_ring().eliminated_relation() for e in (1, 2, 3)]
+    assert seen
+    assert not any(p == rel for p in seen for rel in eliminated)
+    for cert in certs:
+        assert cert.passed
+        entry = next(c for c in cert.checks if c["name"] == "relation-transport-eliminated")
+        assert entry == {
+            "name": "relation-transport-eliminated",
+            "pass": True,
+            "detail": "exact identity after eliminating S",
+        }
+
+
+def test_eliminated_check_agrees_with_expansion_under_deletions():
+    # deleting one term of the S, Y or Z image breaks a relation transport,
+    # so the check falls back to the expansion; the unmutated images (None)
+    # take the derived route.  E involves no S, so it survives S deletions.
+    step = FullStep(1, 1)
+    endo = solve_step(step)
+    cases = [(None, None)] + [
+        (nm, exps) for nm in ("S", "Y", "Z") for exps in endo.images[nm].terms
+    ]
+    for nm, exps in cases:
+        images = dict(endo.images)
+        if nm is not None:
+            img = images[nm]
+            images[nm] = MultiPoly(img.varset, {e: c for e, c in img.terms.items() if e != exps})
+        mutated = PolyEndo(endo.varset, images)
+        cert = verify_step(mutated, step)
+        entry = next(c for c in cert.checks if c["name"] == "relation-transport-eliminated")
+        assert (entry["pass"], entry["detail"]) == _direct_eliminated_entry(mutated, step)
+        assert entry["pass"] is (nm in (None, "S"))
+        if nm is not None:
+            assert not cert.passed
+    assert len(cases) == 13
+
+
 def test_verify_against_wrong_target_fails():
     endo = solve_step(FullStep(1, 1))
     cert = verify_step(endo, FullStep(1, 2))

@@ -284,6 +284,32 @@ def test_element_json_roundtrip(toy, rng):
     ]
 
 
+def test_element_json_errors(toy):
+    cases = [
+        ('[{"x": 1.7, "c": "1"}]', r"exponent 'x' must be an integer >= 0, got 1.7"),
+        ('[{"x": true, "c": "2"}]', r"exponent 'x' must be an integer >= 0, got True"),
+        ('[{"s": -1, "c": "2"}]', r"exponent 's' must be an integer >= 0, got -1"),
+        ('[{"z": "2", "c": "2"}]', r"exponent 'z' must be an integer >= 0, got '2'"),
+        ('[{"x": 1, "w": 5, "c": "2"}]', r"unknown keys \['w'\]"),
+        ('[{"t": 1, "c": "2"}]', r"unknown keys \['t'\]"),
+        ('[{"x": 1}]', "lacks its coefficient 'c'"),
+        ("[5]", "must be an object, got 5"),
+        ('[["x", 1]]', "must be an object"),
+        ('[{"c": "1/0"}]', "bad coefficient '1/0'"),
+        ('[{"c": "two"}]', "bad coefficient 'two'"),
+        ('{"x": 1, "c": "1"}', "element JSON must be a list of term objects"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ValueError, match=match):
+            QuotElem.from_json(toy, text)
+    # absent exponents are 0, and equal monomials add up before reduction
+    elem = QuotElem.from_json(toy, '[{"s": 2, "c": "1/2"}, {"s": 2, "x": 0, "c": "1/2"}]')
+    assert elem == toy.element("X^2*Y")
+    # a cylinder ring reads its t exponent
+    cyl = toy.with_cylinder()
+    assert QuotElem.from_json(cyl, '[{"t": 3, "c": "-1"}]') == cyl.element("-T^3")
+
+
 def test_cylinder_presentation(toy):
     cyl = toy.with_cylinder()
     assert cyl.varset.names == ("X", "S", "Y", "Z", "T")

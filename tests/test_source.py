@@ -1,11 +1,36 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lndfilt
 
 SOURCES = sorted(Path(lndfilt.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+
+# acceptance #14's loop: every single-term deletion in the twist step's
+# T-image must fail its certificate with a residual
+DELETION_LOOP = """
+import sys
+from lndfilt.cylinders import FullStep, PolyEndo, solve_step, verify_step
+from lndfilt.polynomials import MultiPoly
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under python -O")
+step = FullStep(1, 1)
+endo = solve_step(step)
+img = endo.images["T"]
+survived = 0
+for exps in img.terms:
+    dropped = MultiPoly(img.varset, {e: c for e, c in img.terms.items() if e != exps})
+    cert = verify_step(PolyEndo(endo.varset, {**endo.images, "T": dropped}), step)
+    residual_seen = any(c["pass"] is False and "residual" in c["detail"] for c in cert.checks)
+    survived += cert.passed or not residual_seen
+print(f"{len(img.terms)} deletions, {survived} survived")
+"""
 
 
 def test_no_assert_statements():
@@ -19,3 +44,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_mutation_gate_holds_under_python_O():
+    # the certificate's verdicts, derived ones included, never rest on an
+    # assert, so stripping them changes nothing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", DELETION_LOOP],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "14 deletions, 0 survived"

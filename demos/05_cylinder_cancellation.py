@@ -43,8 +43,10 @@ for stage in cert.recovery:
         print(f"  stage {stage['stage']}: {row['expression']}")
 
 # Steps compose: walking e = 1 -> 2 -> 3 gives an isomorphism between
-# the cylinders over R(1,1) and R(1,3), certified end to end, with the
-# intermediate recovery states checked at each stage boundary.
+# the cylinders over R(1,1) and R(1,3).  Each step is certified once; the
+# chain's certificate transports the relations through the composite and
+# takes its recovery entries, stage boundaries included, from the steps'
+# certificates.
 psi, chain_cert = compose_chain(1, 1, 3)
 print("chain (1,1) -> (1,3) passes:", chain_cert.passed)
 print("Phi(S) along the chain:", psi.images["S"])

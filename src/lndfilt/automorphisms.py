@@ -24,14 +24,13 @@ performs them as exact polynomial divisions and fails loudly otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .checks import CheckReport
 from .derivations import canonical_derivation
-from .polynomials import MultiPoly, VarSet, load_json, parse_poly
+from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly
 from .rings import QuotElem, RingPresentation, evaluate_in_ring
 
 _X_ONLY = VarSet(("X",))
@@ -66,7 +65,7 @@ class AutParams:
         return {"lambda": str(self.lam), "mu": str(self.mu), "a": str(self.a)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> AutParams:
@@ -148,7 +147,7 @@ class RingAutomorphism:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
 
 def build_auto(ring: RingPresentation, params: AutParams) -> RingAutomorphism:

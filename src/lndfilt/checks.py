@@ -8,7 +8,6 @@ elimination, no floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -16,7 +15,7 @@ from random import Random
 
 from .derivations import Derivation, canonical_derivation
 from .graded import graded_generators, gr_leading, hat_ideal_tops
-from .polynomials import MultiPoly, parse_poly
+from .polynomials import MultiPoly, dump_json, parse_poly
 from .rings import QuotElem, RingPresentation, basis_monomials
 
 
@@ -38,7 +37,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
     def __str__(self) -> str:
         state = "pass" if self.passed else "FAIL"

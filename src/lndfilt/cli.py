@@ -8,7 +8,6 @@ Exit codes: 0 on success, 1 when a verification or degree comparison fails,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from random import Random
@@ -24,7 +23,7 @@ from .checks import (
 from .cylinders import compose_chain, compose_danielewski_chain
 from .derivations import BudgetExceededError, canonical_derivation
 from .graded import gr_leading, hat_ideal_tops
-from .polynomials import ParseError, parse_poly
+from .polynomials import ParseError, dump_json, parse_poly
 from .rings import RingPresentation, basis_monomials, toy_ring
 
 
@@ -60,11 +59,11 @@ def _load_params(args, parser: argparse.ArgumentParser) -> AutParams:
 
 
 def _emit(args, data: dict, human: str) -> None:
-    print(json.dumps(data, indent=2) if args.json else human)
+    print(dump_json(data) if args.json else human)
 
 
 def _write_json(args, data: dict) -> None:
-    text = json.dumps(data, indent=2)
+    text = dump_json(data)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -241,13 +240,12 @@ def cmd_verify_suite(args, parser) -> int:
     ok = all(r.passed for r in reports)
     if args.json:
         print(
-            json.dumps(
+            dump_json(
                 {
                     "ring": ring.fingerprint(),
                     "checks": [r.to_json_dict() for r in reports],
                     "pass": ok,
-                },
-                indent=2,
+                }
             )
         )
     else:

@@ -29,18 +29,19 @@ it follows from the two relation transports and three identities of the
 rings alone (S -> Q - X^e*Z kills the second relation and turns the first
 into the eliminated one), so it is derived from them, and expanded only when
 one of them fails; see _eliminated_transport.  Chains compose by
-substitution and are re-verified against their endpoint rings only.
+substitution.  A chain's certificate is assembled from its steps'
+certificates: the composite's relation transports are checked afresh, and
+every recovery entry follows from the steps' own; see _compose_steps.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import hat_ideal_tops
-from .polynomials import MultiPoly, VarSet, load_json, parse_poly
+from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, substitute_all
 from .rings import RingPresentation, evaluate_in_ring
 
 
@@ -73,7 +74,8 @@ class PolyEndo:
         """self after inner: variables flow through inner first."""
         if inner.varset != self.varset:
             raise ValueError("cannot compose endomorphisms over different varsets")
-        return PolyEndo(self.varset, {nm: self.apply(img) for nm, img in inner.images.items()})
+        images = substitute_all(list(inner.images.values()), self.images)
+        return PolyEndo(self.varset, dict(zip(inner.images, images)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyEndo):
@@ -87,7 +89,7 @@ class PolyEndo:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PolyEndo:
@@ -350,7 +352,7 @@ class IsoCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
 
 def _eliminate_s(ring: RingPresentation, p: MultiPoly) -> MultiPoly:
@@ -408,144 +410,177 @@ def _eliminated_transport(
     }
 
 
-def _verify(
-    endo: PolyEndo,
-    source: RingPresentation,
-    target: RingPresentation,
-    stages: list[RecoveryStage],
-    atomic_step=None,
-    stage_boundaries: list[dict] | None = None,
-) -> IsoCertificate:
-    cert = IsoCertificate(source=source, target=target, endo=endo)
-    vs = source.varset
-    if vs != target.varset or vs != endo.varset:
-        raise ValueError("source, target and endomorphism must share one varset")
-
-    src_rels = source.relation_polys()
-    tgt_rels = target.relation_polys()
-    for k, (rs, rt) in enumerate(zip(src_rels, tgt_rels), start=1):
+def _transport_checks(
+    endo: PolyEndo, source: RingPresentation, target: RingPresentation
+) -> list[dict]:
+    """Each defining relation of source pushed through endo onto target's."""
+    checks = []
+    for k, (rs, rt) in enumerate(zip(source.relation_polys(), target.relation_polys()), start=1):
         got = endo.apply(rs)
         ok = got == rt
-        cert.checks.append(
+        checks.append(
             {
                 "name": f"relation-transport-{k}",
                 "pass": ok,
                 "detail": "exact identity" if ok else f"residual {got - rt}",
             }
         )
-
     if source.family == "full":
-        transports_pass = all(c["pass"] for c in cert.checks[: len(src_rels)])
-        cert.checks.append(_eliminated_transport(endo, source, target, transports_pass))
+        transports_pass = all(c["pass"] for c in checks)
+        checks.append(_eliminated_transport(endo, source, target, transports_pass))
+    return checks
 
-    if atomic_step is not None:
-        lhs, rhs, unit = atomic_step.displacement()
-        moved = endo.apply(lhs)
-        ok_exact = moved == rhs
-        cert.checks.append(
-            {
-                "name": "displacement-identity",
-                "pass": ok_exact,
-                "detail": "exact identity" if ok_exact else f"residual {moved - rhs}",
-            }
-        )
-        residue = target.normal_form(moved + unit * _v(vs, "T"))
-        ok_cong = residue.is_zero()
-        cert.checks.append(
-            {
-                "name": "displacement-congruence",
-                "pass": ok_cong,
-                "detail": f"maps to {-unit}*T in the target"
-                if ok_cong
-                else f"residual {residue}",
-            }
-        )
-    else:
-        cert.checks.append(
-            {
-                "name": "displacement-congruence",
-                "pass": None,
-                "detail": "skipped: not preserved under composition",
-            }
-        )
 
-    # recovery: walk the stages, rebuilding generators in the target quotient
-    env = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
-    for idx, stage in enumerate(stages, start=1):
-        last = idx == len(stages)
-        values: dict = dict(env)
-        rows = []
-        for row in stage.rows:
-            val = evaluate_in_ring(row.expr, values)
-            values[row.symbol] = val
-            verdict = val == target.normal_form(row.claimed) if last else None
-            rows.append(
-                {
-                    "element": str(row.claimed),
-                    "expression": f"{row.symbol} := {row.expr}",
-                    "pass": verdict,
-                }
-            )
-        nxt = {nm: values[sym] for nm, sym in stage.outputs.items()}
-        if stage_boundaries is not None and not last:
-            expected = stage_boundaries[idx - 1]
-            ok = all(nxt[nm] == expected[nm] for nm in vs.names)
-            rows.append(
-                {
-                    "element": "(stage boundary)",
-                    "expression": "images of the remaining composite",
-                    "pass": ok,
-                }
-            )
-        cert.recovery.append({"stage": idx, "entries": rows})
-        env = nxt
-    final_rows = []
-    for nm in vs.names:
-        ok = env[nm] == target.generator(nm)
-        final_rows.append(
+def _verify(
+    endo: PolyEndo, step: FullStep | DanielewskiStep, stage: RecoveryStage
+) -> IsoCertificate:
+    """Certify one atomic step's endomorphism against its endpoint rings."""
+    source, target = step.source_ring(), step.target_ring()
+    vs = source.varset
+    if vs != target.varset or vs != endo.varset:
+        raise ValueError("source, target and endomorphism must share one varset")
+    cert = IsoCertificate(source=source, target=target, endo=endo)
+    cert.checks = _transport_checks(endo, source, target)
+
+    lhs, rhs, unit = step.displacement()
+    moved = endo.apply(lhs)
+    ok_exact = moved == rhs
+    cert.checks.append(
+        {
+            "name": "displacement-identity",
+            "pass": ok_exact,
+            "detail": "exact identity" if ok_exact else f"residual {moved - rhs}",
+        }
+    )
+    residue = target.normal_form(moved + unit * _v(vs, "T"))
+    ok_cong = residue.is_zero()
+    cert.checks.append(
+        {
+            "name": "displacement-congruence",
+            "pass": ok_cong,
+            "detail": f"maps to {-unit}*T in the target" if ok_cong else f"residual {residue}",
+        }
+    )
+
+    # recovery: rebuild every target generator in the target quotient
+    values: dict = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
+    rows = []
+    for row in stage.rows:
+        val = evaluate_in_ring(row.expr, values)
+        values[row.symbol] = val
+        rows.append(
             {
-                "element": nm.lower(),
-                "expression": f"stage-{len(stages)} recovery of {nm}",
-                "pass": ok,
+                "element": str(row.claimed),
+                "expression": f"{row.symbol} := {row.expr}",
+                "pass": val == target.normal_form(row.claimed),
             }
         )
-    cert.recovery.append({"stage": len(stages) + 1, "entries": final_rows})
+    cert.recovery.append({"stage": 1, "entries": rows})
+    final_rows = [
+        {
+            "element": nm.lower(),
+            "expression": f"stage-1 recovery of {nm}",
+            "pass": values[stage.outputs[nm]] == target.generator(nm),
+        }
+        for nm in vs.names
+    ]
+    cert.recovery.append({"stage": 2, "entries": final_rows})
     return cert
 
 
 def verify_step(endo: PolyEndo, step) -> IsoCertificate:
     """Certify one atomic step endomorphism against its endpoint rings."""
     _, stage = _require_step(step).solve()
-    return _verify(endo, step.source_ring(), step.target_ring(), [stage], atomic_step=step)
+    return _verify(endo, step, stage)
 
 
 def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
+    """The composite of the steps, certified from the steps' own certificates.
+
+    Write phi_k : R_k[T] -> R_{k+1}[T] for step k of L and Phi for the
+    composite phi_L . ... . phi_1, built by compose.  Every step is solved
+    and certified alone; a failing step raises ValueError, as do steps whose
+    endpoints do not meet.  A chain of one step is its step's certificate.
+
+    The composite's relation transports, and the eliminated-relation entry
+    derived from them, are computed on Phi itself: that is the one check
+    kept deliberately independent of the steps, and it guards the X, S, Y
+    and Z images against a fault in compose.  No relation involves T, so the
+    T-image is correct by construction, as the substitution of the steps'
+    T-images through each other, and no check covers it.
+
+    The recovery entries are those of the expanded check (stage k's rows
+    evaluated, in R_{L+1}, on the values the stages before it left), and
+    they follow from the step certificates:
+
+    * psi_k = phi_L . ... . phi_{k+1} is a ring map R_{k+1}[T] -> R_{L+1}[T]
+      (psi_L the identity), because every step passed its relation
+      transports and each step starts where the one before ends.  Recovery
+      rows are polynomials, so stage k evaluated on the images of
+      psi_k . phi_k equals psi_k of stage k evaluated on the images of phi_k.
+    * Certificate k shows that the latter are R_{k+1}'s generators (its
+      final rows).  So stage k, run on the images of psi_k . phi_k, leaves
+      the images of psi_k: the stage boundary holds, with the verdict of
+      certificate k's final rows.  Stage 1 runs on Phi = psi_1 . phi_1, and
+      psi_k = psi_{k+1} . phi_{k+1} hands stage k + 1 its input, so by
+      induction every boundary holds.
+    * Stage L runs on the images of psi_L . phi_L = phi_L reduced in
+      R_{L+1}, exactly as in certificate L, so its rows and the final rows
+      are certificate L's, the final rows relabelled as stage L's.  Rows of
+      earlier stages claim no verdict in the expanded check either (pass
+      None).
+
+    So nothing is reduced or evaluated on the composite's images.
+    """
+    for before, after in zip(steps, steps[1:]):
+        if before.target_ring() != after.source_ring():
+            raise ValueError(f"step {after} does not start at the target of {before}")
     solved = [(st, *st.solve()) for st in steps]
+    atomic = []
     for st, endo, stage in solved:
-        atomic = _verify(endo, st.source_ring(), st.target_ring(), [stage], atomic_step=st)
-        if not atomic.passed:
+        cert = _verify(endo, st, stage)
+        if not cert.passed:
             raise ValueError(f"atomic step {st} failed verification")
+        atomic.append(cert)
     composed = solved[0][1]
     for _, endo, _ in solved[1:]:
         composed = endo.compose(composed)
-    target = steps[-1].target_ring()
-    # expected values at each internal stage boundary: the images of the
-    # remaining composite, reduced in the final target
-    boundaries = []
-    for k in range(1, len(solved)):
-        suffix = solved[k][1]
-        for _, endo, _ in solved[k + 1 :]:
-            suffix = endo.compose(suffix)
-        boundaries.append(
-            {nm: target.normal_form(suffix.images[nm]) for nm in target.varset.names}
-        )
-    cert = _verify(
-        composed,
-        steps[0].source_ring(),
-        target,
-        [stage for _, _, stage in solved],
-        atomic_step=steps[0] if len(steps) == 1 else None,
-        stage_boundaries=boundaries if len(solved) > 1 else None,
+    if len(steps) == 1:
+        return composed, atomic[0]
+
+    source, target = steps[0].source_ring(), steps[-1].target_ring()
+    cert = IsoCertificate(source=source, target=target, endo=composed)
+    cert.checks = _transport_checks(composed, source, target)
+    cert.checks.append(
+        {
+            "name": "displacement-congruence",
+            "pass": None,
+            "detail": "skipped: not preserved under composition",
+        }
+    )
+    last = len(atomic)
+    for k, step_cert in enumerate(atomic, start=1):
+        rows, final = (stage["entries"] for stage in step_cert.recovery)
+        if k < last:
+            entries = [{**row, "pass": None} for row in rows]
+            entries.append(
+                {
+                    "element": "(stage boundary)",
+                    "expression": "images of the remaining composite",
+                    "pass": all(row["pass"] for row in final),
+                }
+            )
+        else:
+            entries = [dict(row) for row in rows]
+        cert.recovery.append({"stage": k, "entries": entries})
+    cert.recovery.append(
+        {
+            "stage": last + 1,
+            "entries": [
+                {**row, "expression": f"stage-{last} recovery of {nm}"}
+                for nm, row in zip(target.varset.names, final)
+            ],
+        }
     )
     return composed, cert
 

@@ -126,6 +126,11 @@ def load_json(text: str, what: str, kind: type = dict, shape: str = "an object")
     return data
 
 
+def dump_json(data) -> str:
+    """The package's one JSON text form: two-space indent, keys in insertion order."""
+    return json.dumps(data, indent=2)
+
+
 def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
     """base**k by binary exponentiation, for any type with an associative `*`.
 
@@ -378,63 +383,8 @@ class MultiPoly:
         return _from_terms(self.varset, acc)
 
     def substitute(self, images: Mapping[str, MultiPoly]) -> MultiPoly:
-        """Evaluate at polynomial images of the variables.
-
-        Every variable actually occurring in self must have an image, and all
-        images must share one varset (which may differ from self's).  Powers
-        of each image are cached across terms.
-        """
-        used = [k for k in range(len(self.varset)) if any(e[k] for e in self.terms)]
-        if not self.terms:
-            if images:
-                target = next(iter(images.values())).varset
-                return MultiPoly.zero(target)
-            return MultiPoly.zero(self.varset)
-        target: VarSet | None = None
-        for img in images.values():
-            if target is None:
-                target = img.varset
-            elif img.varset != target:
-                raise ValueError("substitution images use mixed varsets")
-        if target is None:
-            target = self.varset
-        per_var: dict[int, MultiPoly] = {}
-        for k in used:
-            nm = self.varset.names[k]
-            if nm not in images:
-                raise ValueError(f"no substitution image for variable {nm!r}")
-            per_var[k] = images[nm]
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(k: int, n: int) -> MultiPoly:
-            key = (k, n)
-            got = pow_cache.get(key)
-            if got is None:
-                got = per_var[k] ** n
-                pow_cache[key] = got
-            return got
-
-        # every term adds into one accumulator, in the order (and with the
-        # cancellations) of summing the terms one by one
-        acc: dict[tuple[int, ...], Fraction] = {}
-        get = acc.get
-        constant_key = (0,) * len(target)
-        for exps, c in self.terms.items():
-            factor: MultiPoly | None = None
-            for k in used:
-                if exps[k]:
-                    factor = power(k, exps[k]) if factor is None else factor * power(k, exps[k])
-            if factor is None:
-                products = [(constant_key, c)]
-            else:
-                products = zip(factor.terms, _scaled(c, factor.terms))
-            for key, v in products:
-                s = get(key, 0) + v
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return _from_terms(target, acc)
+        """Evaluate at polynomial images of the variables; see substitute_all."""
+        return substitute_all([self], images)[0]
 
     def rename(self, target: VarSet) -> MultiPoly:
         """Transport to a varset that contains all variables used here."""
@@ -505,6 +455,79 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, MultiPoly]) -> list[MultiPoly]:
+    """Evaluate each of polys at one set of polynomial images of the variables.
+
+    Every variable actually occurring in a polynomial must have an image, and
+    all images must share one varset (which may differ from the polys').
+    One power table serves all of polys, so each image is raised to each
+    power once.  A new power is the product of the largest lower power
+    already in the table and the power that remains, so that the powers
+    1, 2, ..., k of an image cost one product each.  When the largest lower
+    power is under half the exponent, the power is built as by squaring
+    instead: an even one from its half, an odd one from the power below.
+    """
+    target: VarSet | None = None
+    for img in images.values():
+        if target is None:
+            target = img.varset
+        elif img.varset != target:
+            raise ValueError("substitution images use mixed varsets")
+    table: dict[str, dict[int, MultiPoly]] = {}
+
+    def power(name: str, n: int) -> MultiPoly:
+        ladder = table.get(name)
+        if ladder is None:
+            ladder = table[name] = {1: images[name]}
+        got = ladder.get(n)
+        if got is None:
+            low = max(k for k in ladder if k < n)
+            if 2 * low < n:
+                low = n - 1 if n % 2 else n // 2
+            got = power(name, low) * power(name, n - low)
+            ladder[n] = got
+        return got
+
+    return [_substitute(p, images, target or p.varset, power) for p in polys]
+
+
+def _substitute(
+    p: MultiPoly,
+    images: Mapping[str, MultiPoly],
+    target: VarSet,
+    power: Callable[[str, int], MultiPoly],
+) -> MultiPoly:
+    if not p.terms:
+        return MultiPoly.zero(target)
+    names = p.varset.names
+    used = [k for k in range(len(names)) if any(e[k] for e in p.terms)]
+    for k in used:
+        if names[k] not in images:
+            raise ValueError(f"no substitution image for variable {names[k]!r}")
+    # every term adds into one accumulator, in the order (and with the
+    # cancellations) of summing the terms one by one
+    acc: dict[tuple[int, ...], Fraction] = {}
+    get = acc.get
+    constant_key = (0,) * len(target)
+    for exps, c in p.terms.items():
+        factor: MultiPoly | None = None
+        for k in used:
+            if exps[k]:
+                pk = power(names[k], exps[k])
+                factor = pk if factor is None else factor * pk
+        if factor is None:
+            products = [(constant_key, c)]
+        else:
+            products = zip(factor.terms, _scaled(c, factor.terms))
+        for key, v in products:
+            s = get(key, 0) + v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return _from_terms(target, acc)
 
 
 def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:

@@ -41,7 +41,6 @@ that is already canonical is returned as it is.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -54,6 +53,7 @@ from .polynomials import (
     _fractions,
     _from_terms,
     _numerators,
+    dump_json,
     load_json,
     parse_poly,
     power_by_squaring,
@@ -61,10 +61,17 @@ from .polynomials import (
 
 _X_ONLY = VarSet(("X",))
 
-CoeffLike = Union[str, MultiPoly]
+CoeffLike = Union[str, int, MultiPoly]
 
 
 def _coerce_x_poly(c: CoeffLike, what: str) -> MultiPoly:
+    if isinstance(c, (bool, float)):
+        raise ValueError(
+            f"{what} is {c!r}, which is not an exact coefficient; "
+            'write it as an integer or a string such as "1/2"'
+        )
+    if isinstance(c, int):
+        return MultiPoly.constant(_X_ONLY, c)
     if isinstance(c, str):
         c = parse_poly(c, _X_ONLY)
     if not isinstance(c, MultiPoly):
@@ -82,7 +89,7 @@ def _coerce_x_poly(c: CoeffLike, what: str) -> MultiPoly:
 def _coerce_x_polys(coeffs: Sequence[CoeffLike], name: str) -> tuple[MultiPoly, ...]:
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError(f"{name} must be a list of coefficients, got {coeffs!r}")
-    return tuple(_coerce_x_poly(c, f"{name} coefficient") for c in coeffs)
+    return tuple(_coerce_x_poly(c, f"coefficient {name}[{i}]") for i, c in enumerate(coeffs))
 
 
 # one rewrite rule: (head variable index, head power, tail terms, relation
@@ -473,7 +480,7 @@ class RingPresentation:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return dump_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> RingPresentation:
@@ -614,7 +621,7 @@ class QuotElem:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_list(), indent=2)
+        return dump_json(self.to_json_list())
 
     @classmethod
     def from_json_list(cls, ring: RingPresentation, data: Iterable[Mapping]) -> QuotElem:

@@ -227,6 +227,18 @@ def test_malformed_ring_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_ring_file_with_float_coefficient(capsys, tmp_path):
+    bad = tmp_path / "float.json"
+    bad.write_text('{"family": "full", "n": 1, "e": 1, "P": [0.5, 0], "Q": ["0", "0"]}')
+    code, _, err = run(capsys, "nf", "--ring", str(bad), "X")
+    assert code == 2
+    assert "P[0] is 0.5" in err and '"1/2"' in err
+    good = tmp_path / "ints.json"
+    good.write_text('{"family": "full", "n": 1, "e": 1, "P": [0, 0], "Q": ["0", "0"]}')
+    code, out, _ = run(capsys, "nf", "--ring", str(good), "S^2")
+    assert (code, out.strip()) == (0, "X*Y")
+
+
 def test_polynomial_parse_error(capsys):
     code, _, err = run(capsys, "nf", "--toy", "2X")
     assert code == 2

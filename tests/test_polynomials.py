@@ -3,9 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lndfilt.polynomials import MultiPoly, ParseError, VarSet, WeightFunction, parse_poly
+from lndfilt.polynomials import (
+    MultiPoly,
+    ParseError,
+    VarSet,
+    WeightFunction,
+    parse_poly,
+    substitute_all,
+)
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
 
@@ -165,6 +172,53 @@ def test_substitution_is_a_ring_map(a, b):
     }
     assert (a + b).substitute(images) == a.substitute(images) + b.substitute(images)
     assert (a * b).substitute(images) == a.substitute(images) * b.substitute(images)
+
+
+def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
+    """The reference substitution: every term raises its images afresh."""
+    target = next(iter(images.values())).varset
+    total = MultiPoly.zero(target)
+    for exps, c in p.terms.items():
+        term = MultiPoly.constant(target, c)
+        for nm, e in zip(p.varset.names, exps):
+            if e:
+                term = term * images[nm] ** e
+        total = total + term
+    return total
+
+
+def _high_polys():
+    # exponents up to 7, so that the power ladder both extends a lower power
+    # and halves the exponent
+    exps = st.tuples(*[st.integers(min_value=0, max_value=7)] * 4)
+    return st.dictionaries(exps, _coeffs(), max_size=3).map(lambda t: MultiPoly(XSYZ, t))
+
+
+def _image_polys():
+    exps = st.tuples(*[st.integers(min_value=0, max_value=1)] * 4)
+    return st.dictionaries(exps, _coeffs(), min_size=1, max_size=2).map(
+        lambda t: MultiPoly(XSYZ, t)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_high_polys(), min_size=1, max_size=3),
+    st.fixed_dictionaries({nm: _image_polys() for nm in XSYZ.names}),
+)
+def test_shared_power_ladder_matches_fresh_powers(polys, images):
+    expected = [fresh_power_substitute(p, images) for p in polys]
+    assert substitute_all(polys, images) == expected
+    assert [p.substitute(images) for p in polys] == expected
+
+
+def test_substitute_all_checks_images():
+    with pytest.raises(ValueError, match="mixed varsets"):
+        substitute_all([P("X")], {"X": P("X"), "S": parse_poly("X", VarSet(("X",)))})
+    with pytest.raises(ValueError, match="no substitution image"):
+        substitute_all([P("X"), P("S")], {"X": P("X")})
+    assert substitute_all([], {"X": P("X")}) == []
+    assert substitute_all([P("0"), P("X^3")], {"X": P("X + 1")}) == [P("0"), P("(X + 1)^3")]
 
 
 def test_weight_degree_and_top_component():

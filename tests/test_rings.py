@@ -272,6 +272,23 @@ def test_ring_json_errors():
             RingPresentation.from_json(text)
 
 
+def test_ring_json_integer_coefficients():
+    # JSON integers are exact constants; floats and booleans are refused by name
+    ring = RingPresentation.from_json('{"family":"full","n":1,"e":1,"P":[0,0],"Q":["0","0"]}')
+    assert ring == RingPresentation.full(1, 1, ["0", "0"], ["0", "0"])
+    dan = RingPresentation.from_json('{"family": "danielewski", "n": 2, "P": [-3, "X", 0]}')
+    assert dan == RingPresentation.danielewski(2, ["-3", "X", "0"])
+    cases = [
+        ('{"family": "full", "n": 1, "e": 1, "P": [0.5, 0], "Q": [0, 0]}', r"P\[0\] is 0.5"),
+        ('{"family": "full", "n": 1, "e": 1, "P": [1, 0], "Q": [0, 1.0]}', r"Q\[1\] is 1.0"),
+        ('{"family": "danielewski", "n": 1, "P": [true, 0]}', r"P\[0\] is True"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ValueError, match=match) as err:
+            RingPresentation.from_json(text)
+        assert 'a string such as "1/2"' in str(err.value)
+
+
 def test_element_json_roundtrip(toy, rng):
     for _ in range(10):
         a = random_element(toy, rng, 8, x_cap=4)

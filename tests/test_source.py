@@ -12,10 +12,11 @@ SOURCES = sorted(Path(lndfilt.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
 
 # acceptance #14's loop: every single-term deletion in the twist step's
-# T-image must fail its certificate with a residual
+# T-image must fail its certificate with a residual; then each single-term
+# deletion in the second step of compose_chain(1, 1, 3) must stop the chain
 DELETION_LOOP = """
 import sys
-from lndfilt.cylinders import FullStep, PolyEndo, solve_step, verify_step
+from lndfilt.cylinders import FullStep, PolyEndo, compose_chain, solve_step, verify_step
 from lndfilt.polynomials import MultiPoly
 
 if sys.flags.optimize != 1:
@@ -30,6 +31,24 @@ for exps in img.terms:
     residual_seen = any(c["pass"] is False and "residual" in c["detail"] for c in cert.checks)
     survived += cert.passed or not residual_seen
 print(f"{len(img.terms)} deletions, {survived} survived")
+
+original = FullStep.solve
+second = original(FullStep(1, 2))[0].images["T"]
+accepted = 0
+for exps in second.terms:
+    def mutated(step, exps=exps):
+        endo, stage = original(step)
+        if step.e == 2:
+            kept = {e: c for e, c in endo.images["T"].terms.items() if e != exps}
+            endo = PolyEndo(endo.varset, {**endo.images, "T": MultiPoly(endo.varset, kept)})
+        return endo, stage
+    FullStep.solve = mutated
+    try:
+        compose_chain(1, 1, 3)
+        accepted += 1
+    except ValueError:
+        pass
+print(f"{len(second.terms)} chain deletions, {accepted} accepted")
 """
 
 
@@ -55,4 +74,7 @@ def test_mutation_gate_holds_under_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "14 deletions, 0 survived"
+    assert done.stdout.splitlines() == [
+        "14 deletions, 0 survived",
+        "14 chain deletions, 0 accepted",
+    ]

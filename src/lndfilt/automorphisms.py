@@ -24,21 +24,26 @@ performs them as exact polynomial divisions and fails loudly otherwise.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .checks import CheckReport
 from .derivations import canonical_derivation
-from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly
+from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, substitute_all
 from .rings import QuotElem, RingPresentation, evaluate_in_ring
 
 _X_ONLY = VarSet(("X",))
 
+# "p" or "p/q" with q nonzero: exact, and no exponent to blow up
+_RATIONAL_TEXT = re.compile(r"[-+]?[0-9]+(/0*[1-9][0-9]*)?")
+
 
 def _coerce_scalar(value: int | str | Fraction, what: str) -> Fraction:
     if isinstance(value, str):
-        value = Fraction(value)
+        if not _RATIONAL_TEXT.fullmatch(value):
+            raise ValueError(f'{what} is {value!r}; write a rational as "p" or "p/q"')
     value = Fraction(value)
     if value == 0:
         raise ValueError(f"{what} must be a nonzero rational")
@@ -69,10 +74,22 @@ class AutParams:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> AutParams:
-        try:
-            return cls.make(data["lambda"], data["mu"], data.get("a", "0"))
-        except KeyError as missing:
-            raise ValueError(f"parameter JSON lacks key {missing}") from None
+        """Strict: lambda and mu are JSON integers or rational strings, a is a string."""
+        unknown = sorted(set(data) - {"lambda", "mu", "a"})
+        if unknown:
+            raise ValueError(f"parameter JSON has unknown keys {unknown}")
+        for key in ("lambda", "mu"):
+            if key not in data:
+                raise ValueError(f"parameter JSON lacks key {key!r}")
+            if isinstance(data[key], bool) or not isinstance(data[key], (int, str)):
+                raise ValueError(
+                    f"parameter {key!r} is {data[key]!r}, which is not an exact rational; "
+                    'write it as an integer or a string such as "1/2"'
+                )
+        a = data.get("a", "0")
+        if not isinstance(a, str):
+            raise ValueError(f"parameter 'a' is {a!r}; write the polynomial in X as a string")
+        return cls.make(data["lambda"], data["mu"], a)
 
     @classmethod
     def from_json(cls, text: str) -> AutParams:
@@ -137,8 +154,9 @@ class RingAutomorphism:
         """self after inner, with the matching composed parameters."""
         if inner.ring != self.ring:
             raise ValueError("cannot compose automorphisms of different rings")
-        images = {nm: self.apply(img) for nm, img in inner.images.items()}
-        return RingAutomorphism(self.ring, compose_params(self.ring, self.params, inner.params), images)
+        images = substitute_all([img.rep for img in inner.images.values()], self.images)
+        params = compose_params(self.ring, self.params, inner.params)
+        return RingAutomorphism(self.ring, params, dict(zip(inner.images, images)))
 
     def to_json_dict(self) -> dict:
         return {

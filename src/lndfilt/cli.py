@@ -20,11 +20,15 @@ from .checks import (
     graded_relations_check,
     kernel_check,
 )
-from .cylinders import compose_chain, compose_danielewski_chain
+from .cylinders import IsoCertificate, compose_chain, compose_danielewski_chain
 from .derivations import BudgetExceededError, canonical_derivation
 from .graded import gr_leading, hat_ideal_tops
-from .polynomials import ParseError, dump_json, parse_poly
+from .polynomials import ParseError, dump_json
 from .rings import RingPresentation, basis_monomials, toy_ring
+
+# the largest index `filtration` lists; each degree up to the index has
+# exactly one basis monomial, so the output grows linearly with it
+MAX_FILTRATION_INDEX = 10_000
 
 
 def _non_negative_int(text: str) -> int:
@@ -138,8 +142,8 @@ def _basis_label(ring: RingPresentation, exps: tuple[int, int, int]) -> str:
 
 def cmd_filtration(args, parser) -> int:
     ring = _load_ring(args, parser)
-    if args.index < 0:
-        parser.error("the filtration index must be >= 0")
+    if not 0 <= args.index <= MAX_FILTRATION_INDEX:
+        parser.error(f"the filtration index must be between 0 and {MAX_FILTRATION_INDEX}")
     groups: dict[int, list[str]] = {}
     for degree, exps in basis_monomials(ring, args.index):
         groups.setdefault(degree, []).append(_basis_label(ring, exps))
@@ -199,16 +203,22 @@ def cmd_auto_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
+def _write_chain(args, cert: IsoCertificate) -> int:
+    """Write a chain's endomorphism (cert.endo, for every length) and certificate."""
+    data = cert.to_json_dict()
+    _write_json(args, {"endo": data["endo"], "certificate": data})
+    if args.out:
+        print(f"certificate: {'pass' if cert.passed else 'FAIL'} -> {args.out}")
+    return 0 if cert.passed else 1
+
+
 def cmd_cyliso(args, parser) -> int:
     if args.n < 1:
         parser.error("need -n >= 1")
     if args.from_ < 1 or args.to <= args.from_:
         parser.error("need --to > --from >= 1")
-    endo, cert = compose_chain(args.n, args.from_, args.to)
-    _write_json(args, {"endo": endo.to_json_dict(), "certificate": cert.to_json_dict()})
-    if args.out:
-        print(f"certificate: {'pass' if cert.passed else 'FAIL'} -> {args.out}")
-    return 0 if cert.passed else 1
+    _, cert = compose_chain(args.n, args.from_, args.to)
+    return _write_chain(args, cert)
 
 
 def cmd_danielewski_cyliso(args, parser) -> int:
@@ -217,11 +227,8 @@ def cmd_danielewski_cyliso(args, parser) -> int:
     coeffs = [piece.strip() for piece in args.poly.split(",")]
     if len(coeffs) < 2:
         parser.error("--poly needs the d >= 2 coefficients f_0,...,f_{d-1}")
-    endo, cert = compose_danielewski_chain(args.from_, args.to, coeffs)
-    _write_json(args, {"endo": endo.to_json_dict(), "certificate": cert.to_json_dict()})
-    if args.out:
-        print(f"certificate: {'pass' if cert.passed else 'FAIL'} -> {args.out}")
-    return 0 if cert.passed else 1
+    _, cert = compose_danielewski_chain(args.from_, args.to, coeffs)
+    return _write_chain(args, cert)
 
 
 def cmd_verify_suite(args, parser) -> int:
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filtration", help="basis monomials up to a degree")
     _add_ring_options(p)
-    p.add_argument("index", type=int, help="filtration index")
+    p.add_argument("index", type=int, help=f"filtration index, 0 to {MAX_FILTRATION_INDEX}")
     p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("gr", help="leading class in the associated graded algebra")

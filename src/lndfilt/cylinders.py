@@ -25,13 +25,13 @@ three independent routes: exact relation transport, the forced congruence
 (atomic steps), and a recovery chain that rebuilds every target generator
 from the images.  One more check of the full family, the eliminated
 three-variable relation transported onto the target's, is not independent:
-it follows from the two relation transports and three identities of the
-rings alone (S -> Q - X^e*Z kills the second relation and turns the first
-into the eliminated one), so it is derived from them, and expanded only when
-one of them fails; see _eliminated_transport.  Chains compose by
-substitution.  A chain's certificate is assembled from its steps'
-certificates: the composite's relation transports are checked afresh, and
-every recovery entry follows from the steps' own; see _compose_steps.
+it follows from the two relation transports and one identity of the target
+ring (S -> Q - X^e*Z kills the second relation, and the eliminated relation
+is by definition the first one with S so replaced), so it is derived from
+them, and expanded only when a premise fails; see _eliminated_transport.
+Chains compose by substitution.  A chain's certificate is assembled from its
+steps' certificates: the composite's relation transports are checked afresh,
+and every recovery entry follows from the steps' own; see _compose_steps.
 """
 
 from __future__ import annotations
@@ -131,14 +131,6 @@ def _v(vs: VarSet, name: str) -> MultiPoly:
     return MultiPoly.variable(vs, name)
 
 
-def _relabel(p: MultiPoly, mapping: Mapping[str, str], vs: VarSet) -> MultiPoly:
-    """Rewrite p's variables by name into the mixed recovery varset."""
-    images = {}
-    for nm in p.varset.names:
-        images[nm] = MultiPoly.variable(vs, mapping.get(nm, nm))
-    return p.substitute(images)
-
-
 @dataclass(frozen=True)
 class FullStep:
     """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
@@ -185,6 +177,10 @@ class FullStep:
 
         mixed = VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"))
         low = {"X": "x", "S": "s", "Y": "y", "T": "t"}
+        # the solver pieces, moved into the mixed recovery varset
+        m_ell, m_f, m_a1, m_b = substitute_all(
+            [ell, f, a1, b], {nm: _v(mixed, low.get(nm, nm)) for nm in vs.names}
+        )
         mx, ms, my, mz, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "Z", "T"))
         rx, rs, ry, rt = (_v(mixed, nm) for nm in ("x", "s", "y", "t"))
         r_xz, r_yz, r_sz = (_v(mixed, nm) for nm in ("xz", "yz", "sz"))
@@ -192,13 +188,9 @@ class FullStep:
             RecoveryRow("x", mx, x),
             RecoveryRow("t", Fraction(-1, 4) * (my * mz - mx * mt), t),
             RecoveryRow("s", ms - rx ** (n + e) * rt, s),
-            RecoveryRow("y", my - _relabel(ell, low, mixed), y),
-            RecoveryRow("xz", mz - _relabel(f, low, mixed), x * z),
-            RecoveryRow(
-                "yz",
-                mt - r_xz * _relabel(a1, low, mixed) - _relabel(b, low, mixed),
-                y * z,
-            ),
+            RecoveryRow("y", my - m_ell, y),
+            RecoveryRow("xz", mz - m_f, x * z),
+            RecoveryRow("yz", mt - r_xz * m_a1 - m_b, y * z),
             RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
             RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
         ]
@@ -272,6 +264,10 @@ class DanielewskiStep:
 
         mixed = VarSet(("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"))
         low = {"X": "x", "S": "s", "T": "t"}
+        # the solver pieces, moved into the mixed recovery varset
+        m_ell, m_yfree, m_qt = substitute_all(
+            [ell, yfree, qt], {nm: _v(mixed, low.get(nm, nm)) for nm in vs.names}
+        )
         mx, ms, my, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "T"))
         rx, rs, rt = (_v(mixed, nm) for nm in ("x", "s", "t"))
         r_xy, r_sy = _v(mixed, "xy"), _v(mixed, "sy")
@@ -279,19 +275,15 @@ class DanielewskiStep:
             RecoveryRow("x", mx, x),
             RecoveryRow("t", (Fraction(-1) / (d * c)) * (my * ms - mx * mt), t),
             RecoveryRow("s", ms - rx ** n * rt, s),
-            RecoveryRow("xy", my - _relabel(ell, low, mixed), x * y),
-            RecoveryRow(
-                "sy",
-                mt - (d + 1) * rx ** (n - 1) * rt * r_xy - _relabel(yfree, low, mixed),
-                s * y,
-            ),
+            RecoveryRow("xy", my - m_ell, x * y),
+            RecoveryRow("sy", mt - (d + 1) * rx ** (n - 1) * rt * r_xy - m_yfree, s * y),
             RecoveryRow(
                 "y",
                 (Fraction(1) / c)
                 * (
                     rx ** (n - 1) * r_xy * r_xy
                     - r_sy * rs ** (d - 1)
-                    - r_xy * _relabel(qt, low, mixed)
+                    - r_xy * m_qt
                 ),
                 y,
             ),
@@ -355,14 +347,6 @@ class IsoCertificate:
         return dump_json(self.to_json_dict())
 
 
-def _eliminate_s(ring: RingPresentation, p: MultiPoly) -> MultiPoly:
-    """Substitute S -> Q(X,Y) - X^e*Z, the S elimination of ring."""
-    vs = ring.varset
-    images = {nm: _v(vs, nm) for nm in vs.names}
-    images["S"] = ring.q_poly() - _v(vs, "X") ** ring.e * _v(vs, "Z")
-    return p.substitute(images)
-
-
 def _eliminated_transport(
     endo: PolyEndo,
     source: RingPresentation,
@@ -371,37 +355,34 @@ def _eliminated_transport(
 ) -> dict:
     """The relation-transport-eliminated check: sigma'(phi(E)) == E'.
 
-    phi is endo, E and E' are the eliminated relations of source and target,
-    and sigma, sigma' substitute S -> Q - X^e*Z on the source and the target.
-    This check is derived from the two relation transports, not independent
-    of them.  sigma'.phi.sigma and sigma'.phi are algebra maps that agree on
-    every generator but S (sigma fixes the others), and on S they differ by
-    sigma'(phi(rel2)).  So when
+    phi is endo, sigma and sigma' substitute S -> Q - X^e*Z on the source and
+    the target (RingPresentation.eliminate_s), and E and E' are the
+    eliminated relations of source and target.  This check is derived from
+    the two relation transports, not independent of them.
+    sigma'.phi.sigma and sigma'.phi are algebra maps that agree on every
+    generator but S (sigma fixes the others), and on S they differ by
+    sigma'(phi(rel2)), since sigma(S) = S + rel2.  Two premises hold by
+    definition: E = sigma(rel1) and E' = sigma'(rel1'), because
+    eliminated_relation is eliminate_s of the first relation.  (The toy
+    relation written out in tests/test_rings.py pins that definition
+    independently.)  So when
 
         phi(rel1) = rel1' and phi(rel2) = rel2'   (transport-1 and -2),
-        E = sigma(rel1),  sigma'(rel2') = 0,  sigma'(rel1') = E',
+        sigma'(rel2') = 0,
 
     the two maps agree on S as well, and
 
         sigma'(phi(E)) = sigma'(phi(sigma(rel1))) = sigma'(phi(rel1))
                        = sigma'(rel1') = E'.
 
-    The last three premises hold in the rings alone, without phi, and cost a
-    few small substitutions instead of pushing E through phi.  When any
+    The last premise holds in the target ring alone, without phi, and costs
+    one small substitution instead of pushing E through phi.  When any
     premise fails, sigma'(phi(E)) is expanded directly, so the verdict and
     the residual are those of the direct check on every input.
     """
-    rel1, _ = source.relation_polys()
-    rel1_t, rel2_t = target.relation_polys()
-    eliminated = source.eliminated_relation()
     want = target.eliminated_relation()
-    implied = (
-        transports_pass
-        and eliminated == _eliminate_s(source, rel1)
-        and _eliminate_s(target, rel2_t).is_zero()
-        and _eliminate_s(target, rel1_t) == want
-    )
-    got = want if implied else _eliminate_s(target, endo.apply(eliminated))
+    implied = transports_pass and target.eliminate_s(target.relation_polys()[1]).is_zero()
+    got = want if implied else target.eliminate_s(endo.apply(source.eliminated_relation()))
     ok = got == want
     return {
         "name": "relation-transport-eliminated",

@@ -3,6 +3,11 @@
 Polynomials are stored as a map from exponent tuples to nonzero Fraction
 coefficients, relative to a fixed ordered variable set.  All arithmetic is
 exact; there is no floating point anywhere in this package.
+
+substitute_all is the package's one evaluation routine: it evaluates
+polynomials at images of their variables that are either all polynomials over
+one varset or all elements (QuotElem) of one quotient ring, through one shared
+table of image powers.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Uni
 
 Scalar = Union[int, Fraction]
 T = TypeVar("T")
+E = TypeVar("E")  # a substitution image: a MultiPoly, or a QuotElem
 
 
 class ParseError(ValueError):
@@ -382,8 +388,8 @@ class MultiPoly:
             acc[tuple(nxt)] = c * exps[k]
         return _from_terms(self.varset, acc)
 
-    def substitute(self, images: Mapping[str, MultiPoly]) -> MultiPoly:
-        """Evaluate at polynomial images of the variables; see substitute_all."""
+    def substitute(self, images: Mapping[str, E]) -> E:
+        """Evaluate at polynomial or ring-element images of the variables; see substitute_all."""
         return substitute_all([self], images)[0]
 
     def rename(self, target: VarSet) -> MultiPoly:
@@ -457,27 +463,36 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, MultiPoly]) -> list[MultiPoly]:
-    """Evaluate each of polys at one set of polynomial images of the variables.
+def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[E]:
+    """Evaluate each of polys at one set of images of the variables.
 
-    Every variable actually occurring in a polynomial must have an image, and
-    all images must share one varset (which may differ from the polys').
+    This is the package's one evaluation routine.  The images are either all
+    MultiPoly over one varset (which may differ from the polys') or all
+    QuotElem of one ring; any other mix raises ValueError before any
+    product.  Every variable actually occurring in a polynomial must have an
+    image.
+
     One power table serves all of polys, so each image is raised to each
     power once.  A new power is the product of the largest lower power
     already in the table and the power that remains, so that the powers
     1, 2, ..., k of an image cost one product each.  When the largest lower
     power is under half the exponent, the power is built as by squaring
     instead: an even one from its half, an odd one from the power below.
-    """
-    target: VarSet | None = None
-    for img in images.values():
-        if target is None:
-            target = img.varset
-        elif img.varset != target:
-            raise ValueError("substitution images use mixed varsets")
-    table: dict[str, dict[int, MultiPoly]] = {}
 
-    def power(name: str, n: int) -> MultiPoly:
+    Each term is summed as total + factor*c, starting from the images' zero.
+    For polynomial images MultiPoly.__add__ keeps the term order and the
+    cancellations of summing the terms one by one; for ring elements the
+    products of powers are reduced by QuotElem.__mul__, and sums and scalar
+    multiples of canonical representatives are canonical already.
+    """
+    homes = [_image_home(img) for img in images.values()]
+    for here in homes[1:]:
+        if here != homes[0]:
+            kind = here[0] if here[0] == homes[0][0] else "types"
+            raise ValueError(f"substitution images use mixed {kind}")
+    table: dict[str, dict[int, E]] = {}
+
+    def power(name: str, n: int) -> E:
         ladder = table.get(name)
         if ladder is None:
             ladder = table[name] = {1: images[name]}
@@ -490,44 +505,37 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, MultiPoly]) 
             ladder[n] = got
         return got
 
-    return [_substitute(p, images, target or p.varset, power) for p in polys]
-
-
-def _substitute(
-    p: MultiPoly,
-    images: Mapping[str, MultiPoly],
-    target: VarSet,
-    power: Callable[[str, int], MultiPoly],
-) -> MultiPoly:
-    if not p.terms:
-        return MultiPoly.zero(target)
-    names = p.varset.names
-    used = [k for k in range(len(names)) if any(e[k] for e in p.terms)]
-    for k in used:
-        if names[k] not in images:
-            raise ValueError(f"no substitution image for variable {names[k]!r}")
-    # every term adds into one accumulator, in the order (and with the
-    # cancellations) of summing the terms one by one
-    acc: dict[tuple[int, ...], Fraction] = {}
-    get = acc.get
-    constant_key = (0,) * len(target)
-    for exps, c in p.terms.items():
-        factor: MultiPoly | None = None
+    def evaluate(p: MultiPoly) -> E:
+        names = p.varset.names
+        used = [k for k in range(len(names)) if any(e[k] for e in p.terms)]
         for k in used:
-            if exps[k]:
-                pk = power(names[k], exps[k])
-                factor = pk if factor is None else factor * pk
-        if factor is None:
-            products = [(constant_key, c)]
-        else:
-            products = zip(factor.terms, _scaled(c, factor.terms))
-        for key, v in products:
-            s = get(key, 0) + v
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return _from_terms(target, acc)
+            if names[k] not in images:
+                raise ValueError(f"no substitution image for variable {names[k]!r}")
+        total = next(iter(images.values())) * 0 if images else MultiPoly.zero(p.varset)
+        for exps, c in p.terms.items():
+            factor = None
+            for k in used:
+                if exps[k]:
+                    pk = power(names[k], exps[k])
+                    factor = pk if factor is None else factor * pk
+            total = total + (c if factor is None else factor * c)
+        return total
+
+    return [evaluate(p) for p in polys]
+
+
+def _image_home(img: object) -> tuple[str, object]:
+    """What all substitution images must share: a varset, or a ring.
+
+    A ring element (QuotElem) is known by its ring attribute: rings.py is
+    built on this module, so this module does not import it.
+    """
+    if isinstance(img, MultiPoly):
+        return "varsets", img.varset
+    ring = getattr(img, "ring", None)
+    if ring is None:
+        raise ValueError(f"substitution image {img!r} is neither a polynomial nor a ring element")
+    return "rings", ring
 
 
 def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:

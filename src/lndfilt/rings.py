@@ -57,6 +57,7 @@ from .polynomials import (
     load_json,
     parse_poly,
     power_by_squaring,
+    substitute_all,
 )
 
 _X_ONLY = VarSet(("X",))
@@ -270,21 +271,21 @@ class RingPresentation:
         """The defining relations in the presentation's ambient variables."""
         return [rel for _, rel in self._relations()]
 
-    def eliminated_relation(self) -> MultiPoly:
-        """X^n*Y - P(X, Q(X,Y) - X^e*Z): the one relation after S is eliminated.
-
-        Lives over this ring's varset but involves only X, Y, Z (and never T).
-        """
+    def eliminate_s(self, p: MultiPoly) -> MultiPoly:
+        """p with S -> Q(X, Y) - X^e*Z substituted: the S elimination (full only)."""
         if self.family != "full":
             raise ValueError("only the full family eliminates S")
         vs = self.varset
-        x = MultiPoly.variable(vs, "X")
-        y = MultiPoly.variable(vs, "Y")
-        z = MultiPoly.variable(vs, "Z")
-        s_image = self.q_poly() - x ** self.e * z
         images = {nm: MultiPoly.variable(vs, nm) for nm in vs.names}
-        images["S"] = s_image
-        return x ** self.n * y - self.p_poly().substitute(images)
+        images["S"] = self.q_poly() - images["X"] ** self.e * images["Z"]
+        return p.substitute(images)
+
+    def eliminated_relation(self) -> MultiPoly:
+        """X^n*Y - P(X, Q(X,Y) - X^e*Z): the first relation with S eliminated.
+
+        Lives over this ring's varset but involves only X, Y, Z (and never T).
+        """
+        return self.eliminate_s(self.relation_polys()[0])
 
     def degree_weights(self) -> WeightFunction:
         """The filtration weight of each ambient variable (x, t weigh 0)."""
@@ -661,39 +662,15 @@ class QuotElem:
 def evaluate_in_ring(p: MultiPoly, env: Mapping[str, QuotElem]) -> QuotElem:
     """Evaluate an ambient polynomial at quotient-ring arguments.
 
-    p's variables are interpreted through env (every variable occurring in p
-    needs a value; all values must share one ring).  Reduction happens after
-    every product, so intermediates stay in canonical form.
+    substitute_all on one polynomial: every variable occurring in p needs a
+    value, all values must share one ring, and every product is reduced, so
+    intermediates stay in canonical form.
     """
-    rings = {id(v.ring): v.ring for v in env.values()}
-    if not rings:
+    if not env:
         raise ValueError("empty evaluation environment")
-    ring = next(iter(rings.values()))
-    for v in env.values():
-        if v.ring != ring:
-            raise ValueError("evaluation environment mixes rings")
-    used = [k for k in range(len(p.varset)) if any(e[k] for e in p.terms)]
-    for k in used:
-        if p.varset.names[k] not in env:
-            raise ValueError(f"no value for variable {p.varset.names[k]!r}")
-    pow_cache: dict[tuple[int, int], QuotElem] = {}
-
-    def power(k: int, nexp: int) -> QuotElem:
-        key = (k, nexp)
-        got = pow_cache.get(key)
-        if got is None:
-            got = env[p.varset.names[k]] ** nexp
-            pow_cache[key] = got
-        return got
-
-    total = ring.zero()
-    for exps, c in p.terms.items():
-        term = ring.element(c)
-        for k in used:
-            if exps[k]:
-                term = term * power(k, exps[k])
-        total = total + term
-    return total
+    if not all(isinstance(v, QuotElem) for v in env.values()):
+        raise ValueError("evaluation environment holds values that are not ring elements")
+    return substitute_all([p], env)[0]
 
 
 def basis_monomials(ring: RingPresentation, degree_bound: int) -> list[tuple[int, tuple[int, int, int]]]:

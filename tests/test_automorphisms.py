@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lndfilt.automorphisms import (
     AutParams,
@@ -12,7 +13,9 @@ from lndfilt.automorphisms import (
     inverse_params,
     verify_auto,
 )
-from lndfilt.rings import RingPresentation
+from lndfilt.polynomials import MultiPoly
+from lndfilt.rings import RingPresentation, toy_ring
+from util import X_ONLY
 
 
 R21 = RingPresentation.full(2, 1, ["1", "0"], ["0", "0"])  # P = S^2 + 1
@@ -107,3 +110,46 @@ def test_params_json_roundtrip():
     assert back == params
     with pytest.raises(ValueError, match="lacks key"):
         AutParams.from_json('{"lambda": "1"}')
+
+
+def test_params_json_is_strict():
+    cases = [
+        ('{"lambda": 0.1, "mu": 1}', "'lambda' is 0.1"),
+        ('{"lambda": true, "mu": 1}', "'lambda' is True"),
+        ('{"lambda": 1, "mu": [1]}', "'mu' is \\[1\\]"),
+        ('{"lambda": [1], "mu": 1}', "'lambda' is \\[1\\]"),
+        ('{"lambda": 1, "mu": 1, "b": "0"}', "unknown keys \\['b'\\]"),
+        ('{"lambda": 1, "mu": 1, "a": 5}', "'a' is 5"),
+        ('{"lambda": 1, "mu": 1, "a": null}', "'a' is None"),
+        ('{"lambda": "1e9", "mu": 1}', "lambda is '1e9'"),
+        ('{"lambda": "1/0", "mu": 1}', "lambda is '1/0'"),
+        ('{"lambda": "0.5", "mu": 1}', "lambda is '0.5'"),
+        ('{"mu": 1}', "lacks key 'lambda'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            AutParams.from_json(text)
+    # rational strings and JSON integers stay accepted
+    params = AutParams.from_json('{"lambda": "-3/2", "mu": 7, "a": "X^2 - 1/3"}')
+    assert params == AutParams.make(Fraction(-3, 2), 7, "X^2 - 1/3")
+    assert AutParams.from_json('{"lambda": 8, "mu": "16"}') == AutParams.make(8, 16)
+
+
+# admissible on the toy ring (P = S^2, Q = Y^2, n = 2, e = 1): lam = t^3, mu = t^4
+SCALES = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(SCALES),
+    st.sampled_from(SCALES),
+    st.dictionaries(st.tuples(st.integers(0, 2)), st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.tuples(st.integers(0, 2)), st.integers(-3, 3), max_size=2),
+)
+def test_automorphism_compose_equals_per_image_apply(t, u, a, b):
+    toy = toy_ring()
+    outer = build_auto(toy, AutParams.make(t ** 3, t ** 4, MultiPoly(X_ONLY, a)))
+    inner = build_auto(toy, AutParams.make(u ** 3, u ** 4, MultiPoly(X_ONLY, b)))
+    composed = outer.compose(inner)
+    assert composed.images == {nm: outer.apply(img) for nm, img in inner.images.items()}
+    assert composed.params == compose_params(toy, outer.params, inner.params)

@@ -177,6 +177,40 @@ def test_chain_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of two commands outside the chains, recorded before
+# substitute_all became the one evaluation routine
+TOY_PARAMS = '{"lambda": "8", "mu": "16", "a": "X - 2*X^3"}'
+PINNED_TOY_STDOUT = [
+    (
+        ["verify-suite", "--toy", "--json"],
+        "abc7331239416ad16e595322e977e98c572b29187080f15ebb0d8cacb65fdc6a",
+    ),
+    (
+        ["auto-verify", "--toy", "--json", "--params", "{params}"],
+        "3a6a42fd7f33e94a665865ce2a3b8628bcebaecb6dc9edf5a937f6875c805a74",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TOY_STDOUT, ids=["verify-suite", "auto-verify"])
+def test_toy_stdout_is_pinned(capsys, tmp_path, argv, digest):
+    params = tmp_path / "params.json"
+    params.write_text(TOY_PARAMS)
+    assert main([arg.format(params=params) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ONE_AND_TWO_STEPS = [c for c in CHAINS if c[0] in ("twist-1-2-3", "twist-1-1-3", "size-1-3")]
+
+
+@pytest.mark.parametrize("chain", [c[1] for c in ONE_AND_TWO_STEPS], ids=[c[0] for c in ONE_AND_TWO_STEPS])
+def test_certificate_holds_the_returned_endo(chain):
+    # the CLI formats the endomorphism once, from the certificate
+    endo, cert = chain()
+    assert cert.endo is endo
+
+
 def _drop(img: MultiPoly, exps: tuple[int, ...]) -> MultiPoly:
     return MultiPoly(img.varset, {e: c for e, c in img.terms.items() if e != exps})
 

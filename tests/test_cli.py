@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from lndfilt.cli import main
+from lndfilt.cli import MAX_FILTRATION_INDEX, main
 
 
 def run(capsys, *argv):
@@ -84,6 +84,18 @@ def test_filtration_negative_index_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def test_filtration_index_is_capped(capsys):
+    code, out, _ = run(capsys, "filtration", "--toy", str(MAX_FILTRATION_INDEX))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == MAX_FILTRATION_INDEX + 1
+    assert lines[-1] == f"degree {MAX_FILTRATION_INDEX}: z^{MAX_FILTRATION_INDEX // 4}"
+    with pytest.raises(SystemExit) as info:
+        main(["filtration", "--toy", str(MAX_FILTRATION_INDEX + 1)])
+    assert info.value.code == 2
+    assert f"between 0 and {MAX_FILTRATION_INDEX}" in capsys.readouterr().err
+
+
 def test_gr_leading_class(capsys):
     code, out, _ = run(capsys, "gr", "--toy", "Y + S + 3")
     assert code == 0
@@ -138,6 +150,15 @@ def test_auto_with_invalid_parameters(capsys, tmp_path, ring_file):
     code, out, _ = run(capsys, "auto-verify", "--ring", ring_file, "--params", str(params))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_auto_verify_with_non_strict_params_is_usage_error(capsys, tmp_path, ring_file):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": "-1", "mu": "1", "a": 5}))
+    code, out, err = run(capsys, "auto-verify", "--ring", ring_file, "--params", str(params))
+    assert code == 2
+    assert out == ""
+    assert "parameter 'a' is 5" in err
 
 
 def test_auto_missing_params_file(capsys, ring_file):

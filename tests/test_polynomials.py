@@ -13,6 +13,7 @@ from lndfilt.polynomials import (
     parse_poly,
     substitute_all,
 )
+from util import fresh_power_substitute
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
 
@@ -172,19 +173,6 @@ def test_substitution_is_a_ring_map(a, b):
     }
     assert (a + b).substitute(images) == a.substitute(images) + b.substitute(images)
     assert (a * b).substitute(images) == a.substitute(images) * b.substitute(images)
-
-
-def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
-    """The reference substitution: every term raises its images afresh."""
-    target = next(iter(images.values())).varset
-    total = MultiPoly.zero(target)
-    for exps, c in p.terms.items():
-        term = MultiPoly.constant(target, c)
-        for nm, e in zip(p.varset.names, exps):
-            if e:
-                term = term * images[nm] ** e
-        total = total + term
-    return total
 
 
 def _high_polys():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from lndfilt.polynomials import MultiPoly, VarSet
+from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import RingPresentation
+from util import RATIONAL_RINGS, fractions, rings
 
 
 def _add_into(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
@@ -55,37 +56,6 @@ def reference_normal_form(ring: RingPresentation, p: MultiPoly, strategy: str):
             for texps, tc in tail:
                 _add_into(current, tuple(b + t for b, t in zip(base, texps)), c * tc)
             _add_into(cofactors[index], tuple(base), c * scale)
-
-
-X_ONLY = VarSet(("X",))
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-
-
-@st.composite
-def x_polys(draw):
-    """A polynomial in X of degree <= 2 with rational coefficients, maybe 0."""
-    return MultiPoly(X_ONLY, {(k,): draw(fractions) for k in range(draw(st.integers(0, 3)))})
-
-
-@st.composite
-def rings(draw):
-    cylinder = draw(st.booleans())
-    d = draw(st.integers(2, 3))
-    p_coeffs = [draw(x_polys()) for _ in range(d)]
-    if draw(st.booleans()):
-        return RingPresentation.danielewski(draw(st.integers(1, 3)), p_coeffs, cylinder)
-    n = draw(st.integers(1, 3))
-    e = draw(st.integers(1 if n == 1 else 0, 2))
-    q_coeffs = [draw(x_polys()) for _ in range(draw(st.integers(2, 3)))]
-    return RingPresentation.full(n, e, p_coeffs, q_coeffs, cylinder)
-
-
-# fixed rings with rational tails, so that td != 1 is always covered
-RATIONAL_RINGS = [
-    RingPresentation.danielewski(1, ["3/4", "1/2*X", "0"]),
-    RingPresentation.full(1, 1, ["3/4", "1/2*X"], ["2/3*X", "5/7"]),
-    RingPresentation.full(2, 1, ["1/3 + X^2", "0", "1/5*X"], ["1/2", "0"], cylinder=True),
-]
 
 
 @st.composite

@@ -1,7 +1,9 @@
-"""Shared helpers for the test suite: seeded random generators."""
+"""Shared helpers for the test suite: seeded random generators and hypothesis strategies."""
 
 from fractions import Fraction
 from random import Random
+
+from hypothesis import strategies as st
 
 from lndfilt.polynomials import MultiPoly, VarSet
 from lndfilt.rings import RingPresentation
@@ -23,6 +25,19 @@ def random_poly(
         exps = tuple(rng.randint(0, max_exp) for _ in varset.names)
         terms[exps] = random_fraction(rng)
     return MultiPoly(varset, terms)
+
+
+def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
+    """The reference substitution: every term raises its images afresh."""
+    target = next(iter(images.values())).varset
+    total = MultiPoly.zero(target)
+    for exps, c in p.terms.items():
+        term = MultiPoly.constant(target, c)
+        for nm, e in zip(p.varset.names, exps):
+            if e:
+                term = term * images[nm] ** e
+        total = total + term
+    return total
 
 
 def grid_rings() -> list[RingPresentation]:
@@ -49,3 +64,34 @@ def mixed_small_rings() -> list[RingPresentation]:
         RingPresentation.danielewski(1, ["-1", "0"]),
         RingPresentation.danielewski(2, ["1", "0", "X^2", "0"]),
     ]
+
+
+X_ONLY = VarSet(("X",))
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def x_polys(draw):
+    """A polynomial in X of degree <= 2 with rational coefficients, maybe 0."""
+    return MultiPoly(X_ONLY, {(k,): draw(fractions) for k in range(draw(st.integers(0, 3)))})
+
+
+@st.composite
+def rings(draw):
+    cylinder = draw(st.booleans())
+    d = draw(st.integers(2, 3))
+    p_coeffs = [draw(x_polys()) for _ in range(d)]
+    if draw(st.booleans()):
+        return RingPresentation.danielewski(draw(st.integers(1, 3)), p_coeffs, cylinder)
+    n = draw(st.integers(1, 3))
+    e = draw(st.integers(1 if n == 1 else 0, 2))
+    q_coeffs = [draw(x_polys()) for _ in range(draw(st.integers(2, 3)))]
+    return RingPresentation.full(n, e, p_coeffs, q_coeffs, cylinder)
+
+
+# fixed rings with rational tails, so that td != 1 is always covered
+RATIONAL_RINGS = [
+    RingPresentation.danielewski(1, ["3/4", "1/2*X", "0"]),
+    RingPresentation.full(1, 1, ["3/4", "1/2*X"], ["2/3*X", "5/7"]),
+    RingPresentation.full(2, 1, ["1/3 + X^2", "0", "1/5*X"], ["1/2", "0"], cylinder=True),
+]

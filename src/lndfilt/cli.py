@@ -29,6 +29,12 @@ from .rings import RingPresentation, basis_monomials, toy_ring
 # the largest index `filtration` lists; each degree up to the index has
 # exactly one basis monomial, so the output grows linearly with it
 MAX_FILTRATION_INDEX = 10_000
+# the most applications of D that `deg` and `derive` make: `deg --bound` and
+# `derive --times` are capped here, and `deg` refuses an element whose
+# closed-form degree d would need d + 1 > MAX_DERIVATION_APPLICATIONS
+# applications; each application can grow the element, so the time is not
+# linear in the count (deg of Z^200 on the toy ring makes 801 of them)
+MAX_DERIVATION_APPLICATIONS = 1000
 
 
 def _non_negative_int(text: str) -> int:
@@ -80,11 +86,20 @@ def _degree_str(value: int | None) -> str:
 
 
 def cmd_deg(args, parser) -> int:
+    cap = MAX_DERIVATION_APPLICATIONS
+    if args.bound is not None and args.bound > cap:
+        parser.error(f"--bound must be at most {cap}")
     ring = _load_ring(args, parser)
     elem = ring.element(args.element)
     derivation = canonical_derivation(ring)
     monomial = elem.degree()
-    iterated = derivation.degree(elem, bound=args.bound)
+    if monomial is not None and monomial >= cap:
+        parser.error(
+            f"the element has closed-form degree {monomial}; its iteration would "
+            f"need more than {cap} applications of D"
+        )
+    bound = args.bound if args.bound is not None else min(derivation.default_budget(elem), cap)
+    iterated = derivation.degree(elem, bound=bound)
     match = monomial == iterated
     data = {
         "element": str(elem),
@@ -115,8 +130,8 @@ def cmd_nf(args, parser) -> int:
 
 def cmd_derive(args, parser) -> int:
     ring = _load_ring(args, parser)
-    if args.times < 0:
-        parser.error("--times must be >= 0")
+    if not 0 <= args.times <= MAX_DERIVATION_APPLICATIONS:
+        parser.error(f"--times must be between 0 and {MAX_DERIVATION_APPLICATIONS}")
     derivation = canonical_derivation(ring)
     value = derivation.iterate(ring.element(args.poly), args.times)
     data = {
@@ -280,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deg", help="filtration degree of an element, two ways")
     _add_ring_options(p)
     p.add_argument("element", help="element expression, e.g. 'S*Y + 3'")
-    p.add_argument("--bound", type=_non_negative_int, default=None, help="iteration budget")
+    p.add_argument(
+        "--bound",
+        type=_non_negative_int,
+        default=None,
+        help=f"iteration budget, at most {MAX_DERIVATION_APPLICATIONS}",
+    )
     p.set_defaults(func=cmd_deg)
 
     p = sub.add_parser("nf", help="normal form of a polynomial in the quotient")
@@ -291,7 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="apply the canonical derivation")
     _add_ring_options(p)
     p.add_argument("poly", help="element expression")
-    p.add_argument("--times", type=int, default=1, help="number of applications")
+    p.add_argument(
+        "--times",
+        type=int,
+        default=1,
+        help=f"number of applications, 0 to {MAX_DERIVATION_APPLICATIONS}",
+    )
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("filtration", help="basis monomials up to a degree")

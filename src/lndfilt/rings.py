@@ -36,7 +36,9 @@ cofactor scale are stored once per ring as integer numerators over one tail
 denominator td; the input becomes integer numerators over one denominator,
 each pass moves that denominator on by td (nothing to do when td is 1, as for
 integer f_i and g_j), and the result turns back into Fractions once.  An input
-that is already canonical is returned as it is.
+that is already canonical is returned as it is.  The loop is one method,
+_reduce, which Derivation.apply shares: it hands its integer Leibniz map
+straight in, so D(a) costs one conversion to Fractions.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ class RingPresentation:
 
         Every tail coefficient and cofactor scale is stored as an integer
         numerator over one tail denominator td, the lcm of their
-        denominators, for the integer loop in normal_form.
+        denominators, for the integer loop in _reduce.
         """
         derived = []
         for index, (head, rel) in enumerate(self._relations()):
@@ -401,18 +403,31 @@ class RingPresentation:
         ruleset = self._rule_tails().get(strategy)
         if ruleset is None:
             raise ValueError(f"unknown strategy {strategy!r}")
-        td, rules = ruleset
-        todo = _reducible(p.terms, rules)
-        if not todo:
+        if not _reducible(p.terms, ruleset[1]):
             # already canonical: no conversion, no copy
             elem = QuotElem(self, p, _trusted=True)
             if not with_cofactors:
                 return elem
             zero = MultiPoly.zero(self.varset)
-            return elem, (zero, zero if len(rules) > 1 else None)
+            return elem, (zero, zero if len(ruleset[1]) > 1 else None)
         nums, den = _numerators(p.terms)
-        current = dict(zip(p.terms, nums))
+        return self._reduce(dict(zip(p.terms, nums)), den, strategy, with_cofactors)
+
+    def _reduce(
+        self,
+        current: dict[tuple[int, ...], int],
+        den: int,
+        strategy: str,
+        with_cofactors: bool,
+    ):
+        """The rewrite loop of normal_form on integer numerators over den.
+
+        current is consumed.  Returns what normal_form returns; Derivation.apply
+        feeds its integer Leibniz map straight in.
+        """
+        td, rules = self._rule_tails()[strategy]
         cofactors = [{} for _ in rules] if with_cofactors else None
+        todo = _reducible(current, rules)
         while todo:
             popped = [(current.pop(exps), exps, rule) for exps, rule in todo]
             if td != 1:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from lndfilt.cli import MAX_FILTRATION_INDEX, main
+from lndfilt.cli import MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, main
+from lndfilt.derivations import Derivation
 
 
 def run(capsys, *argv):
@@ -94,6 +95,29 @@ def test_filtration_index_is_capped(capsys):
         main(["filtration", "--toy", str(MAX_FILTRATION_INDEX + 1)])
     assert info.value.code == 2
     assert f"between 0 and {MAX_FILTRATION_INDEX}" in capsys.readouterr().err
+
+
+def test_derivation_applications_are_capped(capsys, monkeypatch):
+    cap = MAX_DERIVATION_APPLICATIONS
+    assert run(capsys, "deg", "--toy", "Z^200")[1].strip() == "800"
+    # x weighs 0, so the default budget of 20,005 is cut to the cap, not refused
+    assert run(capsys, "deg", "--toy", "X^5000*S")[1].strip() == "1"
+    assert run(capsys, "deg", "--toy", "--bound", str(cap), "S")[1].strip() == "1"
+
+    def no_iteration(self, a):
+        raise AssertionError("D was applied")
+
+    monkeypatch.setattr(Derivation, "apply", no_iteration)
+    for argv, message in [
+        (["deg", "--toy", "Z^2000"], f"degree 8000; its iteration would need more than {cap}"),
+        (["deg", "--toy", "Z^250"], "closed-form degree 1000"),
+        (["deg", "--toy", "--bound", str(cap + 1), "S"], f"--bound must be at most {cap}"),
+        (["derive", "--toy", "Z", "--times", str(cap + 1)], f"--times must be between 0 and {cap}"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_gr_leading_class(capsys):

@@ -40,6 +40,14 @@ def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
     return total
 
 
+def derivative_route(derivation, p: MultiPoly) -> MultiPoly:
+    """The reference D(p), unreduced: the sum over variables of dp/dx_k * D(x_k)."""
+    total = MultiPoly.zero(p.varset)
+    for nm in p.varset.names:
+        total = total + p.derivative(nm) * derivation.images[nm].rep
+    return total
+
+
 def grid_rings() -> list[RingPresentation]:
     """Full-family rings with P = S^d + 1, Q = Y^m over a parameter grid."""
     rings = []

@@ -93,13 +93,35 @@ class PolyEndo:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PolyEndo:
+        """Strict: "vars" is a list of names, "images" an object with exactly those keys.
+
+        Every image is a string; each failure raises ValueError naming its key.
+        """
+        unknown = sorted(set(data) - {"vars", "images"})
+        if unknown:
+            raise ValueError(f"endomorphism JSON has unknown keys {unknown}")
+        for key in ("vars", "images"):
+            if key not in data:
+                raise ValueError(f"endomorphism JSON lacks key {key!r}")
+        names, images = data["vars"], data["images"]
+        if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+            raise ValueError(f"endomorphism 'vars' must be a list of variable names, got {names!r}")
         try:
-            names = data["vars"]
-            images = data["images"]
-        except KeyError as missing:
-            raise ValueError(f"endomorphism JSON lacks key {missing}") from None
-        varset = VarSet(names)
-        return cls(varset, {nm: parse_poly(text, varset) for nm, text in images.items()})
+            varset = VarSet(names)
+        except ValueError as err:
+            raise ValueError(f"endomorphism 'vars': {err}") from None
+        if not isinstance(images, Mapping) or set(images) != set(names):
+            raise ValueError(f"endomorphism 'images' must be an object keyed by exactly {names}")
+        parsed = {}
+        for nm in names:
+            text = images[nm]
+            if not isinstance(text, str):
+                raise ValueError(f"endomorphism image {nm!r} is {text!r}; write the polynomial as a string")
+            try:
+                parsed[nm] = parse_poly(text, varset)
+            except ValueError as err:
+                raise ValueError(f"endomorphism image {nm!r}: {err}") from None
+        return cls(varset, parsed)
 
     @classmethod
     def from_json(cls, text: str) -> PolyEndo:

@@ -6,8 +6,12 @@ exact; there is no floating point anywhere in this package.
 
 substitute_all is the package's one evaluation routine: it evaluates
 polynomials at images of their variables that are either all polynomials over
-one varset or all elements (QuotElem) of one quotient ring, through one shared
-table of image powers.
+one varset or all elements (QuotElem) of one quotient ring.  A single-term
+image acts by exponent arithmetic; the others go through one shared table of
+image powers, with one product per pattern of their exponents (after the
+multivariate Horner schemes of Ceberio & Kreinovich, ACM SIGSAM Bull. 38(1),
+2004, cut down to that one split), and all products are summed in place into
+one term map.
 """
 
 from __future__ import annotations
@@ -323,12 +327,7 @@ class MultiPoly:
         if q is None:
             return NotImplemented
         acc = dict(self.terms)
-        for exps, c in q.terms.items():
-            s = acc.get(exps, 0) + c
-            if s:
-                acc[exps] = s
-            else:
-                acc.pop(exps, None)
+        _add_terms(acc, q.terms.items())
         return _from_terms(self.varset, acc)
 
     __radd__ = __add__
@@ -472,24 +471,47 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     product.  Every variable actually occurring in a polynomial must have an
     image.
 
-    One power table serves all of polys, so each image is raised to each
-    power once.  A new power is the product of the largest lower power
-    already in the table and the power that remains, so that the powers
-    1, 2, ..., k of an image cost one product each.  When the largest lower
-    power is under half the exponent, the power is built as by squaring
-    instead: an even one from its half, an odd one from the power below.
+    An image with exactly one term, c*x^u (such as lambda*X, or a plain
+    variable), acts by exponent arithmetic: a term's exponent e on its
+    variable adds e*u to the term's exponents and multiplies its coefficient
+    by c^e.  The other images go through one power table, shared by all of
+    polys, so each is raised to each power once.  A new power is the product
+    of the largest lower power already in the table and the power that
+    remains, so that the powers 1, 2, ..., k of an image cost one product
+    each.  When the largest lower power is under half the exponent, the
+    power is built as by squaring instead: an even one from its half, an
+    odd one from the power below.
 
-    Each term is summed as total + factor*c, starting from the images' zero.
-    For polynomial images MultiPoly.__add__ keeps the term order and the
-    cancellations of summing the terms one by one; for ring elements the
-    products of powers are reduced by QuotElem.__mul__, and sums and scalar
-    multiples of canonical representatives are canonical already.
+    A polynomial's terms are grouped by their exponents on the variables
+    with table images (the pattern), after the single-term images have acted
+    on them.  Each pattern costs one product of powers from the table and
+    one packed product of that factor with its group, and every group is
+    summed in place into one term map, where a coefficient that cancels is
+    deleted.  For ring elements the powers and their products are reduced by
+    QuotElem.__mul__, and the sum by one ring.normal_form: that call only
+    scans when no single-term image carries a rewrite-rule head variable (S
+    or Y), and otherwise makes the sum canonical.
     """
     homes = [_image_home(img) for img in images.values()]
     for here in homes[1:]:
         if here != homes[0]:
             kind = here[0] if here[0] == homes[0][0] else "types"
             raise ValueError(f"substitution images use mixed {kind}")
+    kind, home = homes[0] if homes else ("varsets", None)
+    ring = home if kind == "rings" else None
+    # the varset of the results; with no images, each polynomial's own
+    target = ring.varset if ring is not None else home
+
+    def terms_of(img: E) -> dict[tuple[int, ...], Fraction]:
+        return img.rep.terms if ring is not None else img.terms
+
+    # each single-term image c*x^u as (the nonzero (index, u_j) of u, c)
+    single = {}
+    for nm, img in images.items():
+        terms = terms_of(img)
+        if len(terms) == 1:
+            ((u, c),) = terms.items()
+            single[nm] = (tuple((j, b) for j, b in enumerate(u) if b), c)
     table: dict[str, dict[int, E]] = {}
 
     def power(name: str, n: int) -> E:
@@ -511,17 +533,47 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
         for k in used:
             if names[k] not in images:
                 raise ValueError(f"no substitution image for variable {names[k]!r}")
-        total = next(iter(images.values())) * 0 if images else MultiPoly.zero(p.varset)
+        vs = p.varset if target is None else target
+        monos = [(k, *single[names[k]]) for k in used if names[k] in single]
+        powered = [k for k in used if names[k] not in single]
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for exps, c in p.terms.items():
+            key = [0] * len(vs)
+            for k, shifts, ck in monos:
+                e = exps[k]
+                if e:
+                    for j, b in shifts:
+                        key[j] += e * b
+                    if ck != 1:
+                        c *= ck**e
+            _add_terms(groups.setdefault(tuple([exps[k] for k in powered]), {}), ((tuple(key), c),))
+        total: dict[tuple[int, ...], Fraction] = {}
+        for pattern, group in groups.items():
             factor = None
-            for k in used:
-                if exps[k]:
-                    pk = power(names[k], exps[k])
+            for k, e in zip(powered, pattern):
+                if e:
+                    pk = power(names[k], e)
                     factor = pk if factor is None else factor * pk
-            total = total + (c if factor is None else factor * c)
-        return total
+            _add_terms(total, (group if factor is None else _product(terms_of(factor), group)).items())
+        if ring is not None:
+            return ring.normal_form(_from_terms(vs, total))
+        return _from_terms(vs, total)
 
     return [evaluate(p) for p in polys]
+
+
+def _add_terms(
+    terms: dict[tuple[int, ...], Fraction], pairs: Iterable[tuple[tuple[int, ...], Fraction]]
+) -> None:
+    """Add the (exponents, coefficient) pairs into a term map in place, deleting a key that cancels."""
+    get = terms.get
+    for exps, c in pairs:
+        old = get(exps)
+        s = c if old is None else old + c
+        if s:
+            terms[exps] = s
+        else:
+            del terms[exps]
 
 
 def _image_home(img: object) -> tuple[str, object]:

@@ -322,6 +322,27 @@ def test_poly_endo_json_roundtrip():
         PolyEndo.from_json("not json")
 
 
+def test_poly_endo_json_is_strict():
+    good = {"vars": ["X", "S"], "images": {"X": "X", "S": "X^2 + S"}}
+    assert PolyEndo.from_json_dict(good).to_json_dict() == good
+    cases = [
+        ({"vars": "XS", "images": {"X": "X", "S": "S"}}, "'vars' must be a list"),
+        ({"vars": ["X", 1], "images": {"X": "X"}}, "'vars' must be a list"),
+        ({"vars": ["X", "X"], "images": {"X": "X"}}, "'vars': duplicate"),
+        ({"vars": ["X", "S"], "images": {"X": "X", "S": "S", "Q": "X"}}, "'images' must be an object"),
+        ({"vars": ["X", "S"], "images": {"X": "X"}}, "'images' must be an object"),
+        ({"vars": ["X", "S"], "images": ["X", "S"]}, "'images' must be an object"),
+        ({"vars": ["X", "S"], "images": {"X": "X", "S": 3}}, "image 'S' is 3"),
+        ({"vars": ["X", "S"], "images": {"X": "X", "S": None}}, "image 'S' is None"),
+        ({"vars": ["X", "S"], "images": {"X": "X", "S": "S + W"}}, "image 'S': unknown variable 'W'"),
+        ({"vars": ["X"], "images": {"X": "X"}, "note": 1}, r"unknown keys \['note'\]"),
+        ({"images": {"X": "X"}}, "lacks key 'vars'"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PolyEndo.from_json_dict(data)
+
+
 def test_poly_endo_validates_images():
     ring = RingPresentation.full(1, 1, ["1", "0"], ["0", "0"], cylinder=True)
     vs = ring.varset

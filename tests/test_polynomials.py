@@ -200,6 +200,43 @@ def test_shared_power_ladder_matches_fresh_powers(polys, images):
     assert [p.substitute(images) for p in polys] == expected
 
 
+def _single_term_images():
+    """One-term images: a variable, or c*x^u or a constant c, with c = +-1 or +-p/q."""
+    nonzero = st.one_of(st.sampled_from([1, -1]), _coeffs().filter(bool))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+    return st.one_of(
+        st.sampled_from(XSYZ.names).map(lambda nm: MultiPoly.variable(XSYZ, nm)),
+        st.builds(lambda e, c: MultiPoly.monomial(XSYZ, e, c), exps, nonzero),
+        nonzero.map(lambda c: MultiPoly.constant(XSYZ, c)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_high_polys(), min_size=1, max_size=3),
+    st.fixed_dictionaries(
+        {nm: st.one_of(_single_term_images(), _image_polys()) for nm in XSYZ.names}
+    ),
+    st.sampled_from(XSYZ.names),
+    st.sampled_from(XSYZ.names),
+)
+def test_single_term_images_match_fresh_powers(polys, images, a, b):
+    # with one image for a and b, p minus p with a and b swapped maps to 0
+    # after its terms collide
+    images[b] = images[a]
+    ia, ib = XSYZ.index(a), XSYZ.index(b)
+
+    def swap(exps):
+        out = list(exps)
+        out[ia], out[ib] = exps[ib], exps[ia]
+        return tuple(out)
+
+    polys.append(polys[0] - MultiPoly(XSYZ, {swap(e): c for e, c in polys[0].terms.items()}))
+    got = substitute_all(polys, images)
+    assert got == [fresh_power_substitute(p, images) for p in polys]
+    assert got[-1].is_zero()
+
+
 def test_substitute_all_checks_images():
     with pytest.raises(ValueError, match="mixed varsets"):
         substitute_all([P("X")], {"X": P("X"), "S": parse_poly("X", VarSet(("X",)))})

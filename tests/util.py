@@ -28,16 +28,21 @@ def random_poly(
 
 
 def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
-    """The reference substitution: every term raises its images afresh."""
+    """The reference substitution: every term raises its images afresh.
+
+    The terms are summed by a loop of this function's own, not by
+    MultiPoly.__add__, which shares its summation helper with substitute_all.
+    """
     target = next(iter(images.values())).varset
-    total = MultiPoly.zero(target)
+    total = {}
     for exps, c in p.terms.items():
         term = MultiPoly.constant(target, c)
         for nm, e in zip(p.varset.names, exps):
             if e:
                 term = term * images[nm] ** e
-        total = total + term
-    return total
+        for key, v in term.terms.items():
+            total[key] = total.get(key, 0) + v
+    return MultiPoly(target, total)
 
 
 def derivative_route(derivation, p: MultiPoly) -> MultiPoly:

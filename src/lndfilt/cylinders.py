@@ -20,11 +20,17 @@ The two step constructions, each solved by forced exact divisions:
   where H = X^n*T and L as above.
 
 Every division must be exact; a remainder would witness a wrong valuation
-and raises immediately.  verify_step certifies an endomorphism through
-three independent routes: exact relation transport, the forced congruence
-(atomic steps), and a recovery chain that rebuilds every target generator
-from the images.  One more check of the full family, the eliminated
-three-variable relation transported onto the target's, is not independent:
+and raises immediately.  A solve returns the endomorphism and a
+RecoveryStage: the recovery chain and the displacement identity, which
+depend on the step alone.  The endomorphism carries its step and stage, so
+verify_step(solve_step(step), step) solves once; verify_step solves the step
+itself only for an endomorphism that no solve of an equal step built.
+verify_step certifies an endomorphism through three independent routes:
+exact relation transport, the forced congruence (atomic steps), and a
+recovery chain that rebuilds every target generator from the images; every
+check runs on every call, whichever solve the stage came from.  One more
+check of the full family, the eliminated three-variable relation
+transported onto the target's, is not independent:
 it follows from the two relation transports and one identity of the target
 ring (S -> Q - X^e*Z kills the second relation, and the eliminated relation
 is by definition the first one with S so replaced), so it is derived from
@@ -46,9 +52,15 @@ from .rings import RingPresentation, evaluate_in_ring
 
 
 class PolyEndo:
-    """An algebra endomorphism of a polynomial ring, given on the variables."""
+    """An algebra endomorphism of a polynomial ring, given on the variables.
 
-    __slots__ = ("varset", "images")
+    An endomorphism built by a step's solve also holds that step and the
+    solve's RecoveryStage (slot _solved), for verify_step; every other
+    endomorphism, compose results and JSON reads included, holds None.
+    Equality, printing and JSON ignore the slot.
+    """
+
+    __slots__ = ("varset", "images", "_solved")
 
     def __init__(self, varset: VarSet, images: Mapping[str, MultiPoly]):
         self.varset = varset
@@ -61,6 +73,7 @@ class PolyEndo:
                 raise ValueError(f"image of {nm!r} uses varset {img.varset!r}")
             got[nm] = img
         self.images = got
+        self._solved: tuple[FullStep | DanielewskiStep, RecoveryStage] | None = None
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         if p.varset != self.varset:
@@ -141,12 +154,19 @@ class RecoveryRow:
     claimed: MultiPoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryStage:
-    """One step's recovery chain plus which rows rebuild the generators."""
+    """What a step's solve hands its certificate, besides the endomorphism.
 
-    rows: list[RecoveryRow]
+    The recovery chain, which rows rebuild the generators, and the
+    displacement (lhs, rhs, unit) that forced the T-image.  All of it depends
+    on the step alone, not on the images.  An endomorphism carries the stage
+    its solve built, so the stage is frozen and its rows are a tuple.
+    """
+
+    rows: tuple[RecoveryRow, ...]
     outputs: dict[str, str]
+    displacement: tuple[MultiPoly, MultiPoly, Fraction | int]
 
 
 def _v(vs: VarSet, name: str) -> MultiPoly:
@@ -173,10 +193,11 @@ class FullStep:
         return RingPresentation.full(self.n, self.e + 1, ["1", "0"], ["0", "0"], cylinder=True)
 
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
-        """The step isomorphism and its recovery chain, every division checked exact."""
+        """The step isomorphism and its recovery stage, every division checked exact."""
         src = self.source_ring()
         vs = src.varset
         n, e = self.n, self.e
+        displacement = self.displacement(src)
         x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
         p = src.p_poly()
 
@@ -188,8 +209,7 @@ class FullStep:
         img_y = y + ell
         img_z = x * z + f
         # the displacement identity phi(Y*Z - X*T) = rhs forces the T-image
-        img_t = (img_y * img_z - self.displacement()[1]).divide_exact(x)
-        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
+        img_t = (img_y * img_z - displacement[1]).divide_exact(x)
 
         # recovery: the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z
         a1 = (ell + 4 * x ** e * s * t).divide_exact(x)
@@ -216,12 +236,18 @@ class FullStep:
             RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
             RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
         ]
-        stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"})
+        outputs = {"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"}
+        stage = RecoveryStage(tuple(rows), outputs, displacement)
+        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
+        endo._solved = (self, stage)
         return endo, stage
 
-    def displacement(self) -> tuple[MultiPoly, MultiPoly, int]:
-        """(lhs, rhs, unit): the step maps Y*Z - X*T to rhs, which is -unit*T in the target."""
-        vs = self.source_ring().varset
+    def displacement(self, source: RingPresentation | None = None) -> tuple[MultiPoly, MultiPoly, int]:
+        """(lhs, rhs, unit): the step maps Y*Z - X*T to rhs, which is -unit*T in the target.
+
+        source, when given, is this step's source ring, so that a solve builds it once.
+        """
+        vs = (source or self.source_ring()).varset
         x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
         n, e = self.n, self.e
         rhs = 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y)
@@ -261,10 +287,11 @@ class DanielewskiStep:
         return RingPresentation.danielewski(self.n + 1, self.p_coeffs, cylinder=True)
 
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
-        """The step isomorphism and its recovery chain, every division checked exact."""
+        """The step isomorphism and its recovery stage, every division checked exact."""
         src = self.source_ring()
         vs = src.varset
         n, d = self.n, src.d
+        displacement = self.displacement(src)
         c = self.constant()
         x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
         p = src.p_poly()
@@ -276,8 +303,7 @@ class DanielewskiStep:
         ell = (p_shift - p).divide_exact(x ** n)
         img_y = x * y + ell
         # the displacement identity phi(Y*S - X*T) = rhs forces the T-image
-        img_t = (img_y * (s + h) - self.displacement()[1]).divide_exact(x)
-        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
+        img_t = (img_y * (s + h) - displacement[1]).divide_exact(x)
 
         # recovery: the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree
         yfree = (ell * s + ell * h - d * t * s ** d - d * x * t * qt).divide_exact(x)
@@ -310,12 +336,18 @@ class DanielewskiStep:
                 y,
             ),
         ]
-        stage = RecoveryStage(rows=rows, outputs={"X": "x", "S": "s", "Y": "y", "T": "t"})
+        outputs = {"X": "x", "S": "s", "Y": "y", "T": "t"}
+        stage = RecoveryStage(tuple(rows), outputs, displacement)
+        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
+        endo._solved = (self, stage)
         return endo, stage
 
-    def displacement(self) -> tuple[MultiPoly, MultiPoly, Fraction]:
-        """(lhs, rhs, unit): the step maps Y*S - X*T to rhs, which is -unit*T in the target."""
-        src = self.source_ring()
+    def displacement(self, source: RingPresentation | None = None) -> tuple[MultiPoly, MultiPoly, Fraction]:
+        """(lhs, rhs, unit): the step maps Y*S - X*T to rhs, which is -unit*T in the target.
+
+        source, when given, is this step's source ring, so that a solve builds it once.
+        """
+        src = source or self.source_ring()
         x, s, y, t = (_v(src.varset, nm) for nm in ("X", "S", "Y", "T"))
         d, c = src.d, self.constant()
         return y * s - x * t, d * t * (src.p_poly() - c - x ** (self.n + 1) * y), d * c
@@ -437,7 +469,10 @@ def _transport_checks(
 def _verify(
     endo: PolyEndo, step: FullStep | DanielewskiStep, stage: RecoveryStage
 ) -> IsoCertificate:
-    """Certify one atomic step's endomorphism against its endpoint rings."""
+    """Certify one atomic step's endomorphism against its endpoint rings.
+
+    stage is the step's recovery stage, which also holds its displacement.
+    """
     source, target = step.source_ring(), step.target_ring()
     vs = source.varset
     if vs != target.varset or vs != endo.varset:
@@ -445,7 +480,7 @@ def _verify(
     cert = IsoCertificate(source=source, target=target, endo=endo)
     cert.checks = _transport_checks(endo, source, target)
 
-    lhs, rhs, unit = step.displacement()
+    lhs, rhs, unit = stage.displacement
     moved = endo.apply(lhs)
     ok_exact = moved == rhs
     cert.checks.append(
@@ -491,10 +526,28 @@ def _verify(
     return cert
 
 
+def _stage_of(endo: PolyEndo, step: FullStep | DanielewskiStep) -> RecoveryStage:
+    """step's recovery stage: the one endo was solved with, else a fresh solve's.
+
+    A stage depends on its step alone, so the stage of a solve of an equal
+    step is the stage a new solve would build.
+    """
+    if endo._solved is not None and endo._solved[0] == step:
+        return endo._solved[1]
+    return step.solve()[1]
+
+
 def verify_step(endo: PolyEndo, step) -> IsoCertificate:
-    """Certify one atomic step endomorphism against its endpoint rings."""
-    _, stage = _require_step(step).solve()
-    return _verify(endo, step, stage)
+    """Certify one atomic step endomorphism against its endpoint rings.
+
+    The recovery stage and the displacement come from the solve that built
+    endo, when solve_step (or step.solve()) built it from a step equal to
+    step.  For any other endo (one built by hand, read from JSON, composed,
+    copied with a changed image, or solved from another step) verify_step
+    solves step once for them.  Every check runs on endo's images either way.
+    """
+    _require_step(step)
+    return _verify(endo, step, _stage_of(endo, step))
 
 
 def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
@@ -502,7 +555,8 @@ def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
 
     Write phi_k : R_k[T] -> R_{k+1}[T] for step k of L and Phi for the
     composite phi_L . ... . phi_1, built by compose.  Every step is solved
-    and certified alone; a failing step raises ValueError, as do steps whose
+    once and certified alone, from the stage its endomorphism carries, as
+    verify_step does; a failing step raises ValueError, as do steps whose
     endpoints do not meet.  A chain of one step is its step's certificate.
 
     The composite's relation transports, and the eliminated-relation entry
@@ -538,20 +592,20 @@ def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
     for before, after in zip(steps, steps[1:]):
         if before.target_ring() != after.source_ring():
             raise ValueError(f"step {after} does not start at the target of {before}")
-    solved = [(st, *st.solve()) for st in steps]
+    endos = [st.solve()[0] for st in steps]
     atomic = []
-    for st, endo, stage in solved:
-        cert = _verify(endo, st, stage)
+    for st, endo in zip(steps, endos):
+        cert = _verify(endo, st, _stage_of(endo, st))
         if not cert.passed:
             raise ValueError(f"atomic step {st} failed verification")
         atomic.append(cert)
-    composed = solved[0][1]
-    for _, endo, _ in solved[1:]:
+    composed = endos[0]
+    for endo in endos[1:]:
         composed = endo.compose(composed)
     if len(steps) == 1:
         return composed, atomic[0]
 
-    source, target = steps[0].source_ring(), steps[-1].target_ring()
+    source, target = atomic[0].source, atomic[-1].target
     cert = IsoCertificate(source=source, target=target, endo=composed)
     cert.checks = _transport_checks(composed, source, target)
     cert.checks.append(

@@ -279,7 +279,8 @@ class MultiPoly:
     def variable(cls, varset: VarSet, name: str) -> MultiPoly:
         exps = [0] * len(varset)
         exps[varset.index(name)] = 1
-        return cls(varset, {tuple(exps): 1})
+        # one validated term: no cleaning pass needed
+        return _from_terms(varset, {tuple(exps): Fraction(1)})
 
     @classmethod
     def monomial(cls, varset: VarSet, exps: Sequence[int], c: Scalar = 1) -> MultiPoly:
@@ -645,10 +646,13 @@ class _Parser:
     '/' only forms rational literals p/q; it is not general division.
     Parentheses and unary minus nest at most MAX_NESTING deep together, so
     that hostile input fails with ParseError, well before the interpreter's
-    recursion limit.
+    recursion limit.  An exponent is at most MAX_EXPONENT, so that a short
+    token such as S^100000 fails with ParseError instead of building a power
+    of unbounded size.
     """
 
     MAX_NESTING = 100
+    MAX_EXPONENT = 10_000
 
     def __init__(self, tokens: list[tuple[str, str, int]], varset: VarSet, length: int):
         self.tokens = tokens
@@ -720,6 +724,9 @@ class _Parser:
             etok = self.take()
             if etok[0] != "int":
                 raise ParseError(f"expected integer exponent, found {etok[1]!r}", etok[2])
+            # the length test keeps int() off digit strings of any size
+            if len(etok[1].lstrip("0")) > len(str(self.MAX_EXPONENT)) or int(etok[1]) > self.MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {self.MAX_EXPONENT}", etok[2])
             p = p ** int(etok[1])
         return p
 
@@ -755,7 +762,8 @@ def parse_poly(text: str, varset: VarSet) -> MultiPoly:
     """Parse an expression with +, -, *, ^, parentheses and p/q literals.
 
     Multiplication must be explicit ("2*X", not "2X").  Unknown variable
-    names, syntax errors and parentheses or unary minus nested more than
-    100 levels deep raise ParseError with a position.
+    names, syntax errors, parentheses or unary minus nested more than
+    100 levels deep, and exponents above 10,000 raise ParseError with a
+    position.
     """
     return _Parser(_tokenize(text), varset, len(text)).parse()

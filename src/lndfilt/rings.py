@@ -12,6 +12,9 @@ construction without the second relation; the two families differ only in
 that relation, and each ring states its family data once: the defining
 relations, each with the head of its rewrite rule, and one weight vector
 (0, 1, d, m*d) on (x, s, y, z), the cylinder variable t weighing 0.
+P, Q, the relations and the eliminated relation are built once per ring, on
+first use, like the rule tails below; relation_polys hands out a fresh list
+of the shared polynomials each time.
 
 Every residue class has a unique representative whose monomials satisfy
 s-exponent < d and (full family) y-exponent < m; x (and z, and the cylinder
@@ -123,7 +126,7 @@ class RingPresentation:
 
     __slots__ = (
         "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
-        "weights", "_tails",
+        "weights", "_tails", "_p", "_q", "_rels", "_eliminated",
     )
 
     def __init__(
@@ -171,6 +174,10 @@ class RingPresentation:
         self.varset = VarSet(names)
         self.weights = tuple(weights)
         self._tails: dict[str, _RuleSet] | None = None
+        self._p: MultiPoly | None = None
+        self._q: MultiPoly | None = None
+        self._rels: tuple[tuple[tuple[int, ...], MultiPoly], ...] | None = None
+        self._eliminated: MultiPoly | None = None
 
     # -------------------------------------------------------------- factories
 
@@ -238,39 +245,50 @@ class RingPresentation:
         return f"RingPresentation{self.fingerprint()}"
 
     def p_poly(self) -> MultiPoly:
-        """P(X, S) = S^d + sum f_i(X) S^i over this ring's varset."""
-        vs = self.varset
-        out = MultiPoly.variable(vs, "S") ** self.d
-        for i, f in enumerate(self.p_coeffs):
-            out = out + f.rename(vs) * (MultiPoly.variable(vs, "S") ** i)
-        return out
+        """P(X, S) = S^d + sum f_i(X) S^i over this ring's varset (built once)."""
+        if self._p is None:
+            self._p = self._monic("S", self.p_coeffs)
+        return self._p
 
     def q_poly(self) -> MultiPoly:
-        """Q(X, Y) = Y^m + sum g_j(X) Y^j over this ring's varset (full only)."""
+        """Q(X, Y) = Y^m + sum g_j(X) Y^j over this ring's varset (full only, built once)."""
         if self.family != "full":
             raise ValueError("danielewski rings have no Q")
+        if self._q is None:
+            self._q = self._monic("Y", self.q_coeffs)
+        return self._q
+
+    def _monic(self, name: str, coeffs: tuple[MultiPoly, ...]) -> MultiPoly:
+        """name^k + sum c_i(X) name^i over this ring's varset, k = len(coeffs)."""
         vs = self.varset
-        out = MultiPoly.variable(vs, "Y") ** self.m
-        for j, g in enumerate(self.q_coeffs):
-            out = out + g.rename(vs) * (MultiPoly.variable(vs, "Y") ** j)
+        v = MultiPoly.variable(vs, name)
+        out = v ** len(coeffs)
+        for i, c in enumerate(coeffs):
+            out = out + c.rename(vs) * (v ** i)
         return out
 
-    def _relations(self) -> list[tuple[tuple[int, ...], MultiPoly]]:
+    def _relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
         """Each defining relation with the head of its rewrite rule.
 
         X^n*Y - P with head S^d, and for the full family Q - X^e*Z - S with
         head Y^m.  The rewrite rules, their cofactors and the relations that
-        the certificates transport all come from this one list.
+        the certificates transport all come from this one list, built once
+        per ring.
         """
+        if self._rels is None:
+            self._rels = self._build_relations()
+        return self._rels
+
+    def _build_relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
         x, s, y = (MultiPoly.variable(self.varset, nm) for nm in ("X", "S", "Y"))
         rels = [(self._head("S", self.d), x ** self.n * y - self.p_poly())]
         if self.family == "full":
             z = MultiPoly.variable(self.varset, "Z")
             rels.append((self._head("Y", self.m), self.q_poly() - x ** self.e * z - s))
-        return rels
+        return tuple(rels)
 
     def relation_polys(self) -> list[MultiPoly]:
-        """The defining relations in the presentation's ambient variables."""
+        """The defining relations in the presentation's ambient variables (a fresh list)."""
         return [rel for _, rel in self._relations()]
 
     def eliminate_s(self, p: MultiPoly) -> MultiPoly:
@@ -286,8 +304,11 @@ class RingPresentation:
         """X^n*Y - P(X, Q(X,Y) - X^e*Z): the first relation with S eliminated.
 
         Lives over this ring's varset but involves only X, Y, Z (and never T).
+        Built once per ring.
         """
-        return self.eliminate_s(self.relation_polys()[0])
+        if self._eliminated is None:
+            self._eliminated = self.eliminate_s(self._relations()[0][1])
+        return self._eliminated
 
     def degree_weights(self) -> WeightFunction:
         """The filtration weight of each ambient variable (x, t weigh 0)."""

@@ -315,6 +315,15 @@ def test_deep_nesting_is_parse_error(capsys):
     assert out.strip() == "X"
 
 
+def test_huge_exponent_is_parse_error(capsys):
+    code, _, err = run(capsys, "nf", "--toy", "S^100000")
+    assert code == 2
+    assert "parse error: exponent larger than 10000 (at position 2)" in err
+    code, out, _ = run(capsys, "nf", "--toy", "X^10000")
+    assert code == 0
+    assert out.strip() == "X^10000"
+
+
 @pytest.mark.parametrize("command", ["deg", "verify-suite"])
 def test_negative_bound_is_usage_error(capsys, command):
     argv = [command, "--toy", "--bound", "-5"] + (["S"] if command == "deg" else [])

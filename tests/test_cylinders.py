@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from lndfilt.cylinders import (
     DanielewskiStep,
     FullStep,
     PolyEndo,
+    _verify,
     cancellation_report,
     compose_chain,
     compose_danielewski_chain,
@@ -350,3 +353,94 @@ def test_poly_endo_validates_images():
     del images["T"]
     with pytest.raises(ValueError):
         PolyEndo(vs, images)
+
+
+# ------------------------------------------------- one solve per certificate
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Record every step solve, ring construction and relation build."""
+    seen = SimpleNamespace(solves=[], rings=[], builds=[])
+    for cls in (FullStep, DanielewskiStep):
+
+        def solve(step, original=cls.solve):
+            seen.solves.append(step)
+            return original(step)
+
+        monkeypatch.setattr(cls, "solve", solve)
+    init, build = RingPresentation.__init__, RingPresentation._build_relations
+
+    def counting_init(ring, *args, **kwargs):
+        seen.rings.append(ring)
+        init(ring, *args, **kwargs)
+
+    def counting_build(ring):
+        seen.builds.append(ring)
+        return build(ring)
+
+    monkeypatch.setattr(RingPresentation, "__init__", counting_init)
+    monkeypatch.setattr(RingPresentation, "_build_relations", counting_build)
+
+    def clear():
+        for log in (seen.solves, seen.rings, seen.builds):
+            log.clear()
+
+    seen.clear = clear
+    return seen
+
+
+# each step with another step over the same variables
+STEP_PAIRS = [
+    (lambda: FullStep(3, 3), lambda: FullStep(3, 2)),
+    (lambda: DanielewskiStep(2, SIZE_P), lambda: DanielewskiStep(1, SIZE_P)),
+]
+
+
+@pytest.mark.parametrize("make,_", STEP_PAIRS, ids=["full", "danielewski"])
+def test_solve_and_verify_solve_once(counters, make, _):
+    step = make()
+    counters.clear()
+    cert = verify_step(solve_step(step), step)
+    assert cert.passed
+    assert counters.solves == [step]
+    assert len(counters.rings) <= 3
+    assert len(counters.builds) == len({id(ring) for ring in counters.builds})
+
+
+@pytest.mark.parametrize("make,make_other", STEP_PAIRS, ids=["full", "danielewski"])
+def test_endos_from_elsewhere_are_solved_for(counters, make, make_other):
+    step, other = make(), make_other()
+    endo = solve_step(step)
+    vs = endo.varset
+    img = endo.images["T"]
+    exps = next(iter(img.terms))
+    dropped = MultiPoly(vs, {e: c for e, c in img.terms.items() if e != exps})
+    identity = PolyEndo(vs, {nm: MultiPoly.variable(vs, nm) for nm in vs.names})
+    cases = {
+        "mutated": PolyEndo(vs, {**endo.images, "T": dropped}),
+        "json": PolyEndo.from_json(endo.to_json()),
+        "composed": endo.compose(identity),
+        "other step": solve_step(other),
+    }
+    for name, candidate in cases.items():
+        counters.clear()
+        cert = verify_step(candidate, step)
+        assert counters.solves == [step], name
+        assert cert.passed is (name in ("json", "composed")), name
+        assert cert.to_json_dict() == _verify(candidate, step, step.solve()[1]).to_json_dict(), name
+
+
+def test_changed_images_of_a_solved_endo_are_checked(counters):
+    # the stage an endo carries depends on the step alone, so a changed image
+    # reuses it, and every check still runs on the changed image
+    step = FullStep(3, 3)
+    endo = solve_step(step)
+    img = endo.images["T"]
+    exps = next(iter(img.terms))
+    endo.images["T"] = MultiPoly(img.varset, {e: c for e, c in img.terms.items() if e != exps})
+    counters.clear()
+    cert = verify_step(endo, step)
+    assert counters.solves == []
+    assert not cert.passed
+    assert cert.to_json_dict() == _verify(endo, step, step.solve()[1]).to_json_dict()

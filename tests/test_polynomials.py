@@ -10,6 +10,7 @@ from lndfilt.polynomials import (
     ParseError,
     VarSet,
     WeightFunction,
+    _Parser,
     parse_poly,
     substitute_all,
 )
@@ -71,6 +72,18 @@ def test_parse_rejects_trailing_garbage():
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         P("1/0")
+
+
+def test_exponent_is_capped():
+    cap = _Parser.MAX_EXPONENT
+    assert cap == 10_000
+    assert P(f"X^{cap}") == MultiPoly.monomial(XSYZ, (cap, 0, 0, 0))
+    assert P(f"X^000{cap}") == P(f"X^{cap}")
+    # the cap is checked before any power is taken, for any length of digits
+    for text, at in [(f"X^{cap + 1}", 2), ("Y + S^100000", 6), ("Z^" + "9" * 5000, 2)]:
+        with pytest.raises(ParseError, match=f"exponent larger than {cap}") as err:
+            P(text)
+        assert err.value.position == at
 
 
 # ------------------------------------------------------------------ printing

@@ -9,7 +9,7 @@ from lndfilt.checks import random_element
 from lndfilt.polynomials import MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
-from util import mixed_small_rings, random_poly
+from util import grid_rings, mixed_small_rings, random_poly
 
 
 def nf_str(ring, text):
@@ -335,6 +335,85 @@ def test_cylinder_presentation(toy):
     assert cyl.base() == toy
     with pytest.raises(ValueError, match="base ring"):
         basis_monomials(cyl, 3)
+
+
+# ----------------------------------------------------- derived ring data
+
+
+def _monic_from_coefficients(ring, name, coeffs):
+    """name^k + sum_i c_i(X)*name^i, written term by term from the coefficients."""
+    vs = ring.varset
+    ix, iv = vs.index("X"), vs.index(name)
+
+    def exps(a, i):
+        out = [0] * len(vs)
+        out[ix], out[iv] = a, i
+        return tuple(out)
+
+    terms = {exps(0, len(coeffs)): Fraction(1)}
+    for i, c in enumerate(coeffs):
+        for (a,), v in c.terms.items():
+            terms[exps(a, i)] = v
+    return MultiPoly(vs, terms)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    grid_rings()
+    + [
+        RingPresentation.danielewski(1, ["1", "0", "X^2", "0"], cylinder=True),
+        RingPresentation.danielewski(2, ["2", "X", "0"]),
+        RingPresentation.danielewski(3, ["-1", "1/2*X^2"], cylinder=True),
+    ],
+    ids=str,
+)
+def test_ring_data_built_once_matches_coefficients(ring):
+    vs = ring.varset
+    x, s, y = (MultiPoly.variable(vs, nm) for nm in ("X", "S", "Y"))
+    p = _monic_from_coefficients(ring, "S", ring.p_coeffs)
+    rels = [x ** ring.n * y - p]
+    if ring.family == "full":
+        q = _monic_from_coefficients(ring, "Y", ring.q_coeffs)
+        rels.append(q - x ** ring.e * MultiPoly.variable(vs, "Z") - s)
+    for _ in range(2):  # the first call builds, the second reads what was built
+        assert ring.p_poly() == p
+        assert ring.relation_polys() == rels
+        if ring.family == "full":
+            assert ring.q_poly() == q
+            ident = {nm: MultiPoly.variable(vs, nm) for nm in vs.names}
+            sigma = {**ident, "S": q - x ** ring.e * MultiPoly.variable(vs, "Z")}
+            assert ring.eliminated_relation() == rels[0].substitute(sigma)
+    assert ring.p_poly() is ring.p_poly()
+    assert ring.relation_polys()[0] is ring.relation_polys()[0]
+    if ring.family == "full":
+        assert ring.eliminated_relation() is ring.eliminated_relation()
+    # the list is fresh on every call: changing one leaves the next intact
+    handed = ring.relation_polys()
+    assert handed is not ring.relation_polys()
+    handed[0] = MultiPoly.zero(vs)
+    handed.append(p)
+    assert ring.relation_polys() == rels
+    # and the memo does not enter equality, hashing or printing
+    twin = RingPresentation.from_json_dict(ring.to_json_dict())
+    assert twin == ring and hash(twin) == hash(ring)
+    assert repr(twin) == repr(ring) and twin.to_json() == ring.to_json()
+
+
+def test_relations_built_once_per_ring(monkeypatch, rng):
+    builds = []
+    original = RingPresentation._build_relations
+
+    def counting(ring):
+        builds.append(ring)
+        return original(ring)
+
+    monkeypatch.setattr(RingPresentation, "_build_relations", counting)
+    ring = RingPresentation.full(2, 2, ["X^2", "X", "0"], ["X", "0"])
+    ring.relation_polys()
+    ring.eliminated_relation()
+    ring.normal_form(random_poly(rng, ring.varset), with_cofactors=True)
+    ring.relation_polys()
+    assert builds == [ring]
 
 
 # --------------------------------------------------------------- rule tails

@@ -11,12 +11,16 @@ image acts by exponent arithmetic; the others go through one shared table of
 image powers, with one product per pattern of their exponents (after the
 multivariate Horner schemes of Ceberio & Kreinovich, ACM SIGSAM Bull. 38(1),
 2004, cut down to that one split), and all products are summed in place into
-one term map.
+one term map.  At polynomial images the table, the products and the sums stay
+in the product kernel's packed integer form for the whole call, with one
+packing width fixed from a degree bound before the first product, and each
+result is converted back to exponent tuples and Fractions once.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
 from math import lcm
@@ -161,14 +165,18 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 
 # ---------------------------------------------------------- product kernel
 #
-# Products run on plain ints (after Monagan & Pearce, CASC 2007): each operand
-# is scaled to integer numerators over its least common denominator, and each
-# exponent tuple is packed into one int (Kronecker packing), so that a term
-# pair costs one int addition and one int product.  The field width is taken
-# per call from the operands' largest exponents, so a packed sum never carries
-# into the next field.  Surviving terms are unpacked once, back to exponent
-# tuples and Fraction coefficients.  The helpers return iterators, so that no
-# list of a product's size lives beside the product itself.
+# Products run on plain ints (after Monagan & Pearce, CASC 2007): coefficients
+# are integer numerators over one denominator per value, and each exponent
+# tuple is packed into one int (Kronecker packing), so that a term pair costs
+# one int addition and one int product in _accumulate, the one double loop.
+# The field width is fixed before any product from a bound that no exponent
+# sum can exceed, so a packed sum never carries into the next field:
+# MultiPoly.__mul__ takes it from its two operands' largest exponents, and
+# substitute_all once per call from the degrees of its polynomials and images,
+# for all of its image powers, products and sums.  Surviving terms are
+# unpacked once per result, back to exponent tuples and Fraction coefficients
+# (_unpacked).  The helpers return iterators, so that no list of a product's
+# size lives beside the product itself.
 
 
 def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Iterator[int], int]:
@@ -194,6 +202,49 @@ def _scaled(c: Fraction, terms: Mapping[tuple[int, ...], Fraction]) -> Iterable[
     return _fractions(map(c.numerator.__mul__, nums), c.denominator * den)
 
 
+def _packing(
+    width: int, nvars: int
+) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
+    """pack and unpack for exponent tuples of nvars entries in fields of width bits."""
+    mask = (1 << width) - 1
+    shifts = range(0, width * nvars, width)
+
+    def pack(exps: Sequence[int]) -> int:
+        return sum([e << s for e, s in zip(exps, shifts)])
+
+    def unpack(key: int) -> tuple[int, ...]:
+        return tuple([(key >> s) & mask for s in shifts])
+
+    return pack, unpack
+
+
+def _accumulate(
+    acc: dict[int, int], a: Iterable[tuple[int, int]], b: Sequence[tuple[int, int]]
+) -> dict[int, int]:
+    """Add the product of two packed term lists into acc, in place, and return acc.
+
+    The double loop runs over a, then b; a key that cancels is deleted, so it
+    moves to the end if it reappears.
+    """
+    get = acc.get
+    for ka, ca in a:
+        for kb, cb in b:
+            key = ka + kb
+            s = get(key, 0) + ca * cb
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
+
+
+def _unpacked(
+    acc: Mapping[int, int], den: int, unpack: Callable[[int], tuple[int, ...]]
+) -> dict[tuple[int, ...], Fraction]:
+    """The term map of packed numerators over den: the one conversion of a result."""
+    return dict(zip(map(unpack, acc), _fractions(acc.values(), den)))
+
+
 def _product(
     a: Mapping[tuple[int, ...], Fraction],
     b: Mapping[tuple[int, ...], Fraction],
@@ -216,29 +267,11 @@ def _product(
         return dict(zip(keys, _scaled(c, b)))
     # the largest exponent sum of any variable fits in `width` bits
     width = max(map(add, map(max, zip(*a)), map(max, zip(*b)))).bit_length()
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(next(iter(a))), width)
-
-    def pack(exps: tuple[int, ...]) -> int:
-        return sum([e << s for e, s in zip(exps, shifts)])
-
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple([(key >> s) & mask for s in shifts])
-
+    pack, unpack = _packing(width, len(next(iter(a))))
     nums_a, den_a = _numerators(a)
     nums_b, den_b = _numerators(b)
-    packed_b = list(zip(map(pack, b), nums_b))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for ka, ca in zip(map(pack, a), nums_a):
-        for kb, cb in packed_b:
-            key = ka + kb
-            s = get(key, 0) + ca * cb
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-    return dict(zip(map(unpack, acc), _fractions(acc.values(), den_a * den_b)))
+    acc = _accumulate({}, zip(map(pack, a), nums_a), list(zip(map(pack, b), nums_b)))
+    return _unpacked(acc, den_a * den_b, unpack)
 
 
 class MultiPoly:
@@ -470,7 +503,7 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     MultiPoly over one varset (which may differ from the polys') or all
     QuotElem of one ring; any other mix raises ValueError before any
     product.  Every variable actually occurring in a polynomial must have an
-    image.
+    image; the other images are never read.
 
     An image with exactly one term, c*x^u (such as lambda*X, or a plain
     variable), acts by exponent arithmetic: a term's exponent e on its
@@ -486,12 +519,29 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     A polynomial's terms are grouped by their exponents on the variables
     with table images (the pattern), after the single-term images have acted
     on them.  Each pattern costs one product of powers from the table and
-    one packed product of that factor with its group, and every group is
-    summed in place into one term map, where a coefficient that cancels is
-    deleted.  For ring elements the powers and their products are reduced by
-    QuotElem.__mul__, and the sum by one ring.normal_form: that call only
-    scans when no single-term image carries a rewrite-rule head variable (S
-    or Y), and otherwise makes the sum canonical.
+    one product of that factor with its group, and every group is summed in
+    place into one term map, where a coefficient that cancels is deleted.
+
+    When some polynomial uses a polynomial image of more than one term, the
+    whole call runs packed: exponents are Kronecker-packed ints throughout,
+    with one field width fixed before the first product.  The exponent of
+    target variable j in any intermediate is at most
+    B_j = sum over used variables k of deg_k * (max exponent of j in the
+    image of k), where deg_k is the largest exponent of k in any of polys,
+    so the width is the bit length of the largest B_j.  The table holds each
+    image as integer numerators over its denominator d, and their powers;
+    a term's coefficient takes d^-e for the image's power e that its factor
+    uses.  A polynomial's groups are scaled to numerators over their least
+    common denominator, and the kernel's double loop adds each product of
+    a factor with a group straight into one sum of numerators.  Each result
+    is converted back to exponent tuples and Fractions once, at the end.  A
+    call whose used images all have one term packs nothing.
+
+    For ring elements the powers and their products are reduced by
+    QuotElem.__mul__, each group product is a product of term maps, and the
+    sum is reduced by one ring.normal_form: that call only scans when no
+    single-term image carries a rewrite-rule head variable (S or Y), and
+    otherwise makes the sum canonical.
     """
     homes = [_image_home(img) for img in images.values()]
     for here in homes[1:]:
@@ -506,61 +556,111 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     def terms_of(img: E) -> dict[tuple[int, ...], Fraction]:
         return img.rep.terms if ring is not None else img.terms
 
-    # each single-term image c*x^u as (the nonzero (index, u_j) of u, c)
-    single = {}
-    for nm, img in images.items():
-        terms = terms_of(img)
-        if len(terms) == 1:
-            ((u, c),) = terms.items()
-            single[nm] = (tuple((j, b) for j, b in enumerate(u) if b), c)
+    # the largest exponent of each variable in each polynomial, and over all
+    tops = [tuple(map(max, zip(*p.terms))) for p in polys]
+    degrees: dict[str, int] = {}
+    for p, top in zip(polys, tops):
+        for nm, d in zip(p.varset.names, top):
+            if d:
+                if nm not in images:
+                    raise ValueError(f"no substitution image for variable {nm!r}")
+                degrees[nm] = max(d, degrees.get(nm, 0))
+    # only used images are read: a single-term image c*x^u as its u, with c
+    # in scale; every other image as the first power of its table ladder
+    single: dict[str, tuple[int, ...]] = {}
+    scale: dict[str, Fraction] = {}
     table: dict[str, dict[int, E]] = {}
+    for nm in degrees:
+        terms = terms_of(images[nm])
+        if len(terms) == 1:
+            ((single[nm], scale[nm]),) = terms.items()
+        else:
+            table[nm] = {1: images[nm]}
+    packed = ring is None and any(len(images[nm].terms) > 1 for nm in table)
+
+    if packed:
+        # no exponent of target variable j in any intermediate exceeds bound[j]
+        bound = [0] * len(target)
+        for nm, d in degrees.items():
+            terms = images[nm].terms
+            if terms:
+                bound = [b + d * u for b, u in zip(bound, map(max, zip(*terms)))]
+        pack, unpack = _packing(max(bound).bit_length(), len(target))
+        moves = {nm: pack(u) for nm, u in single.items()}
+        # the table holds integer numerators; each power's denominator
+        # goes into the coefficients of the terms that use it
+        for nm, ladder in table.items():
+            terms = images[nm].terms
+            nums, den = _numerators(terms)
+            ladder[1] = dict(zip(map(pack, terms), nums))
+            scale[nm] = Fraction(1, den)
+
+        def mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+            return _accumulate({}, a.items(), list(b.items()))
+
+        unit = {0: 1}
+    else:
+        # the nonzero (index, u_j) of each u
+        moves = {nm: tuple((j, b) for j, b in enumerate(u) if b) for nm, u in single.items()}
+        mul, unit = operator.mul, None
 
     def power(name: str, n: int) -> E:
-        ladder = table.get(name)
-        if ladder is None:
-            ladder = table[name] = {1: images[name]}
+        ladder = table[name]
         got = ladder.get(n)
         if got is None:
             low = max(k for k in ladder if k < n)
             if 2 * low < n:
                 low = n - 1 if n % 2 else n // 2
-            got = power(name, low) * power(name, n - low)
+            got = mul(power(name, low), power(name, n - low))
             ladder[n] = got
         return got
 
-    def evaluate(p: MultiPoly) -> E:
+    def evaluate(p: MultiPoly, top: tuple[int, ...]) -> E:
         names = p.varset.names
-        used = [k for k in range(len(names)) if any(e[k] for e in p.terms)]
-        for k in used:
-            if names[k] not in images:
-                raise ValueError(f"no substitution image for variable {names[k]!r}")
         vs = p.varset if target is None else target
-        monos = [(k, *single[names[k]]) for k in used if names[k] in single]
-        powered = [k for k in used if names[k] not in single]
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        nvars = len(vs)
+        used = [(k, names[k]) for k, d in enumerate(top) if d]
+        shifts = [(k, moves[nm]) for k, nm in used if nm in single]
+        scales = [(k, scale[nm]) for k, nm in used if scale.get(nm, 1) != 1]
+        powered = [(k, nm) for k, nm in used if nm in table]
+        groups: dict[tuple[int, ...], dict] = {}
         for exps, c in p.terms.items():
-            key = [0] * len(vs)
-            for k, shifts, ck in monos:
-                e = exps[k]
-                if e:
-                    for j, b in shifts:
-                        key[j] += e * b
-                    if ck != 1:
-                        c *= ck**e
-            _add_terms(groups.setdefault(tuple([exps[k] for k in powered]), {}), ((tuple(key), c),))
-        total: dict[tuple[int, ...], Fraction] = {}
+            if packed:
+                key = sum([exps[k] * u for k, u in shifts])
+            else:
+                out = [0] * nvars
+                for k, nonzero in shifts:
+                    e = exps[k]
+                    if e:
+                        for j, b in nonzero:
+                            out[j] += e * b
+                key = tuple(out)
+            for k, ck in scales:
+                if exps[k]:
+                    c *= ck ** exps[k]
+            _add_terms(groups.setdefault(tuple([exps[k] for k, _ in powered]), {}), ((key, c),))
+        if packed:
+            den = lcm(*[c.denominator for group in groups.values() for c in group.values()])
+        total: dict = {}
         for pattern, group in groups.items():
-            factor = None
-            for k, e in zip(powered, pattern):
+            factor = unit
+            for (k, nm), e in zip(powered, pattern):
                 if e:
-                    pk = power(names[k], e)
-                    factor = pk if factor is None else factor * pk
-            _add_terms(total, (group if factor is None else _product(terms_of(factor), group)).items())
+                    pk = power(nm, e)
+                    factor = pk if factor is unit else mul(factor, pk)
+            if packed:
+                nums = [c.numerator * (den // c.denominator) for c in group.values()]
+                _accumulate(total, zip(group, nums), list(factor.items()))
+            else:
+                product = group if factor is None else _product(terms_of(factor), group)
+                _add_terms(total, product.items())
+        if packed:
+            return _from_terms(vs, _unpacked(total, den, unpack))
         if ring is not None:
             return ring.normal_form(_from_terms(vs, total))
         return _from_terms(vs, total)
 
-    return [evaluate(p) for p in polys]
+    return [evaluate(p, top) for p, top in zip(polys, tops)]
 
 
 def _add_terms(
@@ -648,11 +748,15 @@ class _Parser:
     that hostile input fails with ParseError, well before the interpreter's
     recursion limit.  An exponent is at most MAX_EXPONENT, so that a short
     token such as S^100000 fails with ParseError instead of building a power
-    of unbounded size.
+    of unbounded size.  A numerator or denominator has at most
+    MAX_LITERAL_DIGITS digits after its leading zeros, well under the
+    interpreter's own limit on int() of a digit string (4,300 digits by
+    default), so that a longer one fails with ParseError at its position.
     """
 
     MAX_NESTING = 100
     MAX_EXPONENT = 10_000
+    MAX_LITERAL_DIGITS = 1_000
 
     def __init__(self, tokens: list[tuple[str, str, int]], varset: VarSet, length: int):
         self.tokens = tokens
@@ -734,16 +838,17 @@ class _Parser:
         tok = self.take()
         kind, text, at = tok
         if kind == "int":
-            value = Fraction(int(text))
+            value = Fraction(self.literal(tok))
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.take()
                 den = self.take()
                 if den[0] != "int":
                     raise ParseError(f"expected integer denominator, found {den[1]!r}", den[2])
-                if int(den[1]) == 0:
+                q = self.literal(den)
+                if q == 0:
                     raise ParseError("zero denominator", den[2])
-                value = Fraction(int(text), int(den[1]))
+                value /= q
             return MultiPoly.constant(self.varset, value)
         if kind == "name":
             if text not in self.varset:
@@ -757,13 +862,19 @@ class _Parser:
             return p
         raise ParseError(f"unexpected token {text!r}", at)
 
+    def literal(self, tok: tuple[str, str, int]) -> int:
+        """The value of an integer token, refused beyond MAX_LITERAL_DIGITS digits."""
+        if len(tok[1].lstrip("0")) > self.MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer literal longer than {self.MAX_LITERAL_DIGITS} digits", tok[2])
+        return int(tok[1])
+
 
 def parse_poly(text: str, varset: VarSet) -> MultiPoly:
     """Parse an expression with +, -, *, ^, parentheses and p/q literals.
 
     Multiplication must be explicit ("2*X", not "2X").  Unknown variable
     names, syntax errors, parentheses or unary minus nested more than
-    100 levels deep, and exponents above 10,000 raise ParseError with a
-    position.
+    100 levels deep, exponents above 10,000 and integer literals of more
+    than 1,000 digits raise ParseError with a position.
     """
     return _Parser(_tokenize(text), varset, len(text)).parse()

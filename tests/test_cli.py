@@ -324,6 +324,14 @@ def test_huge_exponent_is_parse_error(capsys):
     assert out.strip() == "X^10000"
 
 
+@pytest.mark.parametrize("text, at", [("9" * 5000, 0), ("1/" + "9" * 5000, 2)])
+def test_huge_literal_is_parse_error(capsys, text, at):
+    code, out, err = run(capsys, "nf", "--toy", text)
+    assert code == 2
+    assert out == ""
+    assert f"parse error: integer literal longer than 1000 digits (at position {at})" in err
+
+
 @pytest.mark.parametrize("command", ["deg", "verify-suite"])
 def test_negative_bound_is_usage_error(capsys, command):
     argv = [command, "--toy", "--bound", "-5"] + (["S"] if command == "deg" else [])

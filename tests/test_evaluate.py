@@ -1,21 +1,25 @@
-"""substitute_all as the one evaluation routine, at quotient-ring images.
+"""substitute_all as the one evaluation routine, at quotient-ring images and
+at packed polynomial images.
 
-The reference substitutes the representatives as polynomials, raising every
-image afresh in each term (tests/util.py), and reduces once, at the end, so
-it shares no power table, no summation loop and no intermediate reduction
-with evaluate_in_ring.
+At ring images the reference substitutes the representatives as
+polynomials, raising every image afresh in each term (tests/util.py), and
+reduces once, at the end, so it shares no power table, no summation loop and
+no intermediate reduction with evaluate_in_ring.  At polynomial images the
+reference is a plain tuple and Fraction loop (schoolbook_substitute), which
+shares no code with the packed kernel.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lndfilt import polynomials
-from lndfilt.cylinders import FullStep, solve_step
+from lndfilt.cylinders import FullStep, PolyEndo, solve_step
 from lndfilt.polynomials import MultiPoly, VarSet, parse_poly, substitute_all
 from lndfilt.rings import QuotElem, RingPresentation, evaluate_in_ring
-from util import RATIONAL_RINGS, fractions, fresh_power_substitute, rings
+from util import RATIONAL_RINGS, fractions, fresh_power_substitute, rings, schoolbook_substitute
 
 
 @st.composite
@@ -75,6 +79,107 @@ def test_single_term_values_are_reduced_once_at_the_end(case):
     got = evaluate_in_ring(p, env)
     assert got.ring == ring
     assert got == want
+
+
+SOURCE = VarSet(("X", "S", "Y", "Z"))
+# the polynomials' own varset, a smaller one, and the twist solver's recovery varset
+TARGETS = [
+    SOURCE,
+    VarSet(("t", "u", "v")),
+    VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz")),
+]
+# denominators up to 12, so that images and terms carry different ones
+mixed_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def packed_substitutions(draw):
+    """Polynomials over SOURCE and images over a target varset, run packed.
+
+    X's image is t + c, with t the target's first variable, and no other
+    image uses t; the polynomials' largest X exponent is 2^k, so the bound
+    on t lands exactly on a power of two.  One of S, Y, Z may be unused,
+    with a large image; the other two may share an image, and the last
+    polynomial is then q minus q with their exponents swapped, which
+    evaluates to exactly 0.  The zero polynomial and a constant may join.
+    """
+    target = draw(st.sampled_from(TARGETS))
+    n = len(target)
+    nonzero = mixed_fractions.filter(bool)
+
+    def image(min_terms: int, max_terms: int) -> MultiPoly:
+        keys = st.tuples(st.just(0), *[st.integers(0, 2)] * (n - 1))
+        return MultiPoly(target, draw(st.dictionaries(keys, nonzero, min_size=min_terms, max_size=max_terms)))
+
+    images = {"X": MultiPoly(target, {(1,) + (0,) * (n - 1): 1, (0,) * n: draw(nonzero)})}
+    rest = list(draw(st.permutations(["S", "Y", "Z"])))
+    spare = rest.pop() if draw(st.booleans()) else None
+    for nm in rest:
+        kind = draw(st.sampled_from(["zero", "constant", "single", "multi", "multi"]))
+        if kind == "zero":
+            images[nm] = MultiPoly.zero(target)
+        elif kind == "constant":
+            images[nm] = MultiPoly.constant(target, draw(nonzero))
+        else:
+            images[nm] = image(1, 1) if kind == "single" else image(2, 3)
+    if spare is not None:
+        # 36 terms in the second and third variables
+        images[spare] = MultiPoly(
+            target, {(0, i, j) + (0,) * (n - 3): Fraction(i - 3, j + 1) for i in range(6) for j in range(6)}
+        )
+
+    def exps(x: int, k: int) -> int:
+        return 0 if SOURCE.names[k] == spare else x
+
+    def poly() -> MultiPoly:
+        keys = st.tuples(st.integers(0, 1), *[st.integers(0, 2)] * 3)
+        terms = draw(st.dictionaries(keys, mixed_fractions, max_size=4))
+        return MultiPoly(SOURCE, {tuple(exps(x, k) for k, x in enumerate(e)): c for e, c in terms.items()})
+
+    top = 2 ** draw(st.integers(0, 3))
+    polys = [poly() + MultiPoly.monomial(SOURCE, (top, 0, 0, 0), draw(nonzero))]
+    polys += [poly() for _ in range(draw(st.integers(0, 1)))]
+    if draw(st.booleans()):
+        polys.append(MultiPoly.zero(SOURCE))
+    if draw(st.booleans()):
+        polys.append(MultiPoly.constant(SOURCE, draw(nonzero)))
+    cancels = len(rest) == 2 and draw(st.booleans())
+    if cancels:
+        a, b = (SOURCE.index(nm) for nm in rest)
+        images[rest[1]] = images[rest[0]]
+        q = poly()
+        swapped = {}
+        for e, c in q.terms.items():
+            e = list(e)
+            e[a], e[b] = e[b], e[a]
+            swapped[tuple(e)] = c
+        polys.append(q - MultiPoly(SOURCE, swapped))
+    return target, polys, images, cancels
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_substitutions())
+def test_packed_evaluation_matches_the_schoolbook_loop(case):
+    target, polys, images, cancels = case
+    got = substitute_all(polys, images)
+    assert len(got) == len(polys)
+    for p, value in zip(polys, got):
+        assert value.varset == target
+        assert value.terms == schoolbook_substitute(p, images, target)
+        assert all(type(c) is Fraction for c in value.terms.values())
+    if cancels:
+        assert got[-1].is_zero()
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_packed_width_at_a_power_of_two(k):
+    # X -> t + 1/2 is the only image using t, so the bound on t is 2^k
+    target = VarSet(("t", "u"))
+    images = {"X": parse_poly("t + 1/2", target), "S": parse_poly("u^3 - 1/3", target)}
+    p = parse_poly(f"X^{2**k} - 2/5*X*S^2 + S", VarSet(("X", "S")))
+    (got,) = substitute_all([p], images)
+    assert got.terms == schoolbook_substitute(p, images, target)
+    assert max(e[0] for e in got.terms) == 2**k
 
 
 def test_evaluate_in_ring_rejects_bad_environments(toy):
@@ -157,3 +262,82 @@ def test_evaluate_in_ring_reduces_once_beyond_the_ladder(monkeypatch):
     assert got == want
     assert calls["__mul__"] > 0
     assert calls["normal_form"] == calls["__mul__"] + 1
+
+
+def _record_returns(monkeypatch, owner, name: str) -> list:
+    real = getattr(owner, name)
+    returned = []
+
+    def recorded(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    return returned
+
+
+def _twist_composite() -> tuple[PolyEndo, PolyEndo]:
+    first, second = (FullStep(1, e).solve()[0] for e in (1, 2))
+    return second, first
+
+
+def test_twist_compose_converts_each_image_once(monkeypatch):
+    outer, inner = _twist_composite()
+    want = PolyEndo(
+        outer.varset,
+        {nm: fresh_power_substitute(p, outer.images) for nm, p in inner.images.items()},
+    )
+    calls = Counter()
+    _count_calls(monkeypatch, calls, MultiPoly, "__mul__")
+    _count_calls(monkeypatch, calls, polynomials, "_product")
+    converted = _record_returns(monkeypatch, polynomials, "_unpacked")
+    composite = outer.compose(inner)
+    monkeypatch.undo()
+    assert composite == want
+    assert calls == Counter()
+    # one conversion per result image, and each is that image's term map
+    assert len(converted) == 5
+    assert [id(t) for t in converted] == [id(p.terms) for p in composite.images.values()]
+
+
+def test_unused_and_single_term_images_pack_nothing(monkeypatch):
+    vs = VarSet(("X", "S", "Y", "Z"))
+    big = parse_poly("(1 + X + S + Y + Z)^4", vs)
+    images = {"X": parse_poly("-2/3*Y", vs), "S": parse_poly("S", vs), "Y": parse_poly("5", vs), "Z": big}
+    polys = [parse_poly("X^3*S - 7/2*X*Y^2 + S + 1", vs), MultiPoly.zero(vs)]
+    want = [fresh_power_substitute(p, images) for p in polys]
+    calls = Counter()
+    for name in ("_packing", "_accumulate", "_unpacked", "_numerators", "_product"):
+        _count_calls(monkeypatch, calls, polynomials, name)
+    got = substitute_all(polys, images)
+    monkeypatch.undo()
+    assert got == want
+    assert calls == Counter()
+
+
+class _Untouchable(MultiPoly):
+    """A polynomial whose terms must not be read."""
+
+    __slots__ = ()
+
+    @property
+    def terms(self):
+        raise AssertionError("the unused T-image was read")
+
+
+def test_relation_transports_never_read_the_t_image(monkeypatch):
+    outer, inner = _twist_composite()
+    composite = outer.compose(inner)
+    assert len(composite.images["T"].terms) == 4227
+    tripwire = _Untouchable.__new__(_Untouchable)
+    tripwire.varset = composite.varset
+    guarded = PolyEndo(composite.varset, {**composite.images, "T": tripwire})
+    relations = FullStep(1, 1).source_ring().relation_polys()
+    want = [composite.apply(rel) for rel in relations]
+    calls = Counter()
+    _count_calls(monkeypatch, calls, polynomials, "_unpacked")
+    got = [guarded.apply(rel) for rel in relations]
+    monkeypatch.undo()
+    assert got == want
+    # each transport ran packed, on the S, Y and Z images
+    assert calls["_unpacked"] == len(relations)

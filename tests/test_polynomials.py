@@ -86,6 +86,25 @@ def test_exponent_is_capped():
         assert err.value.position == at
 
 
+def test_literal_digits_are_capped():
+    cap = _Parser.MAX_LITERAL_DIGITS
+    assert cap == 1_000
+    big = "9" * cap
+    assert P(big) == MultiPoly.constant(XSYZ, int(big))
+    assert P(f"000{big}/0{big}*X") == P("X")
+    # a longer numerator or denominator is refused before int() sees it,
+    # also past the interpreter's own 4,300-digit limit
+    for text, at in [
+        ("9" * (cap + 1), 0),
+        ("9" * 5000, 0),
+        ("Y + 1/" + "9" * 5000, 6),
+        ("X - 2/1" + "0" * cap, 6),
+    ]:
+        with pytest.raises(ParseError, match=f"integer literal longer than {cap} digits") as err:
+            P(text)
+        assert err.value.position == at
+
+
 # ------------------------------------------------------------------ printing
 
 

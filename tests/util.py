@@ -45,6 +45,30 @@ def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
     return MultiPoly(target, total)
 
 
+def schoolbook_substitute(p: MultiPoly, images: dict, target: VarSet) -> dict:
+    """The reference substitution's term map, on plain exponent tuples and Fractions.
+
+    Every term multiplies its images in one factor at a time, by a double
+    loop over exponent tuples.  Nothing is packed, powered, grouped or
+    shared between terms, and no MultiPoly arithmetic runs, so it shares no
+    code with substitute_all or its product kernel.
+    """
+    total = {}
+    for exps, c in p.terms.items():
+        term = {(0,) * len(target): c}
+        for nm, e in zip(p.varset.names, exps):
+            for _ in range(e):
+                nxt = {}
+                for u, a in term.items():
+                    for v, b in images[nm].terms.items():
+                        key = tuple([x + y for x, y in zip(u, v)])
+                        nxt[key] = nxt.get(key, 0) + a * b
+                term = nxt
+        for key, a in term.items():
+            total[key] = total.get(key, 0) + a
+    return {key: a for key, a in total.items() if a}
+
+
 def derivative_route(derivation, p: MultiPoly) -> MultiPoly:
     """The reference D(p), unreduced: the sum over variables of dp/dx_k * D(x_k)."""
     total = MultiPoly.zero(p.varset)

@@ -11,19 +11,29 @@ The Leibniz rule runs in one integer pass.  At construction each nonzero
 generator image is stored as integer numerators over one common denominator
 den_D; for p = (1/den) sum n_a x^a the pass adds n_a * a_k * m_u at exponent
 a - e_k + u for every variable k with a_k > 0 and every image term m_u x^u,
-so D(p) comes out as integer numerators over den * den_D.  apply hands that
-map straight to the ring's integer rewrite loop, and the coefficients turn
-into Fractions once, at the end.  Checks that stay independent of this pass:
-the written-out golden degrees and images of acceptance #1 and #2, the closed
-form (monomial_degree) that degree_consistency compares the iteration with,
+so D(p) comes out as integer numerators over den * den_D.  That map goes
+straight to the ring's integer rewrite loop, which hands back the canonical
+map of D(p), still in integers (_step).  degree and iterate feed each result
+to the next step, so the orbit a, D(a), D^2(a), ... never leaves integers:
+degree stops at the empty map, and a result turns into Fractions only where a
+caller asks for an element (apply's result, iterate's last, and the budget
+error's message).  A ring with rational tails (td > 1) or a scaled D
+(den_D > 1) makes the denominator grow each step, so after each step with den
+!= 1 the map and den are divided by the gcd of den and all numerators; den is
+then the lcm of the reduced coefficient denominators, as the Fraction route
+would have it.  An integer element of an integer ring keeps den = 1 and skips
+that step.  Checks that stay independent of this pass: the written-out golden
+degrees and images of acceptance #1 and #2, the closed form (monomial_degree)
+that degree_consistency compares the iteration with,
 test_leibniz_rule (D(ab) = a D(b) + b D(a) on products formed in the ring),
-and the test that compares apply with the MultiPoly derivative route,
-sum_k dp/dx_k * D(x_k) followed by normal_form.
+the test that compares apply with the MultiPoly derivative route,
+sum_k dp/dx_k * D(x_k) followed by normal_form, and the test that compares
+degree and iterate with that route reduced by a Fraction rewrite loop.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
@@ -66,13 +76,12 @@ class Derivation:
                     f"{ring.normal_form(residual)}"
                 )
 
-    def _leibniz(self, p: MultiPoly) -> tuple[dict[tuple[int, ...], int], int]:
-        """D(p) on the ambient polynomial ring: integer numerators and their denominator."""
-        nums, den = _numerators(p.terms)
+    def _leibniz(self, terms: Mapping[tuple[int, ...], int], den: int) -> tuple[dict[tuple[int, ...], int], int]:
+        """D of the ambient polynomial with integer numerators terms over den, in the same form."""
         image_den, images = self._table
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for exps, c in zip(p.terms, nums):
+        for exps, c in terms.items():
             for k, image in images:
                 power = exps[k]
                 if not power:
@@ -91,28 +100,51 @@ class Derivation:
 
     def _formal_apply(self, p: MultiPoly) -> MultiPoly:
         """Extend through the Leibniz rule on the ambient polynomial ring (unreduced)."""
-        out, den = self._leibniz(p)
+        nums, den = _numerators(p.terms)
+        out, den = self._leibniz(dict(zip(p.terms, nums)), den)
         return _from_terms(self.ring.varset, dict(zip(out, _fractions(out.values(), den))))
 
-    def apply(self, a: QuotElem) -> QuotElem:
+    def _step(self, terms: Mapping[tuple[int, ...], int], den: int) -> tuple[dict[tuple[int, ...], int], int]:
+        """One application of D to a canonical integer term map over den.
+
+        The Leibniz pass, then the ring's rewrite loop; the result is the
+        canonical map of D(a) over a denominator with no factor common to
+        all of its numerators.
+        """
+        out, den = self._leibniz(terms, den)
+        out, den, _ = self.ring._rewrite(out, den, "s_first")
+        if den != 1:
+            g = gcd(den, *out.values())
+            if g != 1:
+                den //= g
+                out = {k: v // g for k, v in out.items()}
+        return out, den
+
+    def _integer_terms(self, a: QuotElem) -> tuple[dict[tuple[int, ...], int], int]:
+        """a's representative as integer numerators over one denominator."""
         if a.ring != self.ring:
             raise ValueError("element belongs to a different ring")
-        out, den = self._leibniz(a.rep)
-        return self.ring._reduce(out, den, "s_first", False)
+        nums, den = _numerators(a.rep.terms)
+        return dict(zip(a.rep.terms, nums)), den
+
+    def apply(self, a: QuotElem) -> QuotElem:
+        return self.ring._to_elem(*self._step(*self._integer_terms(a)))
 
     def __call__(self, a: QuotElem) -> QuotElem:
         return self.apply(a)
 
     def iterate(self, a: QuotElem, k: int) -> QuotElem:
-        """The k-fold application D^k(a)."""
+        """The k-fold application D^k(a), converted to an element once."""
         if k < 0:
             raise ValueError("iteration count must be non-negative")
-        out = a
+        if not k or a.is_zero():
+            return a
+        terms, den = self._integer_terms(a)
         for _ in range(k):
-            if out.is_zero():
+            terms, den = self._step(terms, den)
+            if not terms:
                 break
-            out = self.apply(out)
-        return out
+        return self.ring._to_elem(terms, den)
 
     def default_budget(self, a: QuotElem) -> int:
         """A safe nilpotency budget from the ambient size of a."""
@@ -124,23 +156,24 @@ class Derivation:
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:
         """min{ i : D^(i+1)(a) = 0 }, or None for a = 0 (minus infinity).
 
-        Raises BudgetExceededError when D^(bound+1)(a) is still nonzero,
-        which for a locally nilpotent derivation means the bound was too
-        small.
+        The orbit a, D(a), D^2(a), ... stays an integer term map over one
+        denominator (see _step) and stops at the empty map; no element is
+        built unless the budget runs out.  Raises BudgetExceededError when
+        D^(bound+1)(a) is still nonzero, which for a locally nilpotent
+        derivation means the bound was too small; the message shows
+        D^(bound+1)(a) exactly.
         """
-        if a.ring != self.ring:
-            raise ValueError("element belongs to a different ring")
-        if a.is_zero():
+        terms, den = self._integer_terms(a)
+        if not terms:
             return None
         if bound is None:
             bound = self.default_budget(a)
-        current = a
         for i in range(bound + 1):
-            current = self.apply(current)
-            if current.is_zero():
+            terms, den = self._step(terms, den)
+            if not terms:
                 return i
         raise BudgetExceededError(
-            f"derivation budget {bound} exceeded on {a}; still nonzero: {current}"
+            f"derivation budget {bound} exceeded on {a}; still nonzero: {self.ring._to_elem(terms, den)}"
         )
 
 

@@ -326,12 +326,6 @@ class MultiPoly:
         """The coefficient of the constant term (0 if absent)."""
         return self.terms.get((0,) * len(self.varset), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         """Max exponent of one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -691,6 +685,33 @@ def _image_home(img: object) -> tuple[str, object]:
     return "rings", ring
 
 
+# str() of an int refuses more than sys.get_int_max_str_digits() digits (4,300
+# by default); below 10**_DIGIT_CHUNK it is safe, and larger values are cut
+# into _DIGIT_CHUNK-digit pieces first
+_DIGIT_CHUNK = 1000
+_CHUNK_BASE = 10**_DIGIT_CHUNK
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, whatever its size."""
+    if -_CHUNK_BASE < n < _CHUNK_BASE:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    pieces = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        pieces.append(f"{low:0{_DIGIT_CHUNK}d}")
+    pieces.append(str(n))
+    return sign + "".join(reversed(pieces))
+
+
+def _format_coeff(c: Fraction) -> str:
+    """str(c), for a numerator and denominator of any size."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
 def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:
     factors = []
     for nm, e in zip(varset.names, exps):
@@ -699,12 +720,12 @@ def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:
         elif e > 1:
             factors.append(f"{nm}^{e}")
     if not factors:
-        return str(c)
+        return _format_coeff(c)
     if c == 1:
         return "*".join(factors)
     if c == -1:
         return "-" + "*".join(factors)
-    return str(c) + "*" + "*".join(factors)
+    return _format_coeff(c) + "*" + "*".join(factors)
 
 
 # ------------------------------------------------------------------- parsing

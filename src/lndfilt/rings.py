@@ -40,8 +40,12 @@ denominator td; the input becomes integer numerators over one denominator,
 each pass moves that denominator on by td (nothing to do when td is 1, as for
 integer f_i and g_j), and the result turns back into Fractions once.  An input
 that is already canonical is returned as it is.  The loop is one method,
-_reduce, which Derivation.apply shares: it hands its integer Leibniz map
-straight in, so D(a) costs one conversion to Fractions.
+_rewrite, which returns the integer term map and its denominator; the
+conversion to a QuotElem is another, _to_elem.  normal_form runs both.
+Derivation shares the loop: it hands its integer Leibniz map straight in and
+takes the integer map back, so an orbit a, D(a), D^2(a), ... stays in
+integers, and only a result that a caller asks for as an element is
+converted.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .polynomials import (
     MultiPoly,
     VarSet,
     WeightFunction,
+    _format_coeff,
     _fractions,
     _from_terms,
     _numerators,
@@ -371,7 +376,7 @@ class RingPresentation:
 
         Every tail coefficient and cofactor scale is stored as an integer
         numerator over one tail denominator td, the lcm of their
-        denominators, for the integer loop in _reduce.
+        denominators, for the integer loop in _rewrite.
         """
         derived = []
         for index, (head, rel) in enumerate(self._relations()):
@@ -432,19 +437,21 @@ class RingPresentation:
             zero = MultiPoly.zero(self.varset)
             return elem, (zero, zero if len(ruleset[1]) > 1 else None)
         nums, den = _numerators(p.terms)
-        return self._reduce(dict(zip(p.terms, nums)), den, strategy, with_cofactors)
+        return self._to_elem(*self._rewrite(dict(zip(p.terms, nums)), den, strategy, with_cofactors))
 
-    def _reduce(
+    def _rewrite(
         self,
         current: dict[tuple[int, ...], int],
         den: int,
         strategy: str,
-        with_cofactors: bool,
-    ):
+        with_cofactors: bool = False,
+    ) -> tuple[dict[tuple[int, ...], int], int, list[dict[tuple[int, ...], int]] | None]:
         """The rewrite loop of normal_form on integer numerators over den.
 
-        current is consumed.  Returns what normal_form returns; Derivation.apply
-        feeds its integer Leibniz map straight in.
+        current is consumed.  Returns the canonical term map, its denominator
+        and, when with_cofactors is set, one cofactor map per rule over the
+        same denominator (else None).  Derivation feeds its integer Leibniz
+        map straight in.
         """
         td, rules = self._rule_tails()[strategy]
         cofactors = [{} for _ in rules] if with_cofactors else None
@@ -476,6 +483,18 @@ class RingPresentation:
                     else:
                         del cof[key]
             todo = _reducible(current, rules)
+        return current, den, cofactors
+
+    def _to_elem(
+        self,
+        current: dict[tuple[int, ...], int],
+        den: int,
+        cofactors: list[dict[tuple[int, ...], int]] | None = None,
+    ):
+        """The one conversion of a canonical integer term map to Fractions.
+
+        Returns the QuotElem, or (QuotElem, (A, B)) when cofactors are given.
+        """
 
         def poly(terms: dict[tuple[int, ...], int]) -> MultiPoly:
             return _from_terms(self.varset, dict(zip(terms, _fractions(terms.values(), den))))
@@ -653,7 +672,7 @@ class QuotElem:
         out = []
         for exps, c in self.rep.sorted_terms():
             entry = {k: e for k, e in zip(keys, exps)}
-            entry["c"] = str(c)
+            entry["c"] = _format_coeff(c)
             out.append(entry)
         return out
 

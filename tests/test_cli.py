@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -57,6 +58,24 @@ def test_nf_json_lists_terms(capsys):
     assert data["terms"] == [{"x": 2, "s": 0, "y": 1, "z": 0, "c": "1"}]
 
 
+def test_nf_prints_integers_of_any_size(capsys):
+    # 99^3000 has 5,987 digits, past the interpreter's 4,300-digit limit on str(int)
+    with localcontext() as ctx:
+        ctx.prec = 6000
+        want = str(Decimal(99) ** 3000)
+    code, out, _ = run(capsys, "nf", "--toy", "99^3000")
+    assert code == 0
+    assert out.strip() == want
+    code, out, _ = run(capsys, "nf", "--toy", "--json", "99^3000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["normal_form"] == want
+    assert data["terms"] == [{"x": 0, "s": 0, "y": 0, "z": 0, "c": want}]
+    code, out, _ = run(capsys, "nf", "--toy", "--json", "--", "-(1/2)^10000*99^3000*X")
+    assert code == 0
+    assert json.loads(out)["terms"][0]["c"] == f"-{want}/{2**10000}"
+
+
 def test_derive_iterates(capsys):
     code, out, _ = run(capsys, "derive", "--toy", "Z", "--times", "2")
     assert code == 0
@@ -104,10 +123,11 @@ def test_derivation_applications_are_capped(capsys, monkeypatch):
     assert run(capsys, "deg", "--toy", "X^5000*S")[1].strip() == "1"
     assert run(capsys, "deg", "--toy", "--bound", str(cap), "S")[1].strip() == "1"
 
-    def no_iteration(self, a):
+    def no_iteration(self, terms, den):
         raise AssertionError("D was applied")
 
-    monkeypatch.setattr(Derivation, "apply", no_iteration)
+    # every application of D, from apply, iterate or degree, is one _step
+    monkeypatch.setattr(Derivation, "_step", no_iteration)
     for argv, message in [
         (["deg", "--toy", "Z^2000"], f"degree 8000; its iteration would need more than {cap}"),
         (["deg", "--toy", "Z^250"], "closed-form degree 1000"),

@@ -1,13 +1,15 @@
 """The canonical derivation: images, Leibniz action, nilpotency degrees."""
 
+from collections import Counter
+
 import pytest
 
 from lndfilt.checks import random_element
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import RingPresentation
+from lndfilt.rings import QuotElem, RingPresentation
 
-from util import grid_rings, mixed_small_rings
+from util import RATIONAL_RINGS, grid_rings, mixed_small_rings
 
 
 def test_toy_canonical_images(toy):
@@ -115,6 +117,33 @@ def test_budget_exceeded(toy):
         D.degree(toy.generator("Z"), bound=2)
     # the default budget is always sufficient
     assert D.degree(toy.generator("Z")) == 4
+
+
+def test_orbit_builds_no_element_per_application(toy, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # a rational ring and fractional coefficients, so the gcd step runs too
+    cases = [(toy, "Z^3 + S*Y"), (RATIONAL_RINGS[1], "1/2*Z^2 + 2/3*S*Y")]
+    for ring, text in cases:
+        D = canonical_derivation(ring)
+        a = ring.element(text)
+        want = D.degree(a)
+        with monkeypatch.context() as m:
+            for cls, name in [(Derivation, "apply"), (Derivation, "_step"), (QuotElem, "__init__")]:
+                m.setattr(cls, name, counting(name, getattr(cls, name)))
+            calls.clear()
+            assert D.degree(a) == want
+            assert calls == {"_step": want + 1}
+            calls.clear()
+            D.iterate(a, 2)
+            assert calls == {"_step": 2, "__init__": 1}
 
 
 def test_cylinder_variable_in_kernel(toy):

@@ -1,5 +1,6 @@
 """Polynomial layer: parsing, printing, exact arithmetic, weights."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lndfilt.polynomials import (
     VarSet,
     WeightFunction,
     _Parser,
+    _format_coeff,
     parse_poly,
     substitute_all,
 )
@@ -126,6 +128,17 @@ def test_print_parse_roundtrip():
     for text in samples:
         p = P(text)
         assert parse_poly(str(p), XSYZ) == p
+
+
+def test_coefficients_print_at_any_size():
+    # Decimal converts an int without str(), so it is free of the 4,300-digit limit
+    values = [0, 7, -7, 10**999, 10**1000 - 1, 10**1000, -(10**1000) - 1, 10**2000 + 1, 10**5000 + 3, -(99**3000)]
+    for n in values:
+        assert _format_coeff(Fraction(n)) == str(Decimal(n))
+        assert str(MultiPoly.monomial(XSYZ, (1, 0, 0, 0), n)) == {0: "0", 1: "X", -1: "-X"}.get(n, f"{Decimal(n)}*X")
+        c = Fraction(n, 10**4500 + 1)
+        want = f"{Decimal(c.numerator)}/{Decimal(c.denominator)}" if c.denominator > 1 else str(Decimal(c.numerator))
+        assert _format_coeff(c) == want
 
 
 # ---------------------------------------------------------------- arithmetic

@@ -5,57 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import RingPresentation
-from util import RATIONAL_RINGS, fractions, rings
-
-
-def _add_into(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
-    v = acc.get(key, 0) + c
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
-
-
-def reference_rules(ring: RingPresentation, strategy: str) -> list:
-    """The rules head -> head - rel/c with Fraction tails, in strategy order."""
-    rules = []
-    for index, (head, rel) in enumerate(ring._relations()):
-        scale = 1 / rel.terms[head]
-        tail = MultiPoly.monomial(ring.varset, head) - rel * scale
-        var = next(k for k, power in enumerate(head) if power)
-        rules.append((var, head[var], tuple(tail.terms.items()), index, scale))
-    return rules if strategy == "s_first" else rules[::-1]
-
-
-def reference_normal_form(ring: RingPresentation, p: MultiPoly, strategy: str):
-    """Representative and cofactor term maps by the pass loop over Fractions.
-
-    Each pass rewrites every monomial that was reducible at its start, one
-    Fraction product and one Fraction sum per produced term.
-    """
-    rules = reference_rules(ring, strategy)
-    cofactors = [{} for _ in rules]
-    current = dict(p.terms)
-    while True:
-        todo = []
-        for exps in current:
-            for rule in rules:
-                if exps[rule[0]] >= rule[1]:
-                    todo.append((exps, rule))
-                    break
-        if not todo:
-            return current, cofactors
-        for exps, (var, power, tail, index, scale) in todo:
-            # an earlier rewrite in this pass may have cancelled the term
-            c = current.pop(exps, None)
-            if c is None:
-                continue
-            base = list(exps)
-            base[var] -= power
-            for texps, tc in tail:
-                _add_into(current, tuple(b + t for b, t in zip(base, texps)), c * tc)
-            _add_into(cofactors[index], tuple(base), c * scale)
+from util import RATIONAL_RINGS, fractions, reference_normal_form, rings
 
 
 @st.composite

@@ -24,27 +24,21 @@ performs them as exact polynomial divisions and fails loudly otherwise.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .checks import CheckReport
 from .derivations import canonical_derivation
-from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, substitute_all
+from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, read_rational, substitute_all
 from .rings import QuotElem, RingPresentation, evaluate_in_ring
 
 _X_ONLY = VarSet(("X",))
 
-# "p" or "p/q" with q nonzero: exact, and no exponent to blow up
-_RATIONAL_TEXT = re.compile(r"[-+]?[0-9]+(/0*[1-9][0-9]*)?")
-
 
 def _coerce_scalar(value: int | str | Fraction, what: str) -> Fraction:
-    if isinstance(value, str):
-        if not _RATIONAL_TEXT.fullmatch(value):
-            raise ValueError(f'{what} is {value!r}; write a rational as "p" or "p/q"')
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = read_rational(value, what)
     if value == 0:
         raise ValueError(f"{what} must be a nonzero rational")
     return value
@@ -236,9 +230,8 @@ def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
             passed=False,
             witnesses=[str(err)],
         )
-    poly_images = {nm: auto.images[nm].rep for nm in ring.varset.names}
     for rel in ring.relation_polys():
-        residual = ring.normal_form(rel.substitute(poly_images))
+        residual = evaluate_in_ring(rel, auto.images)
         if not residual.is_zero():
             witnesses.append(f"relation {rel} maps to {residual}")
 

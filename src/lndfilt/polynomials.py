@@ -11,20 +11,21 @@ image acts by exponent arithmetic; the others go through one shared table of
 image powers, with one product per pattern of their exponents (after the
 multivariate Horner schemes of Ceberio & Kreinovich, ACM SIGSAM Bull. 38(1),
 2004, cut down to that one split), and all products are summed in place into
-one term map.  At polynomial images the table, the products and the sums stay
-in the product kernel's packed integer form for the whole call, with one
-packing width fixed from a degree bound before the first product, and each
-result is converted back to exponent tuples and Fractions once.
+one term map.  Ring elements are evaluated through their representatives, as
+polynomials.  When a multi-term image is used, the table, the products and
+the sums stay in the product kernel's packed integer form for the whole call,
+with one packing width fixed from a degree bound before the first product,
+and each result is converted back once: to exponent tuples and Fractions, or,
+at ring elements, to the integer map that the ring's one rewrite loop reduces.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
@@ -208,9 +209,10 @@ def _packing(
     """pack and unpack for exponent tuples of nvars entries in fields of width bits."""
     mask = (1 << width) - 1
     shifts = range(0, width * nvars, width)
+    places = [1 << s for s in shifts]
 
     def pack(exps: Sequence[int]) -> int:
-        return sum([e << s for e, s in zip(exps, shifts)])
+        return sum(map(mul, exps, places))
 
     def unpack(key: int) -> tuple[int, ...]:
         return tuple([(key >> s) & mask for s in shifts])
@@ -497,18 +499,20 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     MultiPoly over one varset (which may differ from the polys') or all
     QuotElem of one ring; any other mix raises ValueError before any
     product.  Every variable actually occurring in a polynomial must have an
-    image; the other images are never read.
+    image; the other images are never read.  A ring element is evaluated
+    through its representative, a polynomial over the ring's varset, and
+    only the result is reduced (last paragraph).
 
     An image with exactly one term, c*x^u (such as lambda*X, or a plain
     variable), acts by exponent arithmetic: a term's exponent e on its
     variable adds e*u to the term's exponents and multiplies its coefficient
     by c^e.  The other images go through one power table, shared by all of
-    polys, so each is raised to each power once.  A new power is the product
-    of the largest lower power already in the table and the power that
-    remains, so that the powers 1, 2, ..., k of an image cost one product
-    each.  When the largest lower power is under half the exponent, the
-    power is built as by squaring instead: an even one from its half, an
-    odd one from the power below.
+    polys, so each is raised to each power once.  A new power is the
+    product of the largest lower power already in the table and the power
+    that remains, so that the powers 1, 2, ..., k of an image cost one
+    product each.  When the largest lower power is under half the exponent,
+    the power is built as by squaring instead: an even one from its half,
+    an odd one from the power below.
 
     A polynomial's terms are grouped by their exponents on the variables
     with table images (the pattern), after the single-term images have acted
@@ -516,26 +520,32 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     one product of that factor with its group, and every group is summed in
     place into one term map, where a coefficient that cancels is deleted.
 
-    When some polynomial uses a polynomial image of more than one term, the
-    whole call runs packed: exponents are Kronecker-packed ints throughout,
-    with one field width fixed before the first product.  The exponent of
-    target variable j in any intermediate is at most
-    B_j = sum over used variables k of deg_k * (max exponent of j in the
-    image of k), where deg_k is the largest exponent of k in any of polys,
-    so the width is the bit length of the largest B_j.  The table holds each
-    image as integer numerators over its denominator d, and their powers;
-    a term's coefficient takes d^-e for the image's power e that its factor
-    uses.  A polynomial's groups are scaled to numerators over their least
-    common denominator, and the kernel's double loop adds each product of
-    a factor with a group straight into one sum of numerators.  Each result
-    is converted back to exponent tuples and Fractions once, at the end.  A
-    call whose used images all have one term packs nothing.
+    When some polynomial uses a table image, the whole call runs packed:
+    exponents are Kronecker-packed ints throughout, with one field width
+    fixed before the first product.  The exponent of target variable j in
+    any intermediate is at most B_j = sum over used variables k of deg_k *
+    (max exponent of j in the image of k), where deg_k is the largest
+    exponent of k in any of polys, so the width is the bit length of the
+    largest B_j.  The table holds each image as integer numerators over its
+    denominator d, and their powers; a term's coefficient takes d^-e for the
+    image's power e that its factor uses.  A polynomial's groups are scaled
+    to numerators over their least common denominator, and the kernel's
+    double loop adds each product of a factor with a group straight into one
+    sum of numerators.  Each result is converted back to exponent tuples and
+    Fractions once, at the end.  A call whose used images all have one term
+    packs nothing.
 
-    For ring elements the powers and their products are reduced by
-    QuotElem.__mul__, each group product is a product of term maps, and the
-    sum is reduced by one ring.normal_form: that call only scans when no
-    single-term image carries a rewrite-rule head variable (S or Y), and
-    otherwise makes the sum canonical.
+    At ring elements a packed sum goes, as integer numerators over its
+    denominator, straight into the ring's rewrite loop (_rewrite) and is
+    converted to a QuotElem once (_to_elem); an unpacked sum goes through
+    one ring.normal_form, which only scans when no single-term image carries
+    a rewrite-rule head variable (S or Y).  Powers and products are not
+    reduced on the way, so they can be much larger than their canonical
+    forms: a product of several multi-term images, or a power past d in S
+    or m in Y, swells before the one rewrite.  Low exponents, as in the
+    package's own calls, gain; high powers of multi-term images lose (on
+    R(1,1; d=m=3), evaluating S^12*Y^12*Z^3 at the automorphism chain's
+    images takes about seven times as long as reducing every product did).
     """
     homes = [_image_home(img) for img in images.values()]
     for here in homes[1:]:
@@ -547,9 +557,6 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     # the varset of the results; with no images, each polynomial's own
     target = ring.varset if ring is not None else home
 
-    def terms_of(img: E) -> dict[tuple[int, ...], Fraction]:
-        return img.rep.terms if ring is not None else img.terms
-
     # the largest exponent of each variable in each polynomial, and over all
     tops = [tuple(map(max, zip(*p.terms))) for p in polys]
     degrees: dict[str, int] = {}
@@ -559,27 +566,30 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
                 if nm not in images:
                     raise ValueError(f"no substitution image for variable {nm!r}")
                 degrees[nm] = max(d, degrees.get(nm, 0))
+    if ring is not None:
+        # a ring element is read as its representative
+        images = {nm: images[nm].rep for nm in degrees}
     # only used images are read: a single-term image c*x^u as its u, with c
     # in scale; every other image as the first power of its table ladder
     single: dict[str, tuple[int, ...]] = {}
     scale: dict[str, Fraction] = {}
-    table: dict[str, dict[int, E]] = {}
+    table: dict[str, dict[int, dict[int, int]]] = {}
     for nm in degrees:
-        terms = terms_of(images[nm])
+        terms = images[nm].terms
         if len(terms) == 1:
             ((single[nm], scale[nm]),) = terms.items()
         else:
-            table[nm] = {1: images[nm]}
-    packed = ring is None and any(len(images[nm].terms) > 1 for nm in table)
+            table[nm] = {}
 
-    if packed:
+    if table:
         # no exponent of target variable j in any intermediate exceeds bound[j]
         bound = [0] * len(target)
         for nm, d in degrees.items():
             terms = images[nm].terms
             if terms:
                 bound = [b + d * u for b, u in zip(bound, map(max, zip(*terms)))]
-        pack, unpack = _packing(max(bound).bit_length(), len(target))
+        # (all bounds are 0 when every used image is a constant or zero)
+        pack, unpack = _packing(max(bound).bit_length() or 1, len(target))
         moves = {nm: pack(u) for nm, u in single.items()}
         # the table holds integer numerators; each power's denominator
         # goes into the coefficients of the terms that use it
@@ -588,24 +598,20 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
             nums, den = _numerators(terms)
             ladder[1] = dict(zip(map(pack, terms), nums))
             scale[nm] = Fraction(1, den)
-
-        def mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-            return _accumulate({}, a.items(), list(b.items()))
-
-        unit = {0: 1}
     else:
         # the nonzero (index, u_j) of each u
         moves = {nm: tuple((j, b) for j, b in enumerate(u) if b) for nm, u in single.items()}
-        mul, unit = operator.mul, None
 
-    def power(name: str, n: int) -> E:
+    unit = {0: 1}
+
+    def power(name: str, n: int) -> dict[int, int]:
         ladder = table[name]
         got = ladder.get(n)
         if got is None:
             low = max(k for k in ladder if k < n)
             if 2 * low < n:
                 low = n - 1 if n % 2 else n // 2
-            got = mul(power(name, low), power(name, n - low))
+            got = _accumulate({}, power(name, low).items(), list(power(name, n - low).items()))
             ladder[n] = got
         return got
 
@@ -619,7 +625,7 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
         powered = [(k, nm) for k, nm in used if nm in table]
         groups: dict[tuple[int, ...], dict] = {}
         for exps, c in p.terms.items():
-            if packed:
+            if table:
                 key = sum([exps[k] * u for k, u in shifts])
             else:
                 out = [0] * nvars
@@ -633,26 +639,24 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
                 if exps[k]:
                     c *= ck ** exps[k]
             _add_terms(groups.setdefault(tuple([exps[k] for k, _ in powered]), {}), ((key, c),))
-        if packed:
-            den = lcm(*[c.denominator for group in groups.values() for c in group.values()])
-        total: dict = {}
+        if not table:
+            # the one group, of pattern ()
+            out = _from_terms(vs, groups.get((), {}))
+            return out if ring is None else ring.normal_form(out)
+        den = lcm(*[c.denominator for group in groups.values() for c in group.values()])
+        total: dict[int, int] = {}
         for pattern, group in groups.items():
             factor = unit
             for (k, nm), e in zip(powered, pattern):
                 if e:
                     pk = power(nm, e)
-                    factor = pk if factor is unit else mul(factor, pk)
-            if packed:
-                nums = [c.numerator * (den // c.denominator) for c in group.values()]
-                _accumulate(total, zip(group, nums), list(factor.items()))
-            else:
-                product = group if factor is None else _product(terms_of(factor), group)
-                _add_terms(total, product.items())
-        if packed:
+                    factor = pk if factor is unit else _accumulate({}, factor.items(), list(pk.items()))
+            nums = [c.numerator * (den // c.denominator) for c in group.values()]
+            _accumulate(total, zip(group, nums), list(factor.items()))
+        if ring is None:
             return _from_terms(vs, _unpacked(total, den, unpack))
-        if ring is not None:
-            return ring.normal_form(_from_terms(vs, total))
-        return _from_terms(vs, total)
+        # one rewrite of the integer sum, and one conversion
+        return ring._to_elem(*ring._rewrite(dict(zip(map(unpack, total), total.values())), den, "s_first"))
 
     return [evaluate(p, top) for p, top in zip(polys, tops)]
 
@@ -710,6 +714,51 @@ def _format_coeff(c: Fraction) -> str:
     if c.denominator == 1:
         return _decimal(c.numerator)
     return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
+# read_rational refuses a numerator or denominator of more digits: far more
+# than any exact result of the package's demos or benchmark, and few enough
+# that hostile text is refused before an integer of its size is built
+MAX_RATIONAL_DIGITS = 100_000
+_RATIONAL_TEXT = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _read_decimal(digits: str) -> int:
+    """The value of a digit string of any length: the inverse of _decimal."""
+    head = len(digits) % _DIGIT_CHUNK or _DIGIT_CHUNK
+    n = int(digits[:head])
+    for at in range(head, len(digits), _DIGIT_CHUNK):
+        n = n * _CHUNK_BASE + int(digits[at : at + _DIGIT_CHUNK])
+    return n
+
+
+def _excerpt(value: object) -> str:
+    """repr(value), cut to its first 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def read_rational(value: object, what: str) -> Fraction:
+    """The exact rational of a JSON integer, or of text "p" or "p/q" (q nonzero).
+
+    The package's one reader of rational values from JSON: what _format_coeff
+    prints reads back, at any size up to MAX_RATIONAL_DIGITS digits in the
+    numerator and in the denominator.  Floats, booleans, exponents, decimal
+    points, spaces and underscores raise ValueError, whose message names what
+    is read and quotes at most 40 characters of value.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    match = _RATIONAL_TEXT.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f'{what} is {_excerpt(value)}; write a rational as an integer, "p" or "p/q"')
+    sign, p, q = match.groups()
+    if max(len(p), len(q or "")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"{what} is {_excerpt(value)}, with more than {MAX_RATIONAL_DIGITS:,} digits")
+    q = _read_decimal(q) if q else 1
+    if not q:
+        raise ValueError(f"{what} is {_excerpt(value)}, with a zero denominator")
+    return Fraction(-_read_decimal(p) if sign == "-" else _read_decimal(p), q)
 
 
 def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:

@@ -45,7 +45,8 @@ conversion to a QuotElem is another, _to_elem.  normal_form runs both.
 Derivation shares the loop: it hands its integer Leibniz map straight in and
 takes the integer map back, so an orbit a, D(a), D^2(a), ... stays in
 integers, and only a result that a caller asks for as an element is
-converted.
+converted.  substitute_all, evaluating at ring elements, hands in its packed
+sum the same way, as integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .polynomials import (
     load_json,
     parse_poly,
     power_by_squaring,
+    read_rational,
     substitute_all,
 )
 
@@ -451,7 +453,7 @@ class RingPresentation:
         current is consumed.  Returns the canonical term map, its denominator
         and, when with_cofactors is set, one cofactor map per rule over the
         same denominator (else None).  Derivation feeds its integer Leibniz
-        map straight in.
+        map straight in, and substitute_all its evaluated sum.
         """
         td, rules = self._rule_tails()[strategy]
         cofactors = [{} for _ in rules] if with_cofactors else None
@@ -685,7 +687,8 @@ class QuotElem:
 
         An absent exponent is 0.  A term that is not an object, lacks "c",
         has a key that names no variable, or has an exponent that is not a
-        non-negative integer raises ValueError.
+        non-negative integer raises ValueError, as does a coefficient that
+        polynomials.read_rational refuses.
         """
         keys = [nm.lower() for nm in ring.varset.names]
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -701,10 +704,7 @@ class QuotElem:
             for k, e in zip(keys, exps):
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponent {k!r} must be an integer >= 0, got {e!r}")
-            try:
-                c = Fraction(str(entry["c"]))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad coefficient {entry['c']!r} in element term") from None
+            c = read_rational(entry["c"], "element coefficient")
             if c:
                 terms[exps] = terms.get(exps, Fraction(0)) + c
         return QuotElem(ring, MultiPoly(ring.varset, terms))
@@ -718,8 +718,11 @@ def evaluate_in_ring(p: MultiPoly, env: Mapping[str, QuotElem]) -> QuotElem:
     """Evaluate an ambient polynomial at quotient-ring arguments.
 
     substitute_all on one polynomial: every variable occurring in p needs a
-    value, all values must share one ring, and every product is reduced, so
-    intermediates stay in canonical form.
+    value, and all values must share one ring.  The values' representatives
+    are substituted as polynomials and the result is reduced once, by one
+    run of the rewrite loop, so intermediates are not canonical: high
+    powers of multi-term values swell before that reduction (see
+    substitute_all).
     """
     if not env:
         raise ValueError("empty evaluation environment")

@@ -133,6 +133,12 @@ def test_params_json_is_strict():
     params = AutParams.from_json('{"lambda": "-3/2", "mu": 7, "a": "X^2 - 1/3"}')
     assert params == AutParams.make(Fraction(-3, 2), 7, "X^2 - 1/3")
     assert AutParams.from_json('{"lambda": 8, "mu": "16"}') == AutParams.make(8, 16)
+    # scalars share the element reader: any printed size up to its digit cap
+    big = AutParams.from_json('{"lambda": "-%s", "mu": 1}' % ("7" * 5000))
+    assert big.lam == -int("7" * 1000) * sum(10 ** (1000 * k) for k in range(5))
+    with pytest.raises(ValueError, match="more than 100,000 digits") as err:
+        AutParams.from_json('{"lambda": "%s", "mu": 1}' % ("7" * 100_001))
+    assert len(str(err.value)) < 150
 
 
 # admissible on the toy ring (P = S^2, Q = Y^2, n = 2, e = 1): lam = t^3, mu = t^4

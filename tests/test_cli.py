@@ -9,6 +9,7 @@ import pytest
 
 from lndfilt.cli import MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, main
 from lndfilt.derivations import Derivation
+from lndfilt.rings import QuotElem, toy_ring
 
 
 def run(capsys, *argv):
@@ -74,6 +75,14 @@ def test_nf_prints_integers_of_any_size(capsys):
     code, out, _ = run(capsys, "nf", "--toy", "--json", "--", "-(1/2)^10000*99^3000*X")
     assert code == 0
     assert json.loads(out)["terms"][0]["c"] == f"-{want}/{2**10000}"
+
+
+def test_nf_json_reads_back_at_any_size(capsys):
+    toy = toy_ring()
+    for text in ("99^3000", "-(1/2)^10000*99^3000*X + S"):
+        code, out, _ = run(capsys, "nf", "--toy", "--json", "--", text)
+        assert code == 0
+        assert QuotElem.from_json_list(toy, json.loads(out)["terms"]) == toy.element(text)
 
 
 def test_derive_iterates(capsys):

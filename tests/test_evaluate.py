@@ -1,12 +1,18 @@
 """substitute_all as the one evaluation routine, at quotient-ring images and
 at packed polynomial images.
 
-At ring images the reference substitutes the representatives as
-polynomials, raising every image afresh in each term (tests/util.py), and
-reduces once, at the end, so it shares no power table, no summation loop and
-no intermediate reduction with evaluate_in_ring.  At polynomial images the
-reference is a plain tuple and Fraction loop (schoolbook_substitute), which
-shares no code with the packed kernel.
+At ring images evaluate_in_ring substitutes the values' representatives on
+the packed kernel and hands the integer sum to the rewrite loop once.  The
+reference does what that says by other means: it substitutes the
+representatives with MultiPoly arithmetic, raising every image afresh in each
+term (tests/util.py), and reduces once with normal_form.  It shares the
+product kernel's double loop and the rewrite loop (each tested against its
+own Fraction reference elsewhere) with evaluate_in_ring, but no power table,
+grouping, summation or hand-over of an integer sum.  Values of several terms
+at exponents past the rule heads, where the unreduced sums swell most, have
+a test of their own.  At polynomial images the reference is
+a plain tuple and Fraction loop (schoolbook_substitute), which shares no code
+with the packed kernel.
 """
 
 from collections import Counter
@@ -79,6 +85,40 @@ def test_single_term_values_are_reduced_once_at_the_end(case):
     got = evaluate_in_ring(p, env)
     assert got.ring == ring
     assert got == want
+
+
+@st.composite
+def swelling_ring_env(draw):
+    """Canonical values of two or three terms each, and polynomials whose S
+    and Y exponents pass d and m (up to 2d and 2m + 1), so that the sums
+    reach the rewrite far from canonical."""
+    ring = draw(st.one_of(st.sampled_from(RATIONAL_RINGS), rings()))
+    vs = ring.varset
+    d = ring.d
+    y_top = 2 * ring.m + 1 if ring.family == "full" else 3
+    y_low = ring.m - 1 if ring.family == "full" else 1
+    nonzero = fractions.filter(bool)
+    low = st.integers(0, 1)
+    canonical = st.tuples(low, st.integers(0, d - 1), st.integers(0, y_low), *[low] * (len(vs) - 3))
+    env = {nm: ring.element(MultiPoly(vs, draw(st.dictionaries(canonical, nonzero, min_size=2, max_size=3)))) for nm in vs.names}
+    # one high exponent per term, or two moderate ones, keeps each example
+    # within about a second
+    keys = st.tuples(low, st.integers(0, 2 * d), st.integers(0, y_top), *[low] * (len(vs) - 3))
+    keys = keys.filter(lambda exps: sum(exps) <= 2 * d + 2)
+    polys = [MultiPoly(vs, draw(st.dictionaries(keys, fractions, max_size=3))) for _ in range(draw(st.integers(1, 2)))]
+    return ring, polys, env
+
+
+@settings(max_examples=30, deadline=None)
+@given(swelling_ring_env())
+def test_multi_term_values_past_the_rule_heads(case):
+    ring, polys, env = case
+    assert all(len(v.rep.terms) > 1 for v in env.values())
+    reps = {nm: v.rep for nm, v in env.items()}
+    got = substitute_all(polys, env)
+    for p, value in zip(polys, got):
+        assert value.ring == ring
+        assert value == ring.normal_form(fresh_power_substitute(p, reps))
 
 
 SOURCE = VarSet(("X", "S", "Y", "Z"))
@@ -244,7 +284,7 @@ def test_single_term_images_take_no_products(monkeypatch):
     assert got == want
 
 
-def test_evaluate_in_ring_reduces_once_beyond_the_ladder(monkeypatch):
+def test_evaluate_in_ring_rewrites_each_result_once(monkeypatch):
     ring = RingPresentation.full(2, 1, ["1/2", "X"], ["0", "1/3*X", "0"])
     env = {
         "X": ring.element("2*X"),
@@ -252,16 +292,25 @@ def test_evaluate_in_ring_reduces_once_beyond_the_ladder(monkeypatch):
         "Y": ring.element("Y + X*S"),
         "Z": ring.element("1/2*Z + S"),
     }
-    p = parse_poly("S^5*Y^4 + X^3*Z^2 - 3*S*Y*Z + Y^3*Z + 1", ring.varset)
-    want = ring.normal_form(fresh_power_substitute(p, {nm: v.rep for nm, v in env.items()}))
+    polys = [
+        parse_poly("S^5*Y^4 + X^3*Z^2 - 3*S*Y*Z + Y^3*Z + 1", ring.varset),
+        parse_poly("X*Y^3 - 2/3*Z", ring.varset),
+        MultiPoly.zero(ring.varset),
+    ]
+    reps = {nm: v.rep for nm, v in env.items()}
+    want = [ring.normal_form(fresh_power_substitute(p, reps)) for p in polys]
     calls = Counter()
-    _count_calls(monkeypatch, calls, RingPresentation, "normal_form")
+    _count_calls(monkeypatch, calls, RingPresentation, "_rewrite")
     _count_calls(monkeypatch, calls, QuotElem, "__mul__")
-    got = evaluate_in_ring(p, env)
+    _count_calls(monkeypatch, calls, polynomials, "_unpacked")
+    got = [evaluate_in_ring(polys[0], env)]
+    assert calls == Counter({"_rewrite": 1})
+    got += substitute_all(polys[1:], env)
     monkeypatch.undo()
     assert got == want
-    assert calls["__mul__"] > 0
-    assert calls["normal_form"] == calls["__mul__"] + 1
+    # no product of ring elements, no Fraction map before the rewrite:
+    # one rewrite of each integer sum
+    assert calls == Counter({"_rewrite": len(polys)})
 
 
 def _record_returns(monkeypatch, owner, name: str) -> list:

@@ -1,12 +1,13 @@
 """Quotient rings: canonical forms, rewriting soundness, basis enumeration."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from lndfilt.checks import random_element
-from lndfilt.polynomials import MultiPoly, VarSet, parse_poly
+from lndfilt.polynomials import MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
 from util import grid_rings, mixed_small_rings, random_poly
@@ -312,8 +313,8 @@ def test_element_json_errors(toy):
         ('[{"x": 1}]', "lacks its coefficient 'c'"),
         ("[5]", "must be an object, got 5"),
         ('[["x", 1]]', "must be an object"),
-        ('[{"c": "1/0"}]', "bad coefficient '1/0'"),
-        ('[{"c": "two"}]', "bad coefficient 'two'"),
+        ('[{"c": "1/0"}]', "element coefficient is '1/0', with a zero denominator"),
+        ('[{"c": "two"}]', "element coefficient is 'two'"),
         ('{"x": 1, "c": "1"}', "element JSON must be a list of term objects"),
     ]
     for text, match in cases:
@@ -325,6 +326,29 @@ def test_element_json_errors(toy):
     # a cylinder ring reads its t exponent
     cyl = toy.with_cylinder()
     assert QuotElem.from_json(cyl, '[{"t": 3, "c": "-1"}]') == cyl.element("-T^3")
+
+
+def test_element_json_coefficients_are_exact_and_capped(toy):
+    cap = MAX_RATIONAL_DIGITS
+    assert QuotElem.from_json(toy, json.dumps([{"c": "9" * cap + "/" + "7" * cap}])) == toy.element(
+        Fraction(10**cap - 1, 7 * (10**cap - 1) // 9)
+    )
+    cases = [
+        ('[{"c": 0.1}]', "element coefficient is 0.1; write a rational"),
+        ('[{"c": "1e10000000"}]', "element coefficient is '1e10000000'; write a rational"),
+        ('[{"c": "0.5"}]', "element coefficient is '0.5'"),
+        ('[{"c": " 1"}]', "element coefficient is ' 1'"),
+        ('[{"c": true}]', "element coefficient is True"),
+        (json.dumps([{"c": "1" * (cap + 1)}]), f"more than {cap:,} digits"),
+        (json.dumps([{"c": "-1/" + "1" * (cap + 1)}]), f"more than {cap:,} digits"),
+    ]
+    for text, match in cases:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match) as err:
+            QuotElem.from_json(toy, text)
+        assert time.perf_counter() - start < 1.0
+        # the message quotes at most 40 characters of the coefficient
+        assert len(str(err.value)) < 150
 
 
 def test_cylinder_presentation(toy):

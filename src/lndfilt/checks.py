@@ -213,11 +213,20 @@ def al_chain_check(
     beyond x, s enters below degree d, that y first appears in degree d and
     z in degree m*d, and that honest iteration of the derivation reproduces
     the generator degrees (including invariance under multiplying by x).
+    A bound below the default, one past z's entry degree m*d (y's entry
+    degree d for danielewski rings), raises ValueError: its window would
+    miss that entry and report a false failure.
     """
     d, m = ring.d, ring.m
     z_entry = m * d if ring.family == "full" else None
+    least = (z_entry or d) + 1
     if bound is None:
-        bound = (z_entry or d) + 1
+        bound = least
+    elif bound < least:
+        raise ValueError(
+            f"al-chain needs a bound of at least {least}, one past the degree where "
+            f"{'z' if z_entry else 'y'} enters, got {bound}"
+        )
     D = derivation or canonical_derivation(ring)
     witnesses: list[str] = []
     entries = basis_monomials(ring, bound)

@@ -252,12 +252,14 @@ def cmd_verify_suite(args, parser) -> int:
         parser.error("verify-suite runs on base rings, not cylinders")
     rng = Random(2026)
     bound = args.bound
+    # first, so that a bound too small for its window fails before any work
+    al_chain = al_chain_check(ring, bound=bound)
     reports = [
-        degree_consistency(ring, samples=120, degree_bound=bound or 10, rng=rng),
-        kernel_check(ring, degree_bound=bound or 8),
-        al_chain_check(ring, bound=bound),
+        degree_consistency(ring, samples=120, degree_bound=10 if bound is None else bound, rng=rng),
+        kernel_check(ring, degree_bound=8 if bound is None else bound),
+        al_chain,
         graded_relations_check(ring, bound=bound),
-        graded_property_check(ring, degree_bound=bound or 8, rng=rng),
+        graded_property_check(ring, degree_bound=8 if bound is None else bound, rng=rng),
     ]
     ok = all(r.passed for r in reports)
     if args.json:

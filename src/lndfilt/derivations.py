@@ -7,37 +7,38 @@ element a is the least i with D^(i+1)(a) = 0, computed by honest iteration
 (this is the oracle that the closed-form degree bookkeeping is tested
 against).
 
-The Leibniz rule runs in one integer pass.  At construction each nonzero
-generator image is stored as integer numerators over one common denominator
-den_D; for p = (1/den) sum n_a x^a the pass adds n_a * a_k * m_u at exponent
-a - e_k + u for every variable k with a_k > 0 and every image term m_u x^u,
-so D(p) comes out as integer numerators over den * den_D.  That map goes
-straight to the ring's integer rewrite loop, which hands back the canonical
-map of D(p), still in integers (_step).  degree and iterate feed each result
-to the next step, so the orbit a, D(a), D^2(a), ... never leaves integers:
-degree stops at the empty map, and a result turns into Fractions only where a
-caller asks for an element (apply's result, iterate's last, and the budget
-error's message).  A ring with rational tails (td > 1) or a scaled D
-(den_D > 1) makes the denominator grow each step, so after each step with den
-!= 1 the map and den are divided by the gcd of den and all numerators; den is
-then the lcm of the reduced coefficient denominators, as the Fraction route
-would have it.  An integer element of an integer ring keeps den = 1 and skips
-that step.  Checks that stay independent of this pass: the written-out golden
-degrees and images of acceptance #1 and #2, the closed form (monomial_degree)
-that degree_consistency compares the iteration with,
-test_leibniz_rule (D(ab) = a D(b) + b D(a) on products formed in the ring),
-the test that compares apply with the MultiPoly derivative route,
-sum_k dp/dx_k * D(x_k) followed by normal_form, and the test that compares
-degree and iterate with that route reduced by a Fraction rewrite loop.
+The Leibniz rule runs in one integer pass on packed exponent keys (the key
+format of polynomials.py).  At construction each nonzero generator image is
+stored as integer numerators over one common denominator den_D; for p =
+(1/den) sum n_a x^a the pass adds n_a * a_k * m_u at key a - x_k + u for every
+k with a_k > 0 and every image term m_u x^u, one int addition per term, so
+D(p) comes out as numerators over den * den_D.  That map goes straight to the
+ring's rewrite loop, which hands back the canonical map of D(p), still packed
+(_step).  degree and iterate feed each result to the next step, so the orbit
+a, D(a), D^2(a), ... stays packed from a's representative to the empty map:
+degree builds no exponent tuple, and a result is unpacked only where a caller
+asks for an element (apply's result, iterate's last, the budget error's
+message).  Guard and restart: the pass adds each input key, whose guard bits
+are clear, to one image move, so no field carries (polynomials' key format);
+a field that reaches its guard bit stays exact, and the rewrite loop, which
+tests every key before each pass, moves the map to double the width before
+that key is added again.  With rational tails (td > 1) or a scaled D (den_D >
+1) the denominator grows, so after a step with den != 1 the map and den are
+divided by the gcd of den and all numerators, as the Fraction route would
+reduce them.  Checks independent of this pass: the written-out golden degrees
+and images of acceptance #1 and #2, the closed form (monomial_degree) that
+degree_consistency compares with, test_leibniz_rule (D(ab) = a D(b) + b D(a)
+on products formed in the ring), and the tests comparing apply, degree and
+iterate with the MultiPoly derivative route, sum_k dp/dx_k * D(x_k), reduced
+by normal_form or by a Fraction rewrite loop.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import add
 from typing import Mapping
 
-from .polynomials import MultiPoly, _fractions, _from_terms, _numerators
+from .polynomials import MultiPoly, _Packing, _from_terms, _packed, _unpacked
 from .rings import QuotElem, RingPresentation
 
 
@@ -48,7 +49,7 @@ class BudgetExceededError(RuntimeError):
 class Derivation:
     """A k-derivation of one presented ring, given by generator images."""
 
-    __slots__ = ("ring", "images", "_table")
+    __slots__ = ("ring", "images", "_table", "_packed")
 
     def __init__(self, ring: RingPresentation, images: Mapping[str, QuotElem]):
         self.ring = ring
@@ -68,6 +69,7 @@ class Derivation:
             for k, img in enumerate(got.values())
             if not img.is_zero()
         )
+        self._packed: dict[int, tuple | None] = {}
         for rel in ring.relation_polys():
             residual = self._formal_apply(rel)
             if not ring.normal_form(residual).is_zero():
@@ -76,56 +78,69 @@ class Derivation:
                     f"{ring.normal_form(residual)}"
                 )
 
-    def _leibniz(self, terms: Mapping[tuple[int, ...], int], den: int) -> tuple[dict[tuple[int, ...], int], int]:
-        """D of the ambient polynomial with integer numerators terms over den, in the same form."""
-        image_den, images = self._table
-        out: dict[tuple[int, ...], int] = {}
+    def _packed_images(self, packing: _Packing) -> tuple | None:
+        """The image table at one packing (_Packing.table), built once per width.
+
+        None when an image exponent does not fit the packing.
+        """
+        if packing.width not in self._packed:
+            self._packed[packing.width] = packing.table([(k, 1, image) for k, image in self._table[1]])
+        return self._packed[packing.width]
+
+    def _leibniz(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
+        """D of the ambient polynomial with packed integer numerators terms over den, in the same form.
+
+        terms first move to double the width while the images do not fit.
+        """
+        table = self._packed_images(packing)
+        while table is None:
+            terms, packing = packing.widen(terms)
+            table = self._packed_images(packing)
+        mask = packing.mask
+        out: dict[int, int] = {}
         get = out.get
-        for exps, c in terms.items():
-            for k, image in images:
-                power = exps[k]
+        for key, c in terms.items():
+            for shift, _, image in table:
+                power = key >> shift & mask
                 if not power:
                     continue
-                base = list(exps)
-                base[k] -= 1
                 c_k = c * power
-                for u, m in image:
-                    key = tuple(map(add, base, u))
-                    v = get(key, 0) + c_k * m
+                for move, m in image:
+                    new = key + move
+                    v = get(new, 0) + c_k * m
                     if v:
-                        out[key] = v
+                        out[new] = v
                     else:
-                        del out[key]
-        return out, den * image_den
+                        del out[new]
+        return out, den * self._table[0], packing
 
     def _formal_apply(self, p: MultiPoly) -> MultiPoly:
         """Extend through the Leibniz rule on the ambient polynomial ring (unreduced)."""
-        nums, den = _numerators(p.terms)
-        out, den = self._leibniz(dict(zip(p.terms, nums)), den)
-        return _from_terms(self.ring.varset, dict(zip(out, _fractions(out.values(), den))))
+        out, den, packing = self._leibniz(*_packed(p.terms, len(p.varset)))
+        return _from_terms(self.ring.varset, _unpacked(out, den, packing))
 
-    def _step(self, terms: Mapping[tuple[int, ...], int], den: int) -> tuple[dict[tuple[int, ...], int], int]:
-        """One application of D to a canonical integer term map over den.
+    def _step(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
+        """One application of D to a canonical packed integer term map over den.
 
-        The Leibniz pass, then the ring's rewrite loop; the result is the
-        canonical map of D(a) over a denominator with no factor common to
-        all of its numerators.
+        The Leibniz pass, then the ring's rewrite loop, which moves the map to
+        double the width when a guard bit is set before a pass, so no field
+        carries; the result is the canonical map of D(a) in the packing the
+        loop leaves (never narrower), with clear guard bits, over a
+        denominator with no factor common to all of its numerators.
         """
-        out, den = self._leibniz(terms, den)
-        out, den, _ = self.ring._rewrite(out, den, "s_first")
+        out, den, packing, _ = self.ring._rewrite(*self._leibniz(terms, den, packing), "s_first")
         if den != 1:
             g = gcd(den, *out.values())
             if g != 1:
                 den //= g
                 out = {k: v // g for k, v in out.items()}
-        return out, den
+        return out, den, packing
 
-    def _integer_terms(self, a: QuotElem) -> tuple[dict[tuple[int, ...], int], int]:
-        """a's representative as integer numerators over one denominator."""
+    def _integer_terms(self, a: QuotElem) -> tuple[dict[int, int], int, _Packing]:
+        """a's representative, packed, as integer numerators over one denominator."""
         if a.ring != self.ring:
             raise ValueError("element belongs to a different ring")
-        nums, den = _numerators(a.rep.terms)
-        return dict(zip(a.rep.terms, nums)), den
+        return _packed(a.rep.terms, len(self.ring.varset))
 
     def apply(self, a: QuotElem) -> QuotElem:
         return self.ring._to_elem(*self._step(*self._integer_terms(a)))
@@ -139,12 +154,12 @@ class Derivation:
             raise ValueError("iteration count must be non-negative")
         if not k or a.is_zero():
             return a
-        terms, den = self._integer_terms(a)
+        terms, den, packing = self._integer_terms(a)
         for _ in range(k):
-            terms, den = self._step(terms, den)
+            terms, den, packing = self._step(terms, den, packing)
             if not terms:
                 break
-        return self.ring._to_elem(terms, den)
+        return self.ring._to_elem(terms, den, packing)
 
     def default_budget(self, a: QuotElem) -> int:
         """A safe nilpotency budget from the ambient size of a."""
@@ -156,24 +171,25 @@ class Derivation:
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:
         """min{ i : D^(i+1)(a) = 0 }, or None for a = 0 (minus infinity).
 
-        The orbit a, D(a), D^2(a), ... stays an integer term map over one
-        denominator (see _step) and stops at the empty map; no element is
+        The orbit a, D(a), D^2(a), ... stays a packed integer term map over
+        one denominator (see _step), widened only when a guard bit is set,
+        and stops at the empty map; no exponent tuple and no element is
         built unless the budget runs out.  Raises BudgetExceededError when
         D^(bound+1)(a) is still nonzero, which for a locally nilpotent
         derivation means the bound was too small; the message shows
         D^(bound+1)(a) exactly.
         """
-        terms, den = self._integer_terms(a)
+        terms, den, packing = self._integer_terms(a)
         if not terms:
             return None
         if bound is None:
             bound = self.default_budget(a)
         for i in range(bound + 1):
-            terms, den = self._step(terms, den)
+            terms, den, packing = self._step(terms, den, packing)
             if not terms:
                 return i
         raise BudgetExceededError(
-            f"derivation budget {bound} exceeded on {a}; still nonzero: {self.ring._to_elem(terms, den)}"
+            f"derivation budget {bound} exceeded on {a}; still nonzero: {self.ring._to_elem(terms, den, packing)}"
         )
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat, starmap
 from math import lcm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
@@ -170,14 +173,26 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 # are integer numerators over one denominator per value, and each exponent
 # tuple is packed into one int (Kronecker packing), so that a term pair costs
 # one int addition and one int product in _accumulate, the one double loop.
-# The field width is fixed before any product from a bound that no exponent
-# sum can exceed, so a packed sum never carries into the next field:
-# MultiPoly.__mul__ takes it from its two operands' largest exponents, and
-# substitute_all once per call from the degrees of its polynomials and images,
-# for all of its image powers, products and sums.  Surviving terms are
-# unpacked once per result, back to exponent tuples and Fraction coefficients
-# (_unpacked).  The helpers return iterators, so that no list of a product's
-# size lives beside the product itself.
+# The rewrite loop (rings.py) and the Leibniz pass (derivations.py) share the
+# key format (_Packing): field k holds the exponent of variable k in `width`
+# bits, a multiple of 8 (struct.Struct packs and unpacks up to 64, shifts do
+# beyond), and the top bit of each field is its guard bit.  Guard rule: two
+# keys with clear guard bits add with no carry between fields, since each
+# field sum is below 2**width; so such a sum is exact in every field, and is
+# itself fit to add again exactly when its guard bits are clear.  Subtracting
+# a fieldwise smaller key (a rule head, x_k) borrows nothing.  A product's
+# width comes from a bound no exponent sum exceeds: MultiPoly.__mul__ takes it
+# from its operands' largest exponents, substitute_all once per call from the
+# degrees of its polynomials and images.  The rewrite loop cannot bound its
+# exponents ahead, so before each pass it tests the guard bits of all its
+# keys; when one is set, the pass's unconsumed input moves to double the
+# width (_Packing.widen, which reads the exact fields) and the pass runs
+# there, so a carry is never silent.  The Leibniz pass adds each input key
+# once, so its results are exact; they go to the rewrite loop, which tests
+# them, or to _unpacked.  Surviving terms are unpacked once per result, back
+# to exponent tuples and Fraction coefficients (_unpacked).  The helpers
+# return iterators, so that no list of a product's size lives beside the
+# product itself.
 
 
 def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Iterator[int], int]:
@@ -203,21 +218,61 @@ def _scaled(c: Fraction, terms: Mapping[tuple[int, ...], Fraction]) -> Iterable[
     return _fractions(map(c.numerator.__mul__, nums), c.denominator * den)
 
 
-def _packing(
-    width: int, nvars: int
-) -> tuple[Callable[[Sequence[int]], int], Callable[[int], tuple[int, ...]]]:
-    """pack and unpack for exponent tuples of nvars entries in fields of width bits."""
-    mask = (1 << width) - 1
-    shifts = range(0, width * nvars, width)
-    places = [1 << s for s in shifts]
+class _Packing:
+    """The key format for exponent tuples of nvars entries in fields of width bits."""
 
-    def pack(exps: Sequence[int]) -> int:
-        return sum(map(mul, exps, places))
+    __slots__ = ("width", "nvars", "mask", "guard", "shifts", "pack", "keys", "tuples")
 
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple([(key >> s) & mask for s in shifts])
+    def __init__(self, width: int, nvars: int):
+        self.width, self.nvars, self.mask = width, nvars, (1 << width) - 1
+        self.shifts = range(0, width * nvars, width)
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        if width <= 64:
+            # one unsigned field of 1, 2, 4 or 8 bytes per variable
+            fields = struct.Struct(f"<{nvars}{'BHIQ'[width.bit_length() - 4]}")
+            self.pack = lambda exps: int.from_bytes(fields.pack(*exps), "little")
+            self.keys = lambda tuples: map(int.from_bytes, starmap(fields.pack, tuples), repeat("little"))
+            self.tuples = lambda keys: map(fields.unpack, map(int.to_bytes, keys, repeat(fields.size), repeat("little")))
+        else:
+            mask, shifts, places = self.mask, self.shifts, [1 << s for s in self.shifts]
+            pack = self.pack = lambda exps: sum(map(mul, exps, places))
+            self.keys = lambda tuples: map(pack, tuples)
+            self.tuples = lambda keys: (tuple([(key >> s) & mask for s in shifts]) for key in keys)
 
-    return pack, unpack
+    def widen(self, terms: Mapping[int, T]) -> tuple[dict[int, T], _Packing]:
+        """terms with its keys moved to double the width, and that packing."""
+        wider = _fields(2 * self.width, self.nvars)
+        return dict(zip(wider.keys(self.tuples(terms)), terms.values())), wider
+
+    def table(self, rows: Sequence[tuple]) -> tuple | None:
+        """Rows (k, p, ((exps, c), ...), *rest) as (shift of k, p, ((key of exps - x_k^p, c), ...), *rest).
+
+        None when an exponent does not fit.
+        """
+        if max([e for _, p, terms, *_ in rows for u, _ in terms for e in (p, *u)], default=0) >> (self.width - 1):
+            return None
+        return tuple(
+            (self.shifts[k], p, tuple((self.pack(u) - (p << self.shifts[k]), c) for u, c in terms), *rest)
+            for k, p, terms, *rest in rows
+        )
+
+
+@lru_cache(maxsize=None)
+def _fields(width: int, nvars: int) -> _Packing:
+    """The one packing of each width and number of variables."""
+    return _Packing(width, nvars)
+
+
+def _packing(top: int, nvars: int) -> _Packing:
+    """The narrowest packing of nvars exponents that holds every exponent up to top."""
+    return _fields(8 << (top.bit_length() // 8).bit_length(), nvars)
+
+
+def _packed(terms: Mapping[tuple[int, ...], Fraction], nvars: int) -> tuple[dict[int, int], int, _Packing]:
+    """A term map as keys in the narrowest packing and integer numerators over one denominator."""
+    nums, den = _numerators(terms)
+    packing = _packing(max(map(max, terms), default=0), nvars)
+    return dict(zip(packing.keys(terms), nums)), den, packing
 
 
 def _accumulate(
@@ -240,11 +295,9 @@ def _accumulate(
     return acc
 
 
-def _unpacked(
-    acc: Mapping[int, int], den: int, unpack: Callable[[int], tuple[int, ...]]
-) -> dict[tuple[int, ...], Fraction]:
+def _unpacked(acc: Mapping[int, int], den: int, packing: _Packing) -> dict[tuple[int, ...], Fraction]:
     """The term map of packed numerators over den: the one conversion of a result."""
-    return dict(zip(map(unpack, acc), _fractions(acc.values(), den)))
+    return dict(zip(packing.tuples(acc), _fractions(acc.values(), den)))
 
 
 def _product(
@@ -267,13 +320,12 @@ def _product(
         ((exps, c),) = a.items()
         keys = (tuple(map(add, exps, e)) for e in b) if any(exps) else b
         return dict(zip(keys, _scaled(c, b)))
-    # the largest exponent sum of any variable fits in `width` bits
-    width = max(map(add, map(max, zip(*a)), map(max, zip(*b)))).bit_length()
-    pack, unpack = _packing(width, len(next(iter(a))))
+    # the fields hold the largest exponent sum of any variable
+    packing = _packing(max(map(add, map(max, zip(*a)), map(max, zip(*b)))), len(next(iter(a))))
     nums_a, den_a = _numerators(a)
     nums_b, den_b = _numerators(b)
-    acc = _accumulate({}, zip(map(pack, a), nums_a), list(zip(map(pack, b), nums_b)))
-    return _unpacked(acc, den_a * den_b, unpack)
+    acc = _accumulate({}, zip(packing.keys(a), nums_a), list(zip(packing.keys(b), nums_b)))
+    return _unpacked(acc, den_a * den_b, packing)
 
 
 class MultiPoly:
@@ -589,14 +641,14 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
             if terms:
                 bound = [b + d * u for b, u in zip(bound, map(max, zip(*terms)))]
         # (all bounds are 0 when every used image is a constant or zero)
-        pack, unpack = _packing(max(bound).bit_length() or 1, len(target))
-        moves = {nm: pack(u) for nm, u in single.items()}
+        packing = _packing(max(bound), len(target))
+        moves = {nm: packing.pack(u) for nm, u in single.items()}
         # the table holds integer numerators; each power's denominator
         # goes into the coefficients of the terms that use it
         for nm, ladder in table.items():
             terms = images[nm].terms
             nums, den = _numerators(terms)
-            ladder[1] = dict(zip(map(pack, terms), nums))
+            ladder[1] = dict(zip(packing.keys(terms), nums))
             scale[nm] = Fraction(1, den)
     else:
         # the nonzero (index, u_j) of each u
@@ -654,9 +706,9 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
             nums = [c.numerator * (den // c.denominator) for c in group.values()]
             _accumulate(total, zip(group, nums), list(factor.items()))
         if ring is None:
-            return _from_terms(vs, _unpacked(total, den, unpack))
-        # one rewrite of the integer sum, and one conversion
-        return ring._to_elem(*ring._rewrite(dict(zip(map(unpack, total), total.values())), den, "s_first"))
+            return _from_terms(vs, _unpacked(total, den, packing))
+        # one rewrite of the packed integer sum, and one conversion
+        return ring._to_elem(*ring._rewrite(total, den, packing, "s_first"))
 
     return [evaluate(p, top) for p, top in zip(polys, tops)]
 

@@ -34,26 +34,30 @@ Buchberger's first criterion (Cox, Little, O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 sec. 9) the rewriting is confluent, and a strategy only
 decides which rule is tried first on a monomial that both rules reduce.
 
-The rewrite loop runs on plain ints.  Each rule's tail coefficients and
-cofactor scale are stored once per ring as integer numerators over one tail
-denominator td; the input becomes integer numerators over one denominator,
-each pass moves that denominator on by td (nothing to do when td is 1, as for
-integer f_i and g_j), and the result turns back into Fractions once.  An input
-that is already canonical is returned as it is.  The loop is one method,
-_rewrite, which returns the integer term map and its denominator; the
-conversion to a QuotElem is another, _to_elem.  normal_form runs both.
-Derivation shares the loop: it hands its integer Leibniz map straight in and
-takes the integer map back, so an orbit a, D(a), D^2(a), ... stays in
-integers, and only a result that a caller asks for as an element is
-converted.  substitute_all, evaluating at ring elements, hands in its packed
-sum the same way, as integer numerators over one denominator.
+The rewrite loop runs on plain ints and packed exponent keys (the key format
+of polynomials.py).  Each rule's tail coefficients and cofactor scale are
+stored once per ring as integer numerators over one tail denominator td, and
+its keys once per ring and width; each pass moves the input's denominator on
+by td (nothing to do when td is 1), and a rewrite of key costs one int
+addition per tail term, key + (tail key - head key).  Guard and restart:
+before each pass the loop tests the guard bits of all its keys; if one is
+set, the pass's input and cofactors move to double the width first.  So
+every pass adds only keys with clear guard bits, and such a sum has no
+carried field (polynomials' key format).  The loop is one method, _rewrite,
+which returns the packed map, its denominator and packing; the one
+conversion to a QuotElem is _to_elem.  normal_form packs its input once and
+runs both (an input that is already canonical is returned as it is).
+Derivation hands its packed Leibniz map straight in and takes the packed map
+back, so an orbit a, D(a), D^2(a), ... stays packed; substitute_all, at ring
+elements, hands in its packed sum the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from operator import add, mul
+from operator import mul, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polynomials import (
@@ -61,9 +65,10 @@ from .polynomials import (
     VarSet,
     WeightFunction,
     _format_coeff,
-    _fractions,
     _from_terms,
-    _numerators,
+    _Packing,
+    _packed,
+    _unpacked,
     dump_json,
     load_json,
     parse_poly,
@@ -113,13 +118,13 @@ _Rule = tuple[int, int, tuple[tuple[tuple[int, ...], int], ...], int, int]
 _RuleSet = tuple[int, tuple[_Rule, ...]]
 
 
-def _reducible(terms: Iterable[tuple[int, ...]], rules: Sequence[_Rule]) -> list:
-    """(exponents, rule) for each monomial that a rule reduces, first rule first."""
+def _reducible(keys: Iterable[int], rules: Sequence[tuple], mask: int) -> list:
+    """(key, rule) for each packed monomial that a rule reduces, first rule first."""
     todo = []
-    for exps in terms:
+    for key in keys:
         for rule in rules:
-            if exps[rule[0]] >= rule[1]:
-                todo.append((exps, rule))
+            if key >> rule[0] & mask >= rule[1]:
+                todo.append((key, rule))
                 break
     return todo
 
@@ -133,7 +138,7 @@ class RingPresentation:
 
     __slots__ = (
         "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
-        "weights", "_tails", "_p", "_q", "_rels", "_eliminated",
+        "weights", "_tails", "_packed", "_p", "_q", "_rels", "_eliminated",
     )
 
     def __init__(
@@ -181,6 +186,7 @@ class RingPresentation:
         self.varset = VarSet(names)
         self.weights = tuple(weights)
         self._tails: dict[str, _RuleSet] | None = None
+        self._packed: dict[tuple[str, int], tuple | None] = {}
         self._p: MultiPoly | None = None
         self._q: MultiPoly | None = None
         self._rels: tuple[tuple[tuple[int, ...], MultiPoly], ...] | None = None
@@ -398,6 +404,18 @@ class RingPresentation:
         )
         return {"s_first": (td, rules), "y_first": (td, rules[::-1])}
 
+    def _packed_rules(self, strategy: str, packing: _Packing) -> tuple | None:
+        """A strategy's rules at one packing, built once per ring, strategy and width.
+
+        Each rule as (head shift, head power, ((tail key - head key, tail
+        numerator), ...), relation index, cofactor scale), after
+        _Packing.table; None when a head or tail exponent does not fit.
+        """
+        key = (strategy, packing.width)
+        if key not in self._packed:
+            self._packed[key] = packing.table(self._rule_tails()[strategy][1])
+        return self._packed[key]
+
     def _head(self, name: str, power: int) -> tuple[int, ...]:
         """Exponents of the rule head name^power."""
         exps = [0] * len(self.varset)
@@ -416,11 +434,12 @@ class RingPresentation:
         set; cofactors is the pair (A, B) with  p = rep + A*rel1 + B*rel2
         exactly (B is None for the danielewski family).
 
-        The loop runs on integer numerators over one denominator den (after
-        Monagan & Pearce, J. Symb. Comp. 2011).  Each pass pops every
-        reducible monomial, moves what is left (and the cofactors) from den
-        to den*td, and adds c*tail for each popped numerator c with int
-        arithmetic; the values turn back into Fractions once, at the end.
+        The loop runs on packed keys and integer numerators over one
+        denominator den (after Monagan & Pearce, J. Symb. Comp. 2011).  Each
+        pass pops every reducible monomial, moves what is left (and the
+        cofactors) from den to den*td, and adds c*tail for each popped
+        numerator c with int arithmetic; the keys are unpacked and the values
+        turn back into Fractions once, at the end.
         Each monomial's rule is fixed by the strategy and the total
         coefficient rewritten through it is fixed by the input, so the
         representative and the cofactors do not depend on the order of the
@@ -431,75 +450,80 @@ class RingPresentation:
         ruleset = self._rule_tails().get(strategy)
         if ruleset is None:
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not _reducible(p.terms, ruleset[1]):
+        if not any(exps[rule[0]] >= rule[1] for exps in p.terms for rule in ruleset[1]):
             # already canonical: no conversion, no copy
             elem = QuotElem(self, p, _trusted=True)
             if not with_cofactors:
                 return elem
             zero = MultiPoly.zero(self.varset)
             return elem, (zero, zero if len(ruleset[1]) > 1 else None)
-        nums, den = _numerators(p.terms)
-        return self._to_elem(*self._rewrite(dict(zip(p.terms, nums)), den, strategy, with_cofactors))
+        current, den, packing = _packed(p.terms, len(self.varset))
+        return self._to_elem(*self._rewrite(current, den, packing, strategy, with_cofactors))
 
     def _rewrite(
         self,
-        current: dict[tuple[int, ...], int],
+        current: dict[int, int],
         den: int,
+        packing: _Packing,
         strategy: str,
         with_cofactors: bool = False,
-    ) -> tuple[dict[tuple[int, ...], int], int, list[dict[tuple[int, ...], int]] | None]:
-        """The rewrite loop of normal_form on integer numerators over den.
+    ) -> tuple[dict[int, int], int, _Packing, list[dict[int, int]] | None]:
+        """The rewrite loop of normal_form on packed keys and integer numerators over den.
 
-        current is consumed.  Returns the canonical term map, its denominator
-        and, when with_cofactors is set, one cofactor map per rule over the
-        same denominator (else None).  Derivation feeds its integer Leibniz
-        map straight in, and substitute_all its evaluated sum.
+        current is consumed.  Returns the canonical term map, its denominator,
+        its packing and, when with_cofactors is set, one cofactor map per rule
+        in that packing over that denominator (else None).  Derivation feeds
+        its Leibniz map straight in, and substitute_all its evaluated sum.
         """
         td, rules = self._rule_tails()[strategy]
-        cofactors = [{} for _ in rules] if with_cofactors else None
-        todo = _reducible(current, rules)
-        while todo:
-            popped = [(current.pop(exps), exps, rule) for exps, rule in todo]
+        cofactors = [{} for _ in rules] if with_cofactors else []
+        while True:
+            packed = self._packed_rules(strategy, packing)
+            if packed is None or reduce(or_, current, 0) & packing.guard:
+                # a key could carry in this pass: run it at double width
+                cofactors = [packing.widen(cof)[0] for cof in cofactors]
+                current, packing = packing.widen(current)
+                continue
+            todo = _reducible(current, packed, packing.mask)
+            if not todo:
+                return current, den, packing, cofactors if with_cofactors else None
+            popped = [(current.pop(key), key, rule) for key, rule in todo]
             if td != 1:
                 den *= td
                 current = {k: v * td for k, v in current.items()}
-                if cofactors is not None:
-                    cofactors = [{k: v * td for k, v in cof.items()} for cof in cofactors]
+                cofactors = [{k: v * td for k, v in cof.items()} for cof in cofactors]
             get = current.get
-            for c, exps, (var, power, tail, index, scale) in popped:
-                base = list(exps)
-                base[var] -= power
-                for texps, tc in tail:
-                    key = tuple(map(add, base, texps))
-                    v = get(key, 0) + c * tc
+            for c, key, (shift, power, moves, index, scale) in popped:
+                for move, tc in moves:
+                    new = key + move
+                    v = get(new, 0) + c * tc
                     if v:
-                        current[key] = v
+                        current[new] = v
                     else:
-                        del current[key]
-                if cofactors is not None:
+                        del current[new]
+                if with_cofactors:
                     cof = cofactors[index]
-                    key = tuple(base)
-                    v = cof.get(key, 0) + c * scale
+                    base = key - (power << shift)
+                    v = cof.get(base, 0) + c * scale
                     if v:
-                        cof[key] = v
+                        cof[base] = v
                     else:
-                        del cof[key]
-            todo = _reducible(current, rules)
-        return current, den, cofactors
+                        del cof[base]
 
     def _to_elem(
         self,
-        current: dict[tuple[int, ...], int],
+        current: dict[int, int],
         den: int,
-        cofactors: list[dict[tuple[int, ...], int]] | None = None,
+        packing: _Packing,
+        cofactors: list[dict[int, int]] | None = None,
     ):
-        """The one conversion of a canonical integer term map to Fractions.
+        """The one conversion of a canonical packed integer term map to exponent tuples and Fractions.
 
         Returns the QuotElem, or (QuotElem, (A, B)) when cofactors are given.
         """
 
-        def poly(terms: dict[tuple[int, ...], int]) -> MultiPoly:
-            return _from_terms(self.varset, dict(zip(terms, _fractions(terms.values(), den))))
+        def poly(terms: dict[int, int]) -> MultiPoly:
+            return _from_terms(self.varset, _unpacked(terms, den, packing))
 
         elem = QuotElem(self, poly(current), _trusted=True)
         if cofactors is None:

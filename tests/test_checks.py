@@ -1,16 +1,22 @@
 """Report-producing checks: degree consistency, kernel, filtration chain."""
 
 import json
+from fractions import Fraction
 from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from lndfilt.checks import (
+    _row_rank,
     al_chain_check,
     degree_consistency,
     graded_relations_check,
     kernel_check,
     random_element,
 )
-from lndfilt.rings import RingPresentation
+from lndfilt.derivations import Derivation
+from lndfilt.rings import RingPresentation, basis_monomials
 
 
 def test_degree_consistency_toy(toy):
@@ -34,6 +40,65 @@ def test_kernel_check_danielewski():
     dan = RingPresentation.danielewski(1, ["-1", "0"])
     report = kernel_check(dan, degree_bound=6, x_cap=3)
     assert report.passed, report.witnesses
+
+
+def test_kernel_check_fails_for_the_zero_derivation(toy):
+    # the zero map is a derivation, but it kills every monomial, so the
+    # window's non-x monomials span a kernel outside k[x]
+    zero = Derivation(toy, {nm: toy.zero() for nm in toy.varset.names})
+    report = kernel_check(toy, degree_bound=4, x_cap=2, derivation=zero)
+    non_x = (len(basis_monomials(toy, 4)) - 1) * 3
+    assert not report.passed
+    assert report.witnesses == [
+        f"derivation drops rank on non-x monomials: rank 0 of {non_x}; "
+        "some combination outside k[x] lies in the kernel"
+    ]
+
+
+def fraction_rank(rows: list[list[Fraction]]) -> int:
+    """Rank by plain Gaussian elimination over Fractions."""
+    mat = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def small_matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3).map(Fraction)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        # a combination of the rows drawn so far: rank-deficient by construction
+        coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_row_rank_matches_fraction_elimination(rows):
+    assert _row_rank(rows) == fraction_rank(rows)
+
+
+def test_al_chain_refuses_a_window_below_the_last_entry(toy):
+    dan = RingPresentation.danielewski(2, ["1", "0", "X^2", "0"])
+    for ring, least, name in [(toy, 5, "z"), (dan, 5, "y")]:
+        for bound in (0, least - 1):
+            with pytest.raises(ValueError, match=f"at least {least}, one past the degree where {name} enters, got {bound}"):
+                al_chain_check(ring, bound=bound)
+        for bound in (least, least + 2):
+            report = al_chain_check(ring, bound=bound)
+            assert report.passed, report.witnesses
+            assert report.bound == bound
 
 
 def test_al_chain_toy(toy):

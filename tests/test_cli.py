@@ -368,3 +368,48 @@ def test_negative_bound_is_usage_error(capsys, command):
         main(argv)
     assert info.value.code == 2
     assert "--bound: must be >= 0, got -5" in capsys.readouterr().err
+
+
+def test_verify_suite_bound_below_al_chain_minimum_is_usage_error(capsys):
+    # z enters the toy ring's filtration at m*d = 4, so a window of 3 would
+    # miss it and fail a correct ring; al-chain refuses it instead
+    for bound in ("3", "4", "0"):
+        code, out, err = run(capsys, "verify-suite", "--toy", "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert f"al-chain needs a bound of at least 5, one past the degree where z enters, got {bound}" in err
+    code, out, _ = run(capsys, "verify-suite", "--toy", "--bound", "5")
+    assert code == 0
+    assert all(line.endswith("pass") for line in out.splitlines())
+
+
+def test_verify_suite_hands_every_check_the_same_bound(capsys, monkeypatch):
+    import lndfilt.cli as cli
+    from lndfilt.checks import CheckReport
+
+    seen = {}
+
+    def recorder(name, key):
+        def check(ring, **kwargs):
+            seen[name] = kwargs[key]
+            return CheckReport(check=name, ring=ring.fingerprint(), bound=0, passed=True)
+
+        return check
+
+    checks = {
+        "degree_consistency": ("degree_bound", 10),
+        "kernel_check": ("degree_bound", 8),
+        "al_chain_check": ("bound", None),
+        "graded_relations_check": ("bound", None),
+        "graded_property_check": ("degree_bound", 8),
+    }
+    for name, (key, _) in checks.items():
+        monkeypatch.setattr(cli, name, recorder(name, key))
+    for bound in ("0", "7", None):
+        seen.clear()
+        argv = ["verify-suite", "--toy"] + (["--bound", bound] if bound else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # the report order is fixed, whatever order the checks run in
+        assert [line.split(":")[0] for line in out.splitlines()] == list(checks)
+        assert seen == {name: default if bound is None else int(bound) for name, (_, default) in checks.items()}

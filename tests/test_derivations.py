@@ -9,7 +9,14 @@ from lndfilt.derivations import BudgetExceededError, Derivation, canonical_deriv
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem, RingPresentation
 
-from util import RATIONAL_RINGS, grid_rings, mixed_small_rings
+from util import (
+    RATIONAL_RINGS,
+    count_widenings,
+    grid_rings,
+    leibniz_reference,
+    mixed_small_rings,
+    reference_normal_form,
+)
 
 
 def test_toy_canonical_images(toy):
@@ -152,3 +159,57 @@ def test_cylinder_variable_in_kernel(toy):
     t = cyl.generator("T")
     assert D(t).is_zero()
     assert D.degree(cyl.element("S*T^5")) == 1
+
+
+def reference_orbit(D, p):
+    """p reduced, D(p), D^2(p), ... up to the first zero, as term maps.
+
+    Tuple Leibniz rule and the Fraction rewrite loop of tests/util.py: no
+    packed key anywhere.
+    """
+    ring = D.ring
+    orbit = [reference_normal_form(ring, p, "s_first")[0]]
+    while orbit[-1]:
+        image = MultiPoly(ring.varset, leibniz_reference(D, orbit[-1]))
+        orbit.append(reference_normal_form(ring, image, "s_first")[0])
+    return orbit
+
+
+def _x_shifted(ring, shift, text):
+    # the parser caps exponents, so the large X power is added afterwards
+    p = ring.element(text).rep
+    return ring.normal_form(MultiPoly(ring.varset, {(e[0] + shift, *e[1:]): c for e, c in p.terms.items()}))
+
+
+# X exponents that start just below a field's guard bit and cross it along
+# the orbit (D raises X: D(S) = X^(n+e), D(Y) = X^e*dP/dS, D(Z) = ... - X^n),
+# across struct-packed and shifted fields, and at 2^64
+ORBIT_CASES = [
+    (RingPresentation.full(2, 1, ["0", "0"], ["0", "0"]), 2**15 - 6, "Z^2 + 1/2*S*Y"),
+    (RingPresentation.full(1, 1, ["3/4", "1/2*X"], ["2/3*X", "5/7"]), 120, "Z*Y + S"),
+    (RingPresentation.danielewski(2, ["1", "0", "X^2", "0"]), 2**63 - 9, "Y^2 + X*S^3"),
+    (RingPresentation.full(2, 1, ["0", "0"], ["0", "0"], cylinder=True), 2**64, "Z*T^3 - S"),
+]
+
+
+@pytest.mark.parametrize("ring,shift,text", ORBIT_CASES, ids=["2^15", "2^7-rational", "2^63", "2^64-cylinder"])
+def test_orbit_across_a_field_carry(monkeypatch, ring, shift, text):
+    D = canonical_derivation(ring)
+    a = _x_shifted(ring, shift, text)
+    orbit = reference_orbit(D, a.rep)
+    elems = [QuotElem(ring, MultiPoly(ring.varset, terms), _trusted=True) for terms in orbit]
+    widths = count_widenings(monkeypatch)
+    applied = [a]
+    while not applied[-1].is_zero():
+        applied.append(D.apply(applied[-1]))
+    assert applied == elems
+    assert D.degree(a) == len(orbit) - 2
+    for k in range(len(orbit) + 1):
+        assert D.iterate(a, k) == elems[min(k, len(orbit) - 1)]
+    monkeypatch.undo()
+    top = max(exps[0] for exps in a.rep.terms)
+    reached = max(exps[0] for terms in orbit for exps in terms)
+    crossed = [w for w in (8, 16, 32, 64) if top < 2 ** (w - 1) <= reached]
+    # every field boundary that the orbit's X exponent crosses forces a restart
+    assert set(crossed) <= {w for w, _ in widths}
+    assert crossed or shift == 2**64

@@ -182,3 +182,35 @@ def reference_normal_form(ring: RingPresentation, p: MultiPoly, strategy: str):
             for texps, tc in tail:
                 _add_into(current, tuple(b + t for b, t in zip(base, texps)), c * tc)
             _add_into(cofactors[index], tuple(base), c * scale)
+
+
+def leibniz_reference(derivation, terms: dict) -> dict:
+    """D of a term map by the Leibniz rule on exponent tuples and Fractions, unreduced.
+
+    Every term c*x^a adds c * a_k * m * x^(a - e_k + u) for each variable k
+    with a_k > 0 and each term m*x^u of D(x_k): no packing, no integer
+    table and no MultiPoly arithmetic.
+    """
+    out = {}
+    for exps, c in terms.items():
+        for k, nm in enumerate(derivation.ring.varset.names):
+            if exps[k]:
+                for u, m in derivation.images[nm].rep.terms.items():
+                    key = tuple(a + b - (j == k) for j, (a, b) in enumerate(zip(exps, u)))
+                    _add_into(out, key, c * exps[k] * m)
+    return out
+
+
+def count_widenings(monkeypatch) -> list:
+    """Record (width, largest exponent) of every term map moved to double width."""
+    from lndfilt.polynomials import _Packing
+
+    widths = []
+    real = _Packing.widen
+
+    def widen(self, terms):
+        widths.append((self.width, max((max(exps) for exps in self.tuples(terms)), default=0)))
+        return real(self, terms)
+
+    monkeypatch.setattr(_Packing, "widen", widen)
+    return widths

@@ -30,10 +30,17 @@ from typing import Mapping
 
 from .checks import CheckReport
 from .derivations import canonical_derivation
-from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, read_rational, substitute_all
-from .rings import QuotElem, RingPresentation, evaluate_in_ring
-
-_X_ONLY = VarSet(("X",))
+from .polynomials import (
+    Document,
+    MultiPoly,
+    ReadableDocument,
+    images_json,
+    parse_poly,
+    read_object,
+    read_rational,
+    substitute_all,
+)
+from .rings import _X_ONLY, QuotElem, RingPresentation, evaluate_in_ring
 
 
 def _coerce_scalar(value: int | str | Fraction, what: str) -> Fraction:
@@ -45,8 +52,10 @@ def _coerce_scalar(value: int | str | Fraction, what: str) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AutParams:
+class AutParams(ReadableDocument):
     """(lam, mu, a): the scaling pair and the free shift polynomial a(X)."""
+
+    document = "parameter"
 
     lam: Fraction
     mu: Fraction
@@ -63,18 +72,11 @@ class AutParams:
     def to_json_dict(self) -> dict:
         return {"lambda": str(self.lam), "mu": str(self.mu), "a": str(self.a)}
 
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> AutParams:
         """Strict: lambda and mu are JSON integers or rational strings, a is a string."""
-        unknown = sorted(set(data) - {"lambda", "mu", "a"})
-        if unknown:
-            raise ValueError(f"parameter JSON has unknown keys {unknown}")
+        read_object(data, cls.document, ("lambda", "mu"), ("a",))
         for key in ("lambda", "mu"):
-            if key not in data:
-                raise ValueError(f"parameter JSON lacks key {key!r}")
             if isinstance(data[key], bool) or not isinstance(data[key], (int, str)):
                 raise ValueError(
                     f"parameter {key!r} is {data[key]!r}, which is not an exact rational; "
@@ -84,10 +86,6 @@ class AutParams:
         if not isinstance(a, str):
             raise ValueError(f"parameter 'a' is {a!r}; write the polynomial in X as a string")
         return cls.make(data["lambda"], data["mu"], a)
-
-    @classmethod
-    def from_json(cls, text: str) -> AutParams:
-        return cls.from_json_dict(load_json(text, "parameter"))
 
 
 def _require_normalized(ring: RingPresentation) -> None:
@@ -126,7 +124,7 @@ def check_params(ring: RingPresentation, params: AutParams) -> list[str]:
     return violations
 
 
-class RingAutomorphism:
+class RingAutomorphism(Document):
     """A ring automorphism stored by its generator images."""
 
     __slots__ = ("ring", "params", "images")
@@ -153,13 +151,7 @@ class RingAutomorphism:
         return RingAutomorphism(self.ring, params, dict(zip(inner.images, images)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.ring.varset.names),
-            "images": {nm: str(self.images[nm]) for nm in self.ring.varset.names},
-        }
-
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
+        return images_json(self.ring.varset, self.images)
 
 
 def build_auto(ring: RingPresentation, params: AutParams) -> RingAutomorphism:
@@ -227,7 +219,6 @@ def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
             check="automorphism",
             ring=ring.fingerprint(),
             bound=0,
-            passed=False,
             witnesses=[str(err)],
         )
     for rel in ring.relation_polys():
@@ -253,6 +244,5 @@ def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
         check="automorphism",
         ring=ring.fingerprint(),
         bound=0,
-        passed=not witnesses,
         witnesses=witnesses,
     )

@@ -15,17 +15,22 @@ from random import Random
 
 from .derivations import Derivation, canonical_derivation
 from .graded import graded_generators, gr_leading, hat_ideal_tops
-from .polynomials import MultiPoly, dump_json, parse_poly
+from .polynomials import Document, MultiPoly, parse_poly
 from .rings import QuotElem, RingPresentation, basis_monomials
 
 
 @dataclass
-class CheckReport:
+class CheckReport(Document):
+    """One check's outcome on one ring; it passes exactly when it records no witness."""
+
     check: str
     ring: str
     bound: int
-    passed: bool
     witnesses: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
     def to_json_dict(self) -> dict:
         return {
@@ -35,9 +40,6 @@ class CheckReport:
             "pass": self.passed,
             "witnesses": list(self.witnesses),
         }
-
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
 
     def __str__(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -100,7 +102,6 @@ def degree_consistency(
         check="degree-consistency",
         ring=ring.fingerprint(),
         bound=degree_bound,
-        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -197,7 +198,6 @@ def kernel_check(
         check="kernel",
         ring=ring.fingerprint(),
         bound=degree_bound,
-        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -254,7 +254,6 @@ def al_chain_check(
         check="al-chain",
         ring=ring.fingerprint(),
         bound=bound,
-        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -287,7 +286,6 @@ def graded_relations_check(ring: RingPresentation, bound: int | None = None) -> 
         check="graded-relations",
         ring=ring.fingerprint(),
         bound=bound if bound is not None else 0,
-        passed=not witnesses,
         witnesses=witnesses,
     )
 
@@ -331,6 +329,5 @@ def graded_property_check(
         check="graded-properties",
         ring=ring.fingerprint(),
         bound=degree_bound,
-        passed=not witnesses,
         witnesses=witnesses,
     )

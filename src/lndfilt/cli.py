@@ -35,6 +35,15 @@ MAX_FILTRATION_INDEX = 10_000
 # applications; each application can grow the element, so the time is not
 # linear in the count (deg of Z^200 on the toy ring makes 801 of them)
 MAX_DERIVATION_APPLICATIONS = 1000
+# the largest `verify-suite --bound`; the kernel window's dense matrix grows
+# quadratically with it: on the toy ring the suite at bound 100 took 2.3 s
+# and 36 MiB peak RSS (160: 6.3 s, 67 MiB; 200: 9.4 s, 96 MiB; single runs
+# on a 2-vCPU guest, Python 3.11)
+MAX_SUITE_BOUND = 100
+# the most steps `cyliso` and `danielewski-cyliso` chain, the length that
+# certified chains are meant to reach; every step and endpoint ring is built
+# before the first solve, so a longer chain is refused up front
+MAX_CHAIN_STEPS = 10
 
 
 def _non_negative_int(text: str) -> int:
@@ -227,18 +236,23 @@ def _write_chain(args, cert: IsoCertificate) -> int:
     return 0 if cert.passed else 1
 
 
+def _check_chain_span(args, parser) -> None:
+    if args.from_ < 1 or args.to <= args.from_:
+        parser.error("need --to > --from >= 1")
+    if args.to - args.from_ > MAX_CHAIN_STEPS:
+        parser.error(f"a chain has at most {MAX_CHAIN_STEPS} steps, got {args.to - args.from_}")
+
+
 def cmd_cyliso(args, parser) -> int:
     if args.n < 1:
         parser.error("need -n >= 1")
-    if args.from_ < 1 or args.to <= args.from_:
-        parser.error("need --to > --from >= 1")
+    _check_chain_span(args, parser)
     _, cert = compose_chain(args.n, args.from_, args.to)
     return _write_chain(args, cert)
 
 
 def cmd_danielewski_cyliso(args, parser) -> int:
-    if args.from_ < 1 or args.to <= args.from_:
-        parser.error("need --to > --from >= 1")
+    _check_chain_span(args, parser)
     coeffs = [piece.strip() for piece in args.poly.split(",")]
     if len(coeffs) < 2:
         parser.error("--poly needs the d >= 2 coefficients f_0,...,f_{d-1}")
@@ -247,6 +261,8 @@ def cmd_danielewski_cyliso(args, parser) -> int:
 
 
 def cmd_verify_suite(args, parser) -> int:
+    if args.bound is not None and args.bound > MAX_SUITE_BOUND:
+        parser.error(f"--bound must be at most {MAX_SUITE_BOUND}")
     ring = _load_ring(args, parser)
     if ring.cylinder:
         parser.error("verify-suite runs on base rings, not cylinders")
@@ -349,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cyliso", help="cylinder isomorphism chain between twists")
     p.add_argument("-n", type=int, required=True, help="shared size parameter")
     p.add_argument("--from", dest="from_", type=int, required=True, help="source twist")
-    p.add_argument("--to", type=int, required=True, help="target twist")
+    p.add_argument("--to", type=int, required=True, help=f"target twist, at most {MAX_CHAIN_STEPS} past --from")
     p.add_argument("--out", metavar="FILE", help="write the JSON here")
     p.set_defaults(func=cmd_cyliso)
 
@@ -357,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "danielewski-cyliso", help="cylinder isomorphism chain between sizes"
     )
     p.add_argument("--from", dest="from_", type=int, required=True, help="source size")
-    p.add_argument("--to", type=int, required=True, help="target size")
+    p.add_argument("--to", type=int, required=True, help=f"target size, at most {MAX_CHAIN_STEPS} past --from")
     p.add_argument(
         "--poly",
         required=True,
@@ -369,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-suite", help="run the full verification battery")
     _add_ring_options(p)
     p.add_argument(
-        "--bound", type=_non_negative_int, default=None, help="window bound for the checks"
+        "--bound", type=_non_negative_int, default=None, help=f"window bound, at most {MAX_SUITE_BOUND}"
     )
     p.set_defaults(func=cmd_verify_suite)
 

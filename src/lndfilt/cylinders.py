@@ -47,11 +47,20 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graded import hat_ideal_tops
-from .polynomials import MultiPoly, VarSet, dump_json, load_json, parse_poly, substitute_all
+from .polynomials import (
+    Document,
+    MultiPoly,
+    ReadableDocument,
+    VarSet,
+    images_json,
+    parse_poly,
+    read_object,
+    substitute_all,
+)
 from .rings import RingPresentation, evaluate_in_ring
 
 
-class PolyEndo:
+class PolyEndo(ReadableDocument):
     """An algebra endomorphism of a polynomial ring, given on the variables.
 
     An endomorphism built by a step's solve also holds that step and the
@@ -61,6 +70,7 @@ class PolyEndo:
     """
 
     __slots__ = ("varset", "images", "_solved")
+    document = "endomorphism"
 
     def __init__(self, varset: VarSet, images: Mapping[str, MultiPoly]):
         self.varset = varset
@@ -96,13 +106,7 @@ class PolyEndo:
         return self.varset == other.varset and self.images == other.images
 
     def to_json_dict(self) -> dict:
-        return {
-            "vars": list(self.varset.names),
-            "images": {nm: str(self.images[nm]) for nm in self.varset.names},
-        }
-
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
+        return images_json(self.varset, self.images)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> PolyEndo:
@@ -110,12 +114,7 @@ class PolyEndo:
 
         Every image is a string; each failure raises ValueError naming its key.
         """
-        unknown = sorted(set(data) - {"vars", "images"})
-        if unknown:
-            raise ValueError(f"endomorphism JSON has unknown keys {unknown}")
-        for key in ("vars", "images"):
-            if key not in data:
-                raise ValueError(f"endomorphism JSON lacks key {key!r}")
+        read_object(data, cls.document, ("vars", "images"))
         names, images = data["vars"], data["images"]
         if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
             raise ValueError(f"endomorphism 'vars' must be a list of variable names, got {names!r}")
@@ -135,10 +134,6 @@ class PolyEndo:
             except ValueError as err:
                 raise ValueError(f"endomorphism image {nm!r}: {err}") from None
         return cls(varset, parsed)
-
-    @classmethod
-    def from_json(cls, text: str) -> PolyEndo:
-        return cls.from_json_dict(load_json(text, "endomorphism"))
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,7 @@ def solve_step(step) -> PolyEndo:
 
 
 @dataclass
-class IsoCertificate:
+class IsoCertificate(Document):
     """The verdict of verify_step, with every route's outcome recorded."""
 
     source: RingPresentation
@@ -397,8 +392,11 @@ class IsoCertificate:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
+
+def _identity_entry(name: str, got, want, holds: str = "exact identity") -> dict:
+    """A certificate check that passes when got == want, else records the residual got - want."""
+    ok = got == want
+    return {"name": name, "pass": ok, "detail": holds if ok else f"residual {got - want}"}
 
 
 def _eliminated_transport(
@@ -437,29 +435,17 @@ def _eliminated_transport(
     want = target.eliminated_relation()
     implied = transports_pass and target.eliminate_s(target.relation_polys()[1]).is_zero()
     got = want if implied else target.eliminate_s(endo.apply(source.eliminated_relation()))
-    ok = got == want
-    return {
-        "name": "relation-transport-eliminated",
-        "pass": ok,
-        "detail": "exact identity after eliminating S" if ok else f"residual {got - want}",
-    }
+    return _identity_entry("relation-transport-eliminated", got, want, "exact identity after eliminating S")
 
 
 def _transport_checks(
     endo: PolyEndo, source: RingPresentation, target: RingPresentation
 ) -> list[dict]:
     """Each defining relation of source pushed through endo onto target's."""
-    checks = []
-    for k, (rs, rt) in enumerate(zip(source.relation_polys(), target.relation_polys()), start=1):
-        got = endo.apply(rs)
-        ok = got == rt
-        checks.append(
-            {
-                "name": f"relation-transport-{k}",
-                "pass": ok,
-                "detail": "exact identity" if ok else f"residual {got - rt}",
-            }
-        )
+    checks = [
+        _identity_entry(f"relation-transport-{k}", endo.apply(rs), rt)
+        for k, (rs, rt) in enumerate(zip(source.relation_polys(), target.relation_polys()), start=1)
+    ]
     if source.family == "full":
         transports_pass = all(c["pass"] for c in checks)
         checks.append(_eliminated_transport(endo, source, target, transports_pass))
@@ -482,23 +468,11 @@ def _verify(
 
     lhs, rhs, unit = stage.displacement
     moved = endo.apply(lhs)
-    ok_exact = moved == rhs
-    cert.checks.append(
-        {
-            "name": "displacement-identity",
-            "pass": ok_exact,
-            "detail": "exact identity" if ok_exact else f"residual {moved - rhs}",
-        }
-    )
     residue = target.normal_form(moved + unit * _v(vs, "T"))
-    ok_cong = residue.is_zero()
-    cert.checks.append(
-        {
-            "name": "displacement-congruence",
-            "pass": ok_cong,
-            "detail": f"maps to {-unit}*T in the target" if ok_cong else f"residual {residue}",
-        }
-    )
+    cert.checks += [
+        _identity_entry("displacement-identity", moved, rhs),
+        _identity_entry("displacement-congruence", residue, 0, f"maps to {-unit}*T in the target"),
+    ]
 
     # recovery: rebuild every target generator in the target quotient
     values: dict = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}

@@ -149,6 +149,44 @@ def dump_json(data) -> str:
     return json.dumps(data, indent=2)
 
 
+def read_object(data: Mapping, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """Check that data holds every required key and no key outside required and optional.
+
+    Each failure raises ValueError naming what the object is, e.g.
+    "ring JSON has unknown keys ['name']" or "ring JSON lacks key 'P'".
+    """
+    unknown = sorted(set(data) - {*required, *optional})
+    if unknown:
+        raise ValueError(f"{what} JSON has unknown keys {unknown}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks key {key!r}")
+
+
+def images_json(varset: VarSet, images: Mapping) -> dict:
+    """The {"vars", "images"} document of a map given on the variables of varset."""
+    return {"vars": list(varset.names), "images": {nm: str(images[nm]) for nm in varset.names}}
+
+
+class Document:
+    """The JSON text of a class whose to_json_dict gives its document."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return dump_json(self.to_json_dict())
+
+
+class ReadableDocument(Document):
+    """A Document whose from_json_dict reads it back; the class's document names it in messages."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(load_json(text, cls.document))
+
+
 def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
     """base**k by binary exponentiation, for any type with an associative `*`.
 
@@ -379,13 +417,6 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
         return self.terms.get((0,) * len(self.varset), Fraction(0))
-
-    def degree_in(self, name: str) -> int:
-        """Max exponent of one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        k = self.varset.index(name)
-        return max(e[k] for e in self.terms)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))

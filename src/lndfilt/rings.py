@@ -62,6 +62,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .polynomials import (
     MultiPoly,
+    ReadableDocument,
     VarSet,
     WeightFunction,
     _format_coeff,
@@ -73,6 +74,7 @@ from .polynomials import (
     load_json,
     parse_poly,
     power_by_squaring,
+    read_object,
     read_rational,
     substitute_all,
 )
@@ -92,15 +94,8 @@ def _coerce_x_poly(c: CoeffLike, what: str) -> MultiPoly:
         return MultiPoly.constant(_X_ONLY, c)
     if isinstance(c, str):
         c = parse_poly(c, _X_ONLY)
-    if not isinstance(c, MultiPoly):
+    if not isinstance(c, MultiPoly) or c.varset != _X_ONLY:
         raise ValueError(f"{what} must be a polynomial in X or its text form")
-    if c.varset != _X_ONLY:
-        if any(nm != "X" and c.degree_in(nm) > 0 for nm in c.varset.names):
-            raise ValueError(f"{what} must involve only X, got {c}")
-        c = MultiPoly(
-            _X_ONLY,
-            {(e[c.varset.index("X")],): v for e, v in c.terms.items()},
-        )
     return c
 
 
@@ -129,7 +124,7 @@ def _reducible(keys: Iterable[int], rules: Sequence[tuple], mask: int) -> list:
     return todo
 
 
-class RingPresentation:
+class RingPresentation(ReadableDocument):
     """One ring of either family, plus the optional adjoined cylinder variable T.
 
     p_coeffs is the list (f_0, ..., f_{d-1}) of non-top coefficients of P;
@@ -140,6 +135,7 @@ class RingPresentation:
         "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
         "weights", "_tails", "_packed", "_p", "_q", "_rels", "_eliminated",
     )
+    document = "ring"
 
     def __init__(
         self,
@@ -561,17 +557,9 @@ class RingPresentation:
             out["cylinder"] = True
         return out
 
-    def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> RingPresentation:
-        unknown = sorted(set(data) - {"family", "n", "e", "P", "Q", "cylinder"})
-        if unknown:
-            raise ValueError(f"ring JSON has unknown keys {unknown}")
-        for key in ("family", "n", "P"):
-            if key not in data:
-                raise ValueError(f"ring JSON lacks key {key!r}")
+        read_object(data, cls.document, ("family", "n", "P"), ("e", "Q", "cylinder"))
         return cls(
             data["family"],
             data["n"],
@@ -580,10 +568,6 @@ class RingPresentation:
             data.get("Q", ()),
             data.get("cylinder", False),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> RingPresentation:
-        return cls.from_json_dict(load_json(text, "ring"))
 
 
 def toy_ring(cylinder: bool = False) -> RingPresentation:

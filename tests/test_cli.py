@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from lndfilt.cli import MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, main
+from lndfilt.cli import MAX_CHAIN_STEPS, MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, MAX_SUITE_BOUND, main
 from lndfilt.derivations import Derivation
 from lndfilt.rings import QuotElem, toy_ring
 
@@ -392,7 +392,7 @@ def test_verify_suite_hands_every_check_the_same_bound(capsys, monkeypatch):
     def recorder(name, key):
         def check(ring, **kwargs):
             seen[name] = kwargs[key]
-            return CheckReport(check=name, ring=ring.fingerprint(), bound=0, passed=True)
+            return CheckReport(check=name, ring=ring.fingerprint(), bound=0)
 
         return check
 
@@ -405,7 +405,7 @@ def test_verify_suite_hands_every_check_the_same_bound(capsys, monkeypatch):
     }
     for name, (key, _) in checks.items():
         monkeypatch.setattr(cli, name, recorder(name, key))
-    for bound in ("0", "7", None):
+    for bound in ("0", "7", str(MAX_SUITE_BOUND), None):
         seen.clear()
         argv = ["verify-suite", "--toy"] + (["--bound", bound] if bound else [])
         code, out, _ = run(capsys, *argv)
@@ -413,3 +413,49 @@ def test_verify_suite_hands_every_check_the_same_bound(capsys, monkeypatch):
         # the report order is fixed, whatever order the checks run in
         assert [line.split(":")[0] for line in out.splitlines()] == list(checks)
         assert seen == {name: default if bound is None else int(bound) for name, (_, default) in checks.items()}
+
+
+def test_verify_suite_bound_is_capped(capsys, monkeypatch):
+    import lndfilt.cli as cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a ring or check was built past the cap")
+
+    names = ["degree_consistency", "kernel_check", "al_chain_check", "graded_relations_check", "graded_property_check"]
+    for name in ["toy_ring", *names]:
+        monkeypatch.setattr(cli, name, refused)
+    with pytest.raises(SystemExit) as info:
+        main(["verify-suite", "--toy", "--bound", str(MAX_SUITE_BOUND + 1)])
+    assert info.value.code == 2
+    assert f"--bound must be at most {MAX_SUITE_BOUND}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("compose_chain", ["cyliso", "-n", "1"]),
+        ("compose_danielewski_chain", ["danielewski-cyliso", "--poly", "1,0,X^2,0"]),
+    ],
+)
+def test_chain_length_is_capped(capsys, monkeypatch, name, argv):
+    import lndfilt.cli as cli
+
+    class Reached(Exception):
+        pass
+
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise Reached
+
+    monkeypatch.setattr(cli, name, stub)
+    with pytest.raises(Reached):
+        main(argv + ["--from", "2", "--to", str(2 + MAX_CHAIN_STEPS)])
+    assert len(calls) == 1
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--from", "1", "--to", str(2 + MAX_CHAIN_STEPS)])
+    assert info.value.code == 2
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    assert f"a chain has at most {MAX_CHAIN_STEPS} steps, got {MAX_CHAIN_STEPS + 1}" in err

@@ -33,9 +33,10 @@ def test_parameter_validation():
         RingPresentation.danielewski(1, ["0", "0"], cylinder=False).q_poly()
     with pytest.raises(ValueError, match="unknown variable 'S'"):
         RingPresentation.full(2, 1, ["S", "0"], ["0", "0"])
-    with pytest.raises(ValueError, match="only X"):
-        bad = parse_poly("S", VarSet(("X", "S")))
-        RingPresentation.full(2, 1, [bad, "0"], ["0", "0"])
+    # a polynomial coefficient lives over exactly (X,), even where it involves only X
+    for text, names in (("S", ("X", "S")), ("X + 1", ("X", "S")), ("X + 1", ("T", "X"))):
+        with pytest.raises(ValueError, match=r"coefficient Q\[1\] must be a polynomial in X or its text form"):
+            RingPresentation.full(2, 1, ["0", "0"], ["0", parse_poly(text, VarSet(names))])
     # e = 0 is fine for the full family once n >= 2
     RingPresentation.full(2, 0, ["1", "0"], ["0", "0"])
 

@@ -116,7 +116,7 @@ def check_params(ring: RingPresentation, params: AutParams) -> list[str]:
             continue
         shifted = f.substitute({"X": params.lam * x})
         residual = shifted - params.mu ** i * f
-        if any(exps[0] < n + e for exps in residual.terms):
+        if any(exps[0] < n + e for exps in residual.nums):
             violations.append(
                 f"f_{d - i}(lam*X) - mu^{i}*f_{d - i}(X) = {residual} "
                 f"is nonzero modulo X^{n + e}"

@@ -179,9 +179,9 @@ def kernel_check(
                 witnesses.append(f"x-power {mono} not in the kernel: image {img}")
             continue
         vec: dict[int, Fraction] = {}
-        for exps, c in img.rep.terms.items():
+        for exps, n in img.rep.nums.items():
             ri = row_index.setdefault(exps, len(row_index))
-            vec[ri] = c
+            vec[ri] = Fraction(n, img.rep.den)
         vectors.append(vec)
     nrows = len(row_index)
     dense = [

@@ -24,9 +24,9 @@ a field that reaches its guard bit stays exact, and the rewrite loop, which
 tests every key before each pass, moves the map to double the width before
 that key is added again.  With rational tails (td > 1) or a scaled D (den_D >
 1) the denominator grows, so after a step with den != 1 the map and den are
-divided by the gcd of den and all numerators, as the Fraction route would
-reduce them.  Checks independent of this pass: the written-out golden degrees
-and images of acceptance #1 and #2, the closed form (monomial_degree) that
+divided by the gcd of den and all numerators, the lowest terms that MultiPoly
+keeps.  Checks independent of this pass: the written-out golden degrees and
+images of acceptance #1 and #2, the closed form (monomial_degree) that
 degree_consistency compares with, test_leibniz_rule (D(ab) = a D(b) + b D(a)
 on products formed in the ring), and the tests comparing apply, degree and
 iterate with the MultiPoly derivative route, sum_k dp/dx_k * D(x_k), reduced
@@ -63,9 +63,9 @@ class Derivation:
             got[nm] = val
         self.images = got
         # den_D and, per nonzero image, (variable index, ((exps, numerator), ...))
-        den = lcm(*[c.denominator for img in got.values() for c in img.rep.terms.values()])
+        den = lcm(*[img.rep.den for img in got.values()])
         self._table = den, tuple(
-            (k, tuple((u, c.numerator * (den // c.denominator)) for u, c in img.rep.terms.items()))
+            (k, tuple((u, n * (den // img.rep.den)) for u, n in img.rep.nums.items()))
             for k, img in enumerate(got.values())
             if not img.is_zero()
         )
@@ -116,8 +116,8 @@ class Derivation:
 
     def _formal_apply(self, p: MultiPoly) -> MultiPoly:
         """Extend through the Leibniz rule on the ambient polynomial ring (unreduced)."""
-        out, den, packing = self._leibniz(*_packed(p.terms, len(p.varset)))
-        return _from_terms(self.ring.varset, _unpacked(out, den, packing))
+        out, den, packing = self._leibniz(*_packed(p))
+        return _from_terms(self.ring.varset, _unpacked(out, packing), den)
 
     def _step(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
         """One application of D to a canonical packed integer term map over den.
@@ -140,7 +140,7 @@ class Derivation:
         """a's representative, packed, as integer numerators over one denominator."""
         if a.ring != self.ring:
             raise ValueError("element belongs to a different ring")
-        return _packed(a.rep.terms, len(self.ring.varset))
+        return _packed(a.rep)
 
     def apply(self, a: QuotElem) -> QuotElem:
         return self.ring._to_elem(*self._step(*self._integer_terms(a)))
@@ -165,7 +165,7 @@ class Derivation:
         """A safe nilpotency budget from the ambient size of a."""
         if a.is_zero():
             return 1
-        total = max(sum(exps) for exps in a.rep.terms)
+        total = max(sum(exps) for exps in a.rep.nums)
         return max(self.ring.weights) * total + 1
 
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:

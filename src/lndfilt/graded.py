@@ -9,7 +9,7 @@ with its degree.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, power_by_squaring
+from .polynomials import MultiPoly, _from_terms, power_by_squaring
 from .rings import QuotElem, RingPresentation
 
 
@@ -25,7 +25,7 @@ class GradedElem:
     def __init__(self, ring: RingPresentation, grade: int, part: MultiPoly):
         if part.varset != ring.varset:
             raise ValueError("graded part varset does not match the ring")
-        for exps in part.terms:
+        for exps in part.nums:
             if ring.monomial_degree(exps) != grade:
                 raise ValueError(
                     f"term of degree {ring.monomial_degree(exps)} in a grade-{grade} class"
@@ -66,13 +66,13 @@ class GradedElem:
         grade = self.grade + other.grade
         reduced = self.ring.normal_form(self.part * other.part).rep
         keep = {}
-        for exps, c in reduced.terms.items():
+        for exps, n in reduced.nums.items():
             got = self.ring.monomial_degree(exps)
             if got > grade:
                 raise RuntimeError(f"degree grew under multiplication: {exps}")
             if got == grade:
-                keep[exps] = c
-        return GradedElem(self.ring, grade, MultiPoly(self.ring.varset, keep))
+                keep[exps] = n
+        return GradedElem(self.ring, grade, _from_terms(self.ring.varset, keep, reduced.den))
 
     def __pow__(self, k: int) -> GradedElem:
         return power_by_squaring(
@@ -103,12 +103,8 @@ def gr_leading(a: QuotElem) -> GradedElem:
     deg = a.degree()
     if deg is None:
         raise ValueError("the zero element has no leading graded class")
-    keep = {
-        exps: c
-        for exps, c in a.rep.terms.items()
-        if a.ring.monomial_degree(exps) == deg
-    }
-    return GradedElem(a.ring, deg, MultiPoly(a.ring.varset, keep))
+    keep = {exps: n for exps, n in a.rep.nums.items() if a.ring.monomial_degree(exps) == deg}
+    return GradedElem(a.ring, deg, _from_terms(a.ring.varset, keep, a.rep.den))
 
 
 def graded_generators(ring: RingPresentation) -> dict[str, GradedElem]:

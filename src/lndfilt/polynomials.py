@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
-Polynomials are stored as a map from exponent tuples to nonzero Fraction
-coefficients, relative to a fixed ordered variable set.  All arithmetic is
-exact; there is no floating point anywhere in this package.
+A polynomial is stored as a map from exponent tuples to nonzero integer
+numerators over one positive denominator, in lowest terms, relative to a
+fixed ordered variable set (after FLINT's fmpq_mpoly: a rational content
+times an integer polynomial).  All arithmetic is exact; there is no floating
+point anywhere in this package.
 
 substitute_all is the package's one evaluation routine: it evaluates
 polynomials at images of their variables that are either all polynomials over
@@ -12,11 +14,11 @@ image powers, with one product per pattern of their exponents (after the
 multivariate Horner schemes of Ceberio & Kreinovich, ACM SIGSAM Bull. 38(1),
 2004, cut down to that one split), and all products are summed in place into
 one term map.  Ring elements are evaluated through their representatives, as
-polynomials.  When a multi-term image is used, the table, the products and
-the sums stay in the product kernel's packed integer form for the whole call,
-with one packing width fixed from a degree bound before the first product,
-and each result is converted back once: to exponent tuples and Fractions, or,
-at ring elements, to the integer map that the ring's one rewrite loop reduces.
+polynomials.  The table, the products and the sums stay in the product
+kernel's packed integer form for the whole call, with one packing width fixed
+from a degree bound before the first product, and each result is converted
+back once: to exponent tuples, or, at ring elements, to the integer map that
+the ring's one rewrite loop reduces.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, starmap
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
@@ -113,19 +115,19 @@ class WeightFunction:
         return f"WeightFunction({self.varset!r}, {self.weights})"
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+def _from_terms(varset: VarSet, nums: dict[tuple[int, ...], int], den: int = 1) -> MultiPoly:
+    """The polynomial nums/den, for nonzero numerators and den > 0: no copy, one gcd when den != 1.
 
-
-def _from_terms(varset: VarSet, terms: dict[tuple[int, ...], Fraction]) -> MultiPoly:
-    """A polynomial around an already clean term map (no copy, no checks)."""
+    The gcd of den and all numerators is divided out, so the result is in
+    lowest terms.
+    """
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: n // g for e, n in nums.items()}
     out = MultiPoly.__new__(MultiPoly)
-    out.varset = varset
-    out.terms = terms
+    out.varset, out.nums, out.den = varset, nums, den
     return out
 
 
@@ -207,10 +209,11 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 
 # ---------------------------------------------------------- product kernel
 #
-# Products run on plain ints (after Monagan & Pearce, CASC 2007): coefficients
-# are integer numerators over one denominator per value, and each exponent
-# tuple is packed into one int (Kronecker packing), so that a term pair costs
-# one int addition and one int product in _accumulate, the one double loop.
+# Products run on plain ints (after Monagan & Pearce, CASC 2007): a polynomial's
+# numerators are multiplied as they are stored, the denominators once per
+# product, and each exponent tuple is packed into one int (Kronecker packing),
+# so that a term pair costs one int addition and one int product in
+# _accumulate, the one double loop.
 # The rewrite loop (rings.py) and the Leibniz pass (derivations.py) share the
 # key format (_Packing): field k holds the exponent of variable k in `width`
 # bits, a multiple of 8 (struct.Struct packs and unpacks up to 64, shifts do
@@ -227,33 +230,11 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 # width (_Packing.widen, which reads the exact fields) and the pass runs
 # there, so a carry is never silent.  The Leibniz pass adds each input key
 # once, so its results are exact; they go to the rewrite loop, which tests
-# them, or to _unpacked.  Surviving terms are unpacked once per result, back
-# to exponent tuples and Fraction coefficients (_unpacked).  The helpers
-# return iterators, so that no list of a product's size lives beside the
-# product itself.
-
-
-def _numerators(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[Iterator[int], int]:
-    """The coefficients as integer numerators over their least common denominator."""
-    coeffs = terms.values()
-    den = lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return (c.numerator for c in coeffs), 1
-    return (c.numerator * (den // c.denominator) for c in coeffs), den
-
-
-def _fractions(nums: Iterable[int], den: int) -> Iterator[Fraction]:
-    if den == 1:
-        return map(Fraction, nums)
-    return (Fraction(n, den) for n in nums)
-
-
-def _scaled(c: Fraction, terms: Mapping[tuple[int, ...], Fraction]) -> Iterable[Fraction]:
-    """The coefficients of terms, each times the nonzero scalar c."""
-    if c == 1:
-        return terms.values()
-    nums, den = _numerators(terms)
-    return _fractions(map(c.numerator.__mul__, nums), c.denominator * den)
+# them, or to _unpacked.  Surviving keys are unpacked once per result, back
+# to exponent tuples (_unpacked), and the numerators stay as they are; the
+# result's denominator loses the gcd it shares with all of them
+# (_from_terms).  The key helpers return iterators, so that no list of a
+# product's size lives beside the product itself.
 
 
 class _Packing:
@@ -306,11 +287,10 @@ def _packing(top: int, nvars: int) -> _Packing:
     return _fields(8 << (top.bit_length() // 8).bit_length(), nvars)
 
 
-def _packed(terms: Mapping[tuple[int, ...], Fraction], nvars: int) -> tuple[dict[int, int], int, _Packing]:
-    """A term map as keys in the narrowest packing and integer numerators over one denominator."""
-    nums, den = _numerators(terms)
-    packing = _packing(max(map(max, terms), default=0), nvars)
-    return dict(zip(packing.keys(terms), nums)), den, packing
+def _packed(p: MultiPoly) -> tuple[dict[int, int], int, _Packing]:
+    """p's numerators under keys in the narrowest packing, p's denominator, and that packing."""
+    packing = _packing(max(map(max, p.nums), default=0), len(p.varset))
+    return dict(zip(packing.keys(p.nums), p.nums.values())), p.den, packing
 
 
 def _accumulate(
@@ -333,20 +313,17 @@ def _accumulate(
     return acc
 
 
-def _unpacked(acc: Mapping[int, int], den: int, packing: _Packing) -> dict[tuple[int, ...], Fraction]:
-    """The term map of packed numerators over den: the one conversion of a result."""
-    return dict(zip(packing.tuples(acc), _fractions(acc.values(), den)))
+def _unpacked(acc: Mapping[int, int], packing: _Packing) -> dict[tuple[int, ...], int]:
+    """The numerators of acc under exponent tuples: the one conversion of a result's keys."""
+    return dict(zip(packing.tuples(acc), acc.values()))
 
 
-def _product(
-    a: Mapping[tuple[int, ...], Fraction],
-    b: Mapping[tuple[int, ...], Fraction],
-) -> dict[tuple[int, ...], Fraction]:
-    """The term map of the product of two term maps.
+def _product(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The integer term map of the product of two integer term maps.
 
     Terms come out in the order of the schoolbook double loop over a, then
     b, where a key that cancels and reappears moves to the end; so the
-    order of .terms depends only on the operands' term orders.
+    order of the terms depends only on the operands' term orders.
     """
     if not a or not b:
         return {}
@@ -357,38 +334,79 @@ def _product(
         # distinct, so nothing cancels
         ((exps, c),) = a.items()
         keys = (tuple(map(add, exps, e)) for e in b) if any(exps) else b
-        return dict(zip(keys, _scaled(c, b)))
+        return dict(zip(keys, map(c.__mul__, b.values())))
     # the fields hold the largest exponent sum of any variable
     packing = _packing(max(map(add, map(max, zip(*a)), map(max, zip(*b)))), len(next(iter(a))))
-    nums_a, den_a = _numerators(a)
-    nums_b, den_b = _numerators(b)
-    acc = _accumulate({}, zip(packing.keys(a), nums_a), list(zip(packing.keys(b), nums_b)))
-    return _unpacked(acc, den_a * den_b, packing)
+    acc = _accumulate({}, zip(packing.keys(a), a.values()), list(zip(packing.keys(b), b.values())))
+    return _unpacked(acc, packing)
+
+
+class _TermView(Mapping):
+    """A polynomial's terms as a read-only map exponent tuple -> Fraction, for printing and tests.
+
+    len, in and iteration read the numerator map; only item access builds a
+    Fraction.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Mapping[tuple[int, ...], int], den: int):
+        self._nums, self._den = nums, den
+
+    def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
+        return Fraction(self._nums[exps], self._den)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._nums)
+
+    def __contains__(self, exps: object) -> bool:
+        return exps in self._nums
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class MultiPoly:
     """A sparse polynomial with exact rational coefficients.
 
-    Terms live in ``self.terms``: exponent tuple -> nonzero Fraction.  The
-    zero polynomial has an empty term map.  Instances are treated as
-    immutable; all operations return fresh polynomials.
+    The term with exponent tuple e has coefficient nums[e]/den: nums maps
+    exponent tuples to nonzero ints, den is a positive int, and the gcd of den
+    and all numerators is 1, so each polynomial has exactly one (nums, den).
+    The zero polynomial has nums == {} and den == 1.  ``terms`` shows the same
+    terms with Fraction coefficients.  Instances are treated as immutable; all
+    operations return fresh polynomials.
     """
 
-    __slots__ = ("varset", "terms")
+    __slots__ = ("varset", "nums", "den")
 
     def __init__(self, varset: VarSet, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        self.varset = varset
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             nvars = len(varset)
             for exps, c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for {varset!r}")
-                c = _as_fraction(c)
-                if c != 0:
+                if len(exps) != nvars or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+                    raise ValueError(
+                        f"bad exponent tuple in term {exps}: {c!r} for {varset!r}; "
+                        "exponents are integers >= 0, one per variable"
+                    )
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} of term {exps} is not an int or Fraction")
+                if c:
                     clean[exps] = c
-        self.terms = clean
+        # over the lcm of reduced denominators, the numerators share no
+        # factor with it: each prime of it keeps its full power under one term
+        den = lcm(*[c.denominator for c in clean.values()])
+        self.varset = varset
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        return _TermView(self.nums, self.den)
 
     # ---------------------------------------------------------------- basics
 
@@ -405,21 +423,21 @@ class MultiPoly:
         exps = [0] * len(varset)
         exps[varset.index(name)] = 1
         # one validated term: no cleaning pass needed
-        return _from_terms(varset, {tuple(exps): Fraction(1)})
+        return _from_terms(varset, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, varset: VarSet, exps: Sequence[int], c: Scalar = 1) -> MultiPoly:
         return cls(varset, {tuple(exps): c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self.terms.get((0,) * len(self.varset), Fraction(0))
+        return self.coefficient((0,) * len(self.varset))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def _check_same_varset(self, other: MultiPoly) -> None:
         if self.varset != other.varset:
@@ -439,14 +457,16 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        acc = dict(self.terms)
-        _add_terms(acc, q.terms.items())
-        return _from_terms(self.varset, acc)
+        den = lcm(self.den, q.den)
+        up, uq = den // self.den, den // q.den
+        acc = dict(self.nums) if up == 1 else {e: n * up for e, n in self.nums.items()}
+        _add_terms(acc, q.nums.items() if uq == 1 else ((e, n * uq) for e, n in q.nums.items()))
+        return _from_terms(self.varset, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return _from_terms(self.varset, {e: -c for e, c in self.terms.items()})
+        return _from_terms(self.varset, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: object) -> MultiPoly:
         q = self._coerce(other)
@@ -462,14 +482,16 @@ class MultiPoly:
 
     def __mul__(self, other: object) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 return MultiPoly.zero(self.varset)
-            return _from_terms(self.varset, dict(zip(self.terms, _scaled(c, self.terms))))
+            scale = other.numerator
+            return _from_terms(
+                self.varset, {e: n * scale for e, n in self.nums.items()}, self.den * other.denominator
+            )
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return _from_terms(self.varset, _product(self.terms, q.terms))
+        return _from_terms(self.varset, _product(self.nums, q.nums), self.den * q.den)
 
     __rmul__ = __mul__
 
@@ -481,24 +503,24 @@ class MultiPoly:
             other = MultiPoly.constant(self.varset, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.varset == other.varset and self.terms == other.terms
+        return self.varset == other.varset and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.varset, frozenset(self.terms.items())))
+        return hash((self.varset, self.den, frozenset(self.nums.items())))
 
     # ---------------------------------------------------------- calculus etc.
 
     def derivative(self, name: str) -> MultiPoly:
         """Formal partial derivative with respect to one variable."""
         k = self.varset.index(name)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, n in self.nums.items():
             if exps[k] == 0:
                 continue
             nxt = list(exps)
             nxt[k] -= 1
-            acc[tuple(nxt)] = c * exps[k]
-        return _from_terms(self.varset, acc)
+            acc[tuple(nxt)] = n * exps[k]
+        return _from_terms(self.varset, acc, self.den)
 
     def substitute(self, images: Mapping[str, E]) -> E:
         """Evaluate at polynomial or ring-element images of the variables; see substitute_all."""
@@ -507,27 +529,27 @@ class MultiPoly:
     def rename(self, target: VarSet) -> MultiPoly:
         """Transport to a varset that contains all variables used here."""
         mapping = [target.index(nm) for nm in self.varset.names]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, n in self.nums.items():
             out = [0] * len(target)
             for k, e in enumerate(exps):
                 out[mapping[k]] = e
-            acc[tuple(out)] = c
-        return _from_terms(target, acc)
+            acc[tuple(out)] = n
+        return _from_terms(target, acc, self.den)
 
     def weight_degree(self, w: WeightFunction) -> int | None:
         """Max weight of a term under w; None for the zero polynomial."""
         if w.varset != self.varset:
             raise ValueError("weight function varset mismatch")
-        if not self.terms:
+        if not self.nums:
             return None
-        return max(w.of_exponents(e) for e in self.terms)
+        return max(w.of_exponents(e) for e in self.nums)
 
     def top_component(self, w: WeightFunction) -> MultiPoly:
         """The sum of terms of maximal w-weight (0 for the zero polynomial)."""
         d = self.weight_degree(w)
         return _from_terms(
-            self.varset, {e: c for e, c in self.terms.items() if w.of_exponents(e) == d}
+            self.varset, {e: n for e, n in self.nums.items() if w.of_exponents(e) == d}, self.den
         )
 
     def divide_exact(self, divisor: MultiPoly) -> MultiPoly:
@@ -537,32 +559,34 @@ class MultiPoly:
         wrong valuation in a construction), hence the loud ValueError.
         """
         self._check_same_varset(divisor)
-        if len(divisor.terms) != 1:
+        if len(divisor.nums) != 1:
             raise ValueError("divide_exact expects a one-term divisor")
-        ((dexps, dc),) = divisor.terms.items()
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        ((dexps, dn),) = divisor.nums.items()
+        # (n/den) / (dn/dden) = (n*dden) / (den*dn), with the sign of dn moved up
+        scale = divisor.den if dn > 0 else -divisor.den
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, n in self.nums.items():
             out = tuple(a - b for a, b in zip(exps, dexps))
             if any(e < 0 for e in out):
                 raise ValueError(
-                    f"non-exact division: term {_format_term(self.varset, exps, c)} "
+                    f"non-exact division: term {_format_term(self.varset, exps, n, self.den)} "
                     f"not divisible by {divisor}"
                 )
-            acc[out] = c / dc
-        return _from_terms(self.varset, acc)
+            acc[out] = n * scale
+        return _from_terms(self.varset, acc, self.den * abs(dn))
 
     # -------------------------------------------------------------- printing
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in graded-lex descending order (canonical print order)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """(exponents, numerator over den) pairs in graded-lex descending order (canonical print order)."""
+        return sorted(self.nums.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts: list[str] = []
-        for exps, c in self.sorted_terms():
-            body = _format_term(self.varset, exps, c)
+        for exps, n in self.sorted_terms():
+            body = _format_term(self.varset, exps, n, self.den)
             if not parts:
                 parts.append(body)
             elif body.startswith("-"):
@@ -603,26 +627,27 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     one product of that factor with its group, and every group is summed in
     place into one term map, where a coefficient that cancels is deleted.
 
-    When some polynomial uses a table image, the whole call runs packed:
-    exponents are Kronecker-packed ints throughout, with one field width
-    fixed before the first product.  The exponent of target variable j in
+    The whole call runs packed: exponents are Kronecker-packed ints
+    throughout, with one field width fixed before the first product (so a
+    single-term image acts by adding its packed u e times).  The exponent of
+    target variable j in
     any intermediate is at most B_j = sum over used variables k of deg_k *
     (max exponent of j in the image of k), where deg_k is the largest
     exponent of k in any of polys, so the width is the bit length of the
-    largest B_j.  The table holds each image as integer numerators over its
-    denominator d, and their powers; a term's coefficient takes d^-e for the
-    image's power e that its factor uses.  A polynomial's groups are scaled
-    to numerators over their least common denominator, and the kernel's
-    double loop adds each product of a factor with a group straight into one
-    sum of numerators.  Each result is converted back to exponent tuples and
-    Fractions once, at the end.  A call whose used images all have one term
-    packs nothing.
+    largest B_j.  The table holds each image's numerators, and their powers.
+    Every term of a polynomial p is brought over one denominator, p's times
+    b^top for each used image over b, where top is p's largest exponent of
+    that image's variable; a term with exponent e there takes b^(top - e),
+    and, for a single-term image c*x^u/b, c^e.  The kernel's double loop adds
+    each product of a factor with a group straight into one sum of
+    numerators over that denominator.  Each result is converted back to
+    exponent tuples once, at the end, and loses the gcd of its denominator
+    and numerators.  With no images at all, every polynomial must be a
+    constant, and is returned as it is.
 
-    At ring elements a packed sum goes, as integer numerators over its
+    At ring elements the packed sum goes, as integer numerators over its
     denominator, straight into the ring's rewrite loop (_rewrite) and is
-    converted to a QuotElem once (_to_elem); an unpacked sum goes through
-    one ring.normal_form, which only scans when no single-term image carries
-    a rewrite-rule head variable (S or Y).  Powers and products are not
+    converted to a QuotElem once (_to_elem).  Powers and products are not
     reduced on the way, so they can be much larger than their canonical
     forms: a product of several multi-term images, or a power past d in S
     or m in Y, swells before the one rewrite.  Low exponents, as in the
@@ -641,7 +666,7 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     target = ring.varset if ring is not None else home
 
     # the largest exponent of each variable in each polynomial, and over all
-    tops = [tuple(map(max, zip(*p.terms))) for p in polys]
+    tops = [tuple(map(max, zip(*p.nums))) for p in polys]
     degrees: dict[str, int] = {}
     for p, top in zip(polys, tops):
         for nm, d in zip(p.varset.names, top):
@@ -649,41 +674,33 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
                 if nm not in images:
                     raise ValueError(f"no substitution image for variable {nm!r}")
                 degrees[nm] = max(d, degrees.get(nm, 0))
+    if target is None:
+        # no images: every polynomial is a constant, and is its own value
+        return list(polys)
     if ring is not None:
         # a ring element is read as its representative
         images = {nm: images[nm].rep for nm in degrees}
-    # only used images are read: a single-term image c*x^u as its u, with c
-    # in scale; every other image as the first power of its table ladder
-    single: dict[str, tuple[int, ...]] = {}
-    scale: dict[str, Fraction] = {}
+    # no exponent of target variable j in any intermediate exceeds bound[j]
+    # (all bounds are 0 when every used image is a constant or zero)
+    bound = [0] * len(target)
+    for nm, d in degrees.items():
+        nums = images[nm].nums
+        if nums:
+            bound = [b + d * u for b, u in zip(bound, map(max, zip(*nums)))]
+    packing = _packing(max(bound), len(target))
+    # only used images are read: a single-term image (c/b)*x^u as the packed
+    # key of u, with c in scale; every other image as the first power of its
+    # table ladder
+    moves: dict[str, int] = {}
+    scale: dict[str, int] = {}
     table: dict[str, dict[int, dict[int, int]]] = {}
     for nm in degrees:
-        terms = images[nm].terms
-        if len(terms) == 1:
-            ((single[nm], scale[nm]),) = terms.items()
+        nums = images[nm].nums
+        if len(nums) == 1:
+            ((u, scale[nm]),) = nums.items()
+            moves[nm] = packing.pack(u)
         else:
-            table[nm] = {}
-
-    if table:
-        # no exponent of target variable j in any intermediate exceeds bound[j]
-        bound = [0] * len(target)
-        for nm, d in degrees.items():
-            terms = images[nm].terms
-            if terms:
-                bound = [b + d * u for b, u in zip(bound, map(max, zip(*terms)))]
-        # (all bounds are 0 when every used image is a constant or zero)
-        packing = _packing(max(bound), len(target))
-        moves = {nm: packing.pack(u) for nm, u in single.items()}
-        # the table holds integer numerators; each power's denominator
-        # goes into the coefficients of the terms that use it
-        for nm, ladder in table.items():
-            terms = images[nm].terms
-            nums, den = _numerators(terms)
-            ladder[1] = dict(zip(packing.keys(terms), nums))
-            scale[nm] = Fraction(1, den)
-    else:
-        # the nonzero (index, u_j) of each u
-        moves = {nm: tuple((j, b) for j, b in enumerate(u) if b) for nm, u in single.items()}
+            table[nm] = {1: dict(zip(packing.keys(nums), nums.values()))}
 
     unit = {0: 1}
 
@@ -700,33 +717,27 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
 
     def evaluate(p: MultiPoly, top: tuple[int, ...]) -> E:
         names = p.varset.names
-        vs = p.varset if target is None else target
-        nvars = len(vs)
         used = [(k, names[k]) for k, d in enumerate(top) if d]
-        shifts = [(k, moves[nm]) for k, nm in used if nm in single]
-        scales = [(k, scale[nm]) for k, nm in used if scale.get(nm, 1) != 1]
+        shifts = [(k, moves[nm]) for k, nm in used if nm in moves]
         powered = [(k, nm) for k, nm in used if nm in table]
+        # every term over den = p.den * prod b_k^top_k, for the denominator b_k
+        # of each used image: a term with exponent e on variable k takes
+        # c_k^e * b_k^(top_k - e), c_k the numerator of a single-term image
+        # and 1 for a table image
+        den = p.den
+        weights = []
+        for k, nm in used:
+            b = images[nm].den
+            den *= b ** top[k]
+            c = scale.get(nm, 1)
+            if b != 1 or c != 1:
+                weights.append((k, c, b, top[k]))
         groups: dict[tuple[int, ...], dict] = {}
-        for exps, c in p.terms.items():
-            if table:
-                key = sum([exps[k] * u for k, u in shifts])
-            else:
-                out = [0] * nvars
-                for k, nonzero in shifts:
-                    e = exps[k]
-                    if e:
-                        for j, b in nonzero:
-                            out[j] += e * b
-                key = tuple(out)
-            for k, ck in scales:
-                if exps[k]:
-                    c *= ck ** exps[k]
-            _add_terms(groups.setdefault(tuple([exps[k] for k, _ in powered]), {}), ((key, c),))
-        if not table:
-            # the one group, of pattern ()
-            out = _from_terms(vs, groups.get((), {}))
-            return out if ring is None else ring.normal_form(out)
-        den = lcm(*[c.denominator for group in groups.values() for c in group.values()])
+        for exps, n in p.nums.items():
+            key = sum([exps[k] * u for k, u in shifts])
+            for k, c, b, t in weights:
+                n *= c ** exps[k] * b ** (t - exps[k])
+            _add_terms(groups.setdefault(tuple([exps[k] for k, _ in powered]), {}), ((key, n),))
         total: dict[int, int] = {}
         for pattern, group in groups.items():
             factor = unit
@@ -734,20 +745,20 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
                 if e:
                     pk = power(nm, e)
                     factor = pk if factor is unit else _accumulate({}, factor.items(), list(pk.items()))
-            nums = [c.numerator * (den // c.denominator) for c in group.values()]
-            _accumulate(total, zip(group, nums), list(factor.items()))
+            if factor is unit and not total:
+                total = group
+            else:
+                _accumulate(total, group.items(), list(factor.items()))
         if ring is None:
-            return _from_terms(vs, _unpacked(total, den, packing))
+            return _from_terms(target, _unpacked(total, packing), den)
         # one rewrite of the packed integer sum, and one conversion
         return ring._to_elem(*ring._rewrite(total, den, packing, "s_first"))
 
     return [evaluate(p, top) for p, top in zip(polys, tops)]
 
 
-def _add_terms(
-    terms: dict[tuple[int, ...], Fraction], pairs: Iterable[tuple[tuple[int, ...], Fraction]]
-) -> None:
-    """Add the (exponents, coefficient) pairs into a term map in place, deleting a key that cancels."""
+def _add_terms(terms: dict[T, int], pairs: Iterable[tuple[T, int]]) -> None:
+    """Add the (key, numerator) pairs into a term map in place, deleting a key that cancels."""
     get = terms.get
     for exps, c in pairs:
         old = get(exps)
@@ -792,11 +803,17 @@ def _decimal(n: int) -> str:
     return sign + "".join(reversed(pieces))
 
 
-def _format_coeff(c: Fraction) -> str:
-    """str(c), for a numerator and denominator of any size."""
-    if c.denominator == 1:
-        return _decimal(c.numerator)
-    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+def _format_coeff(num: int, den: int = 1) -> str:
+    """str(Fraction(num, den)) for den > 0, for a numerator and denominator of any size.
+
+    One int gcd brings num/den to lowest terms.
+    """
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    if den == 1:
+        return _decimal(num)
+    return f"{_decimal(num)}/{_decimal(den)}"
 
 
 # read_rational refuses a numerator or denominator of more digits: far more
@@ -844,7 +861,8 @@ def read_rational(value: object, what: str) -> Fraction:
     return Fraction(-_read_decimal(p) if sign == "-" else _read_decimal(p), q)
 
 
-def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:
+def _format_term(varset: VarSet, exps: tuple[int, ...], num: int, den: int) -> str:
+    """The text of the term (num/den)*x^exps."""
     factors = []
     for nm, e in zip(varset.names, exps):
         if e == 1:
@@ -852,12 +870,12 @@ def _format_term(varset: VarSet, exps: tuple[int, ...], c: Fraction) -> str:
         elif e > 1:
             factors.append(f"{nm}^{e}")
     if not factors:
-        return _format_coeff(c)
-    if c == 1:
+        return _format_coeff(num, den)
+    if num == den:
         return "*".join(factors)
-    if c == -1:
+    if num == -den:
         return "-" + "*".join(factors)
-    return _format_coeff(c) + "*" + "*".join(factors)
+    return _format_coeff(num, den) + "*" + "*".join(factors)
 
 
 # ------------------------------------------------------------------- parsing
@@ -991,7 +1009,7 @@ class _Parser:
         tok = self.take()
         kind, text, at = tok
         if kind == "int":
-            value = Fraction(self.literal(tok))
+            value = self.literal(tok)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.take()
@@ -1001,7 +1019,7 @@ class _Parser:
                 q = self.literal(den)
                 if q == 0:
                     raise ParseError("zero denominator", den[2])
-                value /= q
+                value = Fraction(value, q)
             return MultiPoly.constant(self.varset, value)
         if kind == "name":
             if text not in self.varset:

@@ -35,18 +35,21 @@ Algorithms, ch. 2 sec. 9) the rewriting is confluent, and a strategy only
 decides which rule is tried first on a monomial that both rules reduce.
 
 The rewrite loop runs on plain ints and packed exponent keys (the key format
-of polynomials.py).  Each rule's tail coefficients and cofactor scale are
-stored once per ring as integer numerators over one tail denominator td, and
-its keys once per ring and width; each pass moves the input's denominator on
-by td (nothing to do when td is 1), and a rewrite of key costs one int
-addition per tail term, key + (tail key - head key).  Guard and restart:
-before each pass the loop tests the guard bits of all its keys; if one is
-set, the pass's input and cofactors move to double the width first.  So
-every pass adds only keys with clear guard bits, and such a sum has no
-carried field (polynomials' key format).  The loop is one method, _rewrite,
-which returns the packed map, its denominator and packing; the one
-conversion to a QuotElem is _to_elem.  normal_form packs its input once and
-runs both (an input that is already canonical is returned as it is).
+of polynomials.py).  A polynomial's numerators and denominator go in as
+MultiPoly stores them, with only the keys packed, and the results come out
+the same way, with only the keys unpacked.  Each rule's tail coefficients
+and cofactor scale are stored once per ring as integer numerators over one
+tail denominator td, and its keys once per ring and width; each pass moves
+the input's denominator on by td (nothing to do when td is 1), and a rewrite
+of key costs one int addition per tail term, key + (tail key - head key).
+Guard and restart: before each pass the loop tests the guard bits of all its
+keys; if one is set, the pass's input and cofactors move to double the width
+first.  So every pass adds only keys with clear guard bits, and such a sum
+has no carried field (polynomials' key format).  The loop is one method,
+_rewrite, which returns the packed map, its denominator and packing; the one
+conversion to a QuotElem is _to_elem, which unpacks the keys and divides out
+one gcd per result.  normal_form packs its input once and runs both (an input
+that is already canonical is returned as it is).
 Derivation hands its packed Leibniz map straight in and takes the packed map
 back, so an orbit a, D(a), D^2(a), ... stays packed; substitute_all, at ring
 elements, hands in its packed sum the same way.
@@ -350,7 +353,7 @@ class RingPresentation(ReadableDocument):
         of base, so this one check covers every application of the rule.
         """
         bound = self._measure(head)
-        for texps in tail.terms:
+        for texps in tail.nums:
             if not self._measure(texps) < bound:
                 raise RuntimeError(
                     f"rewrite rule {head} -> {tail} does not drop the termination "
@@ -384,18 +387,20 @@ class RingPresentation(ReadableDocument):
         """
         derived = []
         for index, (head, rel) in enumerate(self._relations()):
-            scale = 1 / rel.terms[head]
+            scale = Fraction(rel.den, rel.nums[head])
             tail = MultiPoly.monomial(self.varset, head) - rel * scale
             self._check_rule_drops(head, tail)
             var = next(k for k, power in enumerate(head) if power)
-            derived.append((var, head[var], tail.terms, index, scale))
-        td = lcm(*[c.denominator for _, _, tail, _, scale in derived for c in (*tail.values(), scale)])
-
-        def over_td(c: Fraction) -> int:
-            return c.numerator * (td // c.denominator)
-
+            derived.append((var, head[var], tail, index, scale))
+        td = lcm(*[q for _, _, tail, _, scale in derived for q in (tail.den, scale.denominator)])
         rules = tuple(
-            (var, power, tuple((texps, over_td(tc)) for texps, tc in tail.items()), index, over_td(scale))
+            (
+                var,
+                power,
+                tuple((texps, n * (td // tail.den)) for texps, n in tail.nums.items()),
+                index,
+                scale.numerator * (td // scale.denominator),
+            )
             for var, power, tail, index, scale in derived
         )
         return {"s_first": (td, rules), "y_first": (td, rules[::-1])}
@@ -434,8 +439,8 @@ class RingPresentation(ReadableDocument):
         denominator den (after Monagan & Pearce, J. Symb. Comp. 2011).  Each
         pass pops every reducible monomial, moves what is left (and the
         cofactors) from den to den*td, and adds c*tail for each popped
-        numerator c with int arithmetic; the keys are unpacked and the values
-        turn back into Fractions once, at the end.
+        numerator c with int arithmetic; at the end the keys are unpacked once
+        and the numerators stay, over den less its gcd with all of them.
         Each monomial's rule is fixed by the strategy and the total
         coefficient rewritten through it is fixed by the input, so the
         representative and the cofactors do not depend on the order of the
@@ -446,14 +451,14 @@ class RingPresentation(ReadableDocument):
         ruleset = self._rule_tails().get(strategy)
         if ruleset is None:
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not any(exps[rule[0]] >= rule[1] for exps in p.terms for rule in ruleset[1]):
+        if not any(exps[rule[0]] >= rule[1] for exps in p.nums for rule in ruleset[1]):
             # already canonical: no conversion, no copy
             elem = QuotElem(self, p, _trusted=True)
             if not with_cofactors:
                 return elem
             zero = MultiPoly.zero(self.varset)
             return elem, (zero, zero if len(ruleset[1]) > 1 else None)
-        current, den, packing = _packed(p.terms, len(self.varset))
+        current, den, packing = _packed(p)
         return self._to_elem(*self._rewrite(current, den, packing, strategy, with_cofactors))
 
     def _rewrite(
@@ -513,13 +518,15 @@ class RingPresentation(ReadableDocument):
         packing: _Packing,
         cofactors: list[dict[int, int]] | None = None,
     ):
-        """The one conversion of a canonical packed integer term map to exponent tuples and Fractions.
+        """The one conversion of a canonical packed integer term map over den to exponent tuples.
 
-        Returns the QuotElem, or (QuotElem, (A, B)) when cofactors are given.
+        Each result keeps its numerators and loses the gcd of den and all of
+        them.  Returns the QuotElem, or (QuotElem, (A, B)) when cofactors are
+        given.
         """
 
         def poly(terms: dict[int, int]) -> MultiPoly:
-            return _from_terms(self.varset, _unpacked(terms, den, packing))
+            return _from_terms(self.varset, _unpacked(terms, packing), den)
 
         elem = QuotElem(self, poly(current), _trusted=True)
         if cofactors is None:
@@ -667,7 +674,7 @@ class QuotElem:
         """
         if self.rep.is_zero():
             return None
-        return max(self.ring.monomial_degree(e) for e in self.rep.terms)
+        return max(self.ring.monomial_degree(e) for e in self.rep.nums)
 
     def __str__(self) -> str:
         return str(self.rep)
@@ -680,9 +687,9 @@ class QuotElem:
     def to_json_list(self) -> list[dict]:
         keys = [nm.lower() for nm in self.ring.varset.names]
         out = []
-        for exps, c in self.rep.sorted_terms():
+        for exps, n in self.rep.sorted_terms():
             entry = {k: e for k, e in zip(keys, exps)}
-            entry["c"] = _format_coeff(c)
+            entry["c"] = _format_coeff(n, self.rep.den)
             out.append(entry)
         return out
 

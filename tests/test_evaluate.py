@@ -346,22 +346,25 @@ def test_twist_compose_converts_each_image_once(monkeypatch):
     assert calls == Counter()
     # one conversion per result image, and each is that image's term map
     assert len(converted) == 5
-    assert [id(t) for t in converted] == [id(p.terms) for p in composite.images.values()]
+    assert [id(t) for t in converted] == [id(p.nums) for p in composite.images.values()]
 
 
-def test_unused_and_single_term_images_pack_nothing(monkeypatch):
+def test_unused_and_single_term_images_take_no_products(monkeypatch):
     vs = VarSet(("X", "S", "Y", "Z"))
-    big = parse_poly("(1 + X + S + Y + Z)^4", vs)
-    images = {"X": parse_poly("-2/3*Y", vs), "S": parse_poly("S", vs), "Y": parse_poly("5", vs), "Z": big}
+    tripwire = _Untouchable.__new__(_Untouchable)
+    tripwire.varset = vs
+    images = {"X": parse_poly("-2/3*Y", vs), "S": parse_poly("S", vs), "Y": parse_poly("5", vs), "Z": tripwire}
     polys = [parse_poly("X^3*S - 7/2*X*Y^2 + S + 1", vs), MultiPoly.zero(vs)]
     want = [fresh_power_substitute(p, images) for p in polys]
     calls = Counter()
-    for name in ("_packing", "_accumulate", "_unpacked", "_numerators", "_product"):
+    for name in ("_packing", "_accumulate", "_unpacked", "_packed", "_product"):
         _count_calls(monkeypatch, calls, polynomials, name)
     got = substitute_all(polys, images)
     monkeypatch.undo()
     assert got == want
-    assert calls == Counter()
+    # one packing for the call and one conversion per result: no product,
+    # and the unused Z-image is never read
+    assert calls == Counter({"_packing": 1, "_unpacked": len(polys)})
 
 
 class _Untouchable(MultiPoly):
@@ -370,7 +373,11 @@ class _Untouchable(MultiPoly):
     __slots__ = ()
 
     @property
-    def terms(self):
+    def nums(self):
+        raise AssertionError("the unused T-image was read")
+
+    @property
+    def den(self):
         raise AssertionError("the unused T-image was read")
 
 

@@ -1,5 +1,6 @@
 """Polynomial layer: parsing, printing, exact arithmetic, weights."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -134,11 +135,11 @@ def test_coefficients_print_at_any_size():
     # Decimal converts an int without str(), so it is free of the 4,300-digit limit
     values = [0, 7, -7, 10**999, 10**1000 - 1, 10**1000, -(10**1000) - 1, 10**2000 + 1, 10**5000 + 3, -(99**3000)]
     for n in values:
-        assert _format_coeff(Fraction(n)) == str(Decimal(n))
+        assert _format_coeff(n) == str(Decimal(n))
         assert str(MultiPoly.monomial(XSYZ, (1, 0, 0, 0), n)) == {0: "0", 1: "X", -1: "-X"}.get(n, f"{Decimal(n)}*X")
         c = Fraction(n, 10**4500 + 1)
         want = f"{Decimal(c.numerator)}/{Decimal(c.denominator)}" if c.denominator > 1 else str(Decimal(c.numerator))
-        assert _format_coeff(c) == want
+        assert _format_coeff(n, 10**4500 + 1) == want
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -181,6 +182,18 @@ def test_scalar_coercion():
     assert 2 * x + 1 == P("2*X + 1")
     assert Fraction(1, 2) * x == P("1/2*X")
     assert 1 - x == P("1 - X")
+
+
+def test_terms_must_be_exact():
+    xy = VarSet(("X", "Y"))
+    # an inexact or boolean exponent would print as X^1.5 and square to X^3.0
+    for exps in ((1.5, 0), (True, 0), (Fraction(1), 0), (1, -1), (1,)):
+        with pytest.raises(ValueError, match=f"bad exponent tuple in term {re.escape(str(exps))}: 1 for"):
+            MultiPoly(xy, {exps: 1})
+    for c in (True, False, 0.5, "1"):
+        with pytest.raises(TypeError, match=rf"coefficient {c!r} of term \(1, 0\) is not an int or Fraction"):
+            MultiPoly(xy, {(1, 0): c})
+    assert str(MultiPoly(xy, {(2, 0): 3, (0, 1): Fraction(-1, 2), (1, 1): 0})) == "3*X^2 - 1/2*Y"
 
 
 # ------------------------------------------------------- calculus and weights

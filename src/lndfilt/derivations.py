@@ -1,41 +1,56 @@
 """Locally nilpotent derivations and the degree function they induce.
 
-A derivation is stored by its images on the ambient generators; it acts on
-canonical representatives through the Leibniz rule and is validated against
-the defining relations at construction time.  The induced degree of a ring
-element a is the least i with D^(i+1)(a) = 0, computed by honest iteration
-(this is the oracle that the closed-form degree bookkeeping is tested
-against).
+A derivation is stored by its images on the ambient generators and is
+validated against the defining relations at construction time.  The induced
+degree of a ring element a is the least i with D^(i+1)(a) = 0, computed by
+honest iteration (this is the oracle that the closed-form degree
+bookkeeping is tested against).
 
-The Leibniz rule runs in one integer pass on packed exponent keys (the key
-format of polynomials.py).  At construction each nonzero generator image is
-stored as integer numerators over one common denominator den_D; for p =
-(1/den) sum n_a x^a the pass adds n_a * a_k * m_u at key a - x_k + u for every
-k with a_k > 0 and every image term m_u x^u, one int addition per term, so
-D(p) comes out as numerators over den * den_D.  That map goes straight to the
-ring's rewrite loop, which hands back the canonical map of D(p), still packed
-(_step).  degree and iterate feed each result to the next step, so the orbit
-a, D(a), D^2(a), ... stays packed from a's representative to the empty map:
-degree builds no exponent tuple, and a result is unpacked only where a caller
-asks for an element (apply's result, iterate's last, the budget error's
-message).  Guard and restart: the pass adds each input key, whose guard bits
-are clear, to one image move, so no field carries (polynomials' key format);
-a field that reaches its guard bit stays exact, and the rewrite loop, which
-tests every key before each pass, moves the map to double the width before
-that key is added again.  With rational tails (td > 1) or a scaled D (den_D >
-1) the denominator grows, so after a step with den != 1 the map and den are
-divided by the gcd of den and all numerators, the lowest terms that MultiPoly
-keeps.  Checks independent of this pass: the written-out golden degrees and
-images of acceptance #1 and #2, the closed form (monomial_degree) that
-degree_consistency compares with, test_leibniz_rule (D(ab) = a D(b) + b D(a)
-on products formed in the ring), and the tests comparing apply, degree and
-iterate with the MultiPoly derivative route, sum_k dp/dx_k * D(x_k), reduced
-by normal_form or by a Fraction rewrite loop.
+One application of D to a canonical representative is one pass over a table
+of normal forms (_step), with no rewriting: per head monomial h (a product
+of the variables that head the ring's rewrite rules, each below its head
+power), nf(D(h)) and nf(h*D(v)) for each other variable v with D(v)
+nonzero.  _step_rows proves that these values fix D on canonical
+elements.  They are built once per derivation, on its first step, by the
+Leibniz pass below and normal_form, as integer numerators over one common
+denominator den_T, and packed once per key width as moves: a term's key less
+the key of h (and of v).  A step reads h from the key of a term c*x^a by one
+mask, adds c*m at key + move for each term of nf(D(h)), and c*e_v*m (e_v the
+exponent of v in x^a) at key + move for each term of each nf(h*D(v)); so p =
+(1/den) sum c_a x^a goes to D(p) over den*den_T, canonical as it is
+built.  degree and iterate feed each result to the next step, so the orbit a,
+D(a), D^2(a), ... stays packed from a's representative to the empty map, and
+a result is unpacked only where a caller asks for an element (apply's
+result, iterate's last, the budget error's message).  Guard and restart (the
+key format of polynomials.py): a step first tests the guard bits of its
+input keys and moves the map to double the width while one is set or the
+table does not fit; then every field of key - h - v and every table exponent
+is below 2^(width-1), so no sum carries.  After a step with den != 1 the map
+and den are divided by the gcd of den and all numerators, the lowest terms
+that MultiPoly keeps.  canonical_derivation builds its derivation once per
+ring object and holds it on the ring, so one step table serves every caller.
+
+The Leibniz pass (_leibniz, _formal_apply) differentiates an ambient
+polynomial in one integer pass on packed keys: each nonzero generator image
+is stored as integer numerators over one denominator den_D, and a term
+n_a*x^a adds n_a*a_k*m_u at key a - x_k + u for every k with a_k > 0 and
+every image term m_u*x^u.  It validates the images against the relations at
+construction and builds the step table.  Checks independent of the step
+table: the written-out golden degrees and images of acceptance #1 and #2,
+the closed form (monomial_degree) that degree_consistency compares with,
+test_leibniz_rule (D(ab) = a D(b) + b D(a) on products formed in the ring),
+and tests/test_leibniz.py, which compares apply, degree and iterate with the
+MultiPoly derivative route, sum_k dp/dx_k * D(x_k), reduced by normal_form
+or, along whole orbits, by a Fraction rewrite loop that shares no integer
+code with degree and iterate.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
 from math import gcd, lcm
+from operator import or_
 from typing import Mapping
 
 from .polynomials import MultiPoly, _Packing, _from_terms, _packed, _unpacked
@@ -49,7 +64,7 @@ class BudgetExceededError(RuntimeError):
 class Derivation:
     """A k-derivation of one presented ring, given by generator images."""
 
-    __slots__ = ("ring", "images", "_table", "_packed")
+    __slots__ = ("ring", "images", "_table", "_rows", "_packed")
 
     def __init__(self, ring: RingPresentation, images: Mapping[str, QuotElem]):
         self.ring = ring
@@ -69,6 +84,7 @@ class Derivation:
             for k, img in enumerate(got.values())
             if not img.is_zero()
         )
+        self._rows: tuple | None = None
         self._packed: dict[int, tuple | None] = {}
         for rel in ring.relation_polys():
             residual = self._formal_apply(rel)
@@ -78,24 +94,16 @@ class Derivation:
                     f"{ring.normal_form(residual)}"
                 )
 
-    def _packed_images(self, packing: _Packing) -> tuple | None:
-        """The image table at one packing (_Packing.table), built once per width.
-
-        None when an image exponent does not fit the packing.
-        """
-        if packing.width not in self._packed:
-            self._packed[packing.width] = packing.table([(k, 1, image) for k, image in self._table[1]])
-        return self._packed[packing.width]
-
     def _leibniz(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
-        """D of the ambient polynomial with packed integer numerators terms over den, in the same form.
+        """D of the ambient polynomial with packed integer numerators terms over den, unreduced, in the same form.
 
         terms first move to double the width while the images do not fit.
         """
-        table = self._packed_images(packing)
+        rows = [(k, 1, image) for k, image in self._table[1]]
+        table = packing.table(rows)
         while table is None:
             terms, packing = packing.widen(terms)
-            table = self._packed_images(packing)
+            table = packing.table(rows)
         mask = packing.mask
         out: dict[int, int] = {}
         get = out.get
@@ -119,16 +127,117 @@ class Derivation:
         out, den, packing = self._leibniz(*_packed(p))
         return _from_terms(self.ring.varset, _unpacked(out, packing), den)
 
+    def _step_rows(self) -> tuple[int, int, tuple]:
+        """den_T, the largest exponent, and per head monomial h (exps of h, nf(D(h)), ((v, nf(h*D(v))), ...)).
+
+        Why these values fix D on canonical elements.  Call the variables
+        that head a rewrite rule (read from ring._rule_tails: s, and y in
+        the full family) the head variables and the others (x, z, t, and y
+        in the danielewski family) free.  Each canonical monomial splits as
+        f*h, h a head monomial, every head exponent below its head power,
+        and f a monomial in the free variables.  A rule reduces a monomial
+        only through a head exponent, and f changes none, so f times a
+        canonical polynomial is canonical, and nf(f*g) = f*nf(g) for every
+        ambient g.  D is k-linear, D(f*h) = f*D(h) + h*D(f), and D(f) = sum
+        over free v of e_v*(f/v)*D(v), e_v the exponent of v in f
+        (Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, 2nd
+        ed. 2017).  Hence
+
+            nf(D(f*h)) = f*nf(D(h)) + sum over free v with D(v) != 0 of e_v*(f/v)*nf(h*D(v)).
+
+        v runs over those free variables, and every value is a tuple of
+        (exps, numerator) over den_T.  Built once, on the first step.
+        """
+        if self._rows is None:
+            ring, vs = self.ring, self.ring.varset
+            heads = {var: power for var, power, *_ in ring._rule_tails()["s_first"][1]}
+            free = [(k, img.rep) for k, img in enumerate(self.images.values()) if k not in heads and not img.is_zero()]
+            built = []
+            for exps in product(*[range(heads.get(k, 1)) for k in range(len(vs))]):
+                h = MultiPoly.monomial(vs, exps)
+                values = [ring.normal_form(self._formal_apply(h)).rep]
+                values += [ring.normal_form(h * image).rep for _, image in free]
+                built.append((exps, values))
+            den = lcm(*[p.den for _, values in built for p in values])
+            top = max(e for h, values in built for u in (h, *[u for p in values for u in p.nums]) for e in u)
+
+            def scaled(p: MultiPoly) -> tuple:
+                return tuple((u, n * (den // p.den)) for u, n in p.nums.items())
+
+            self._rows = den, top, tuple(
+                (h, scaled(values[0]), tuple((v, scaled(p)) for (v, _), p in zip(free, values[1:])))
+                for h, values in built
+            )
+        return self._rows
+
+    def _step_table(self, packing: _Packing) -> tuple | None:
+        """The step table at one packing, built once per width.
+
+        (den_T, mask of the head fields, {key of h: (moves of nf(D(h)),
+        ((shift of v, moves of nf(h*D(v))), ...))}), a move being a term's
+        key less the key of h (and of v) paired with the term's numerator;
+        None when an exponent does not fit.
+        """
+        if packing.width not in self._packed:
+            den, top, rows = self._step_rows()
+            table = None
+            if not top >> (packing.width - 1):
+                pack, shifts = packing.pack, packing.shifts
+                entries = {}
+                for h, image, free in rows:
+                    base = pack(h)
+                    entries[base] = (
+                        tuple((pack(u) - base, n) for u, n in image),
+                        tuple(
+                            (shifts[v], tuple((pack(u) - base - (1 << shifts[v]), n) for u, n in terms))
+                            for v, terms in free
+                        ),
+                    )
+                heads = sum(packing.mask << shifts[rule[0]] for rule in self.ring._rule_tails()["s_first"][1])
+                table = den, heads, entries
+            self._packed[packing.width] = table
+        return self._packed[packing.width]
+
     def _step(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
         """One application of D to a canonical packed integer term map over den.
 
-        The Leibniz pass, then the ring's rewrite loop, which moves the map to
-        double the width when a guard bit is set before a pass, so no field
-        carries; the result is the canonical map of D(a) in the packing the
-        loop leaves (never narrower), with clear guard bits, over a
-        denominator with no factor common to all of its numerators.
+        One pass over the step table (module docstring), after moving the
+        map to double the width while a guard bit of its keys is set or the
+        table does not fit, so no field carries.  The result is the
+        canonical map of D(a) in that packing, over a denominator with no
+        factor common to all of its numerators; its guard bits may be set,
+        and the next step tests them.
         """
-        out, den, packing, _ = self.ring._rewrite(*self._leibniz(terms, den, packing), "s_first")
+        table = self._step_table(packing)
+        while table is None or reduce(or_, terms, 0) & packing.guard:
+            terms, packing = packing.widen(terms)
+            table = self._step_table(packing)
+        den_t, heads, entries = table
+        mask = packing.mask
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in terms.items():
+            image, free = entries[key & heads]
+            for move, m in image:
+                new = key + move
+                v = get(new, 0) + c * m
+                if v:
+                    out[new] = v
+                else:
+                    del out[new]
+            for shift, moves in free:
+                power = key >> shift & mask
+                if not power:
+                    continue
+                c_v = c * power
+                for move, m in moves:
+                    new = key + move
+                    v = get(new, 0) + c_v * m
+                    if v:
+                        out[new] = v
+                    else:
+                        del out[new]
+        den *= den_t
         if den != 1:
             g = gcd(den, *out.values())
             if g != 1:
@@ -199,19 +308,22 @@ def canonical_derivation(ring: RingPresentation) -> Derivation:
     Sends x to 0 and s to x^(n+e); the images of y (and z) are forced by the
     relations:  y -> x^e * dP/dS,  z -> dQ/dY * dP/dS - x^n.  On danielewski
     rings (e = 0) this is x^n * d/dS + dP/dS * d/dY.  The cylinder variable
-    T, when present, is sent to 0.
+    T, when present, is sent to 0.  Built once per ring object and held on
+    it, so every caller on one ring shares its step table.
     """
-    vs = ring.varset
-    x = MultiPoly.variable(vs, "X")
-    dp_ds = ring.p_poly().derivative("S")
-    images = {
-        "X": ring.zero(),
-        "S": ring.element(x ** (ring.n + ring.e)),
-        "Y": ring.element(x ** ring.e * dp_ds),
-    }
-    if ring.family == "full":
-        dq_dy = ring.q_poly().derivative("Y")
-        images["Z"] = ring.element(dq_dy * dp_ds - x ** ring.n)
-    if ring.cylinder:
-        images["T"] = ring.zero()
-    return Derivation(ring, images)
+    if ring._derivation is None:
+        vs = ring.varset
+        x = MultiPoly.variable(vs, "X")
+        dp_ds = ring.p_poly().derivative("S")
+        images = {
+            "X": ring.zero(),
+            "S": ring.element(x ** (ring.n + ring.e)),
+            "Y": ring.element(x ** ring.e * dp_ds),
+        }
+        if ring.family == "full":
+            dq_dy = ring.q_poly().derivative("Y")
+            images["Z"] = ring.element(dq_dy * dp_ds - x ** ring.n)
+        if ring.cylinder:
+            images["T"] = ring.zero()
+        ring._derivation = Derivation(ring, images)
+    return ring._derivation

@@ -42,17 +42,22 @@ and cofactor scale are stored once per ring as integer numerators over one
 tail denominator td, and its keys once per ring and width; each pass moves
 the input's denominator on by td (nothing to do when td is 1), and a rewrite
 of key costs one int addition per tail term, key + (tail key - head key).
-Guard and restart: before each pass the loop tests the guard bits of all its
-keys; if one is set, the pass's input and cofactors move to double the width
-first.  So every pass adds only keys with clear guard bits, and such a sum
-has no carried field (polynomials' key format).  The loop is one method,
+Guard and restart: before each pass the loop tests the guard bits of the
+keys that it has not tested at this width; if one is set, the pass's input
+and cofactors move to double the width first.  So every pass adds only keys
+with clear guard bits, and such a sum has no carried field (polynomials' key
+format).  A pass tests only those keys for reducibility too: a key that a
+pass leaves in the map keeps its exponents, so one found irreducible stays
+irreducible, and the next pass tests just the keys that this one added to
+the map (a rewritten key leaves it, so it counts as added if it comes back);
+after a widening every key is tested again.  The loop is one method,
 _rewrite, which returns the packed map, its denominator and packing; the one
 conversion to a QuotElem is _to_elem, which unpacks the keys and divides out
 one gcd per result.  normal_form packs its input once and runs both (an input
-that is already canonical is returned as it is).
-Derivation hands its packed Leibniz map straight in and takes the packed map
-back, so an orbit a, D(a), D^2(a), ... stays packed; substitute_all, at ring
-elements, hands in its packed sum the same way.
+that is already canonical is returned as it is).  substitute_all, at ring
+elements, hands in its packed sum the same way.  Derivation does not rewrite:
+it applies D to canonical maps through a table of normal forms
+(derivations.py).
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class RingPresentation(ReadableDocument):
 
     __slots__ = (
         "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
-        "weights", "_tails", "_packed", "_p", "_q", "_rels", "_eliminated",
+        "weights", "_tails", "_derivation", "_packed", "_p", "_q", "_rels", "_eliminated",
     )
     document = "ring"
 
@@ -185,6 +190,8 @@ class RingPresentation(ReadableDocument):
         self.varset = VarSet(names)
         self.weights = tuple(weights)
         self._tails: dict[str, _RuleSet] | None = None
+        # the canonical derivation, built by derivations.canonical_derivation
+        self._derivation = None
         self._packed: dict[tuple[str, int], tuple | None] = {}
         self._p: MultiPoly | None = None
         self._q: MultiPoly | None = None
@@ -473,19 +480,24 @@ class RingPresentation(ReadableDocument):
 
         current is consumed.  Returns the canonical term map, its denominator,
         its packing and, when with_cofactors is set, one cofactor map per rule
-        in that packing over that denominator (else None).  Derivation feeds
-        its Leibniz map straight in, and substitute_all its evaluated sum.
+        in that packing over that denominator (else None).  substitute_all
+        feeds its evaluated sum straight in.  Each pass tests only the keys
+        that are new to the map since the last test at this width (module
+        docstring).
         """
         td, rules = self._rule_tails()[strategy]
         cofactors = [{} for _ in rules] if with_cofactors else []
+        # the keys not yet tested, for their guard bits and reducibility, at this width
+        fresh = current
         while True:
             packed = self._packed_rules(strategy, packing)
-            if packed is None or reduce(or_, current, 0) & packing.guard:
+            if packed is None or reduce(or_, fresh, 0) & packing.guard:
                 # a key could carry in this pass: run it at double width
                 cofactors = [packing.widen(cof)[0] for cof in cofactors]
                 current, packing = packing.widen(current)
+                fresh = current
                 continue
-            todo = _reducible(current, packed, packing.mask)
+            todo = _reducible(fresh, packed, packing.mask)
             if not todo:
                 return current, den, packing, cofactors if with_cofactors else None
             popped = [(current.pop(key), key, rule) for key, rule in todo]
@@ -494,14 +506,21 @@ class RingPresentation(ReadableDocument):
                 current = {k: v * td for k, v in current.items()}
                 cofactors = [{k: v * td for k, v in cof.items()} for cof in cofactors]
             get = current.get
+            added = set()
+            add = added.add
             for c, key, (shift, power, moves, index, scale) in popped:
                 for move, tc in moves:
                     new = key + move
-                    v = get(new, 0) + c * tc
-                    if v:
-                        current[new] = v
+                    v = get(new)
+                    if v is None:
+                        current[new] = c * tc
+                        add(new)
                     else:
-                        del current[new]
+                        v += c * tc
+                        if v:
+                            current[new] = v
+                        else:
+                            del current[new]
                 if with_cofactors:
                     cof = cofactors[index]
                     base = key - (power << shift)
@@ -510,6 +529,8 @@ class RingPresentation(ReadableDocument):
                         cof[base] = v
                     else:
                         del cof[base]
+            # every other key was tested at this width and kept its exponents
+            fresh = [key for key in added if key in current]
 
     def _to_elem(
         self,

@@ -218,6 +218,8 @@ def al_chain_check(
     miss that entry and report a false failure.
     """
     d, m = ring.d, ring.m
+    # a closed form, deliberately independent of the basis and the derivation
+    # that are derived from the relations: do not derive it from them
     z_entry = m * d if ring.family == "full" else None
     least = (z_entry or d) + 1
     if bound is None:
@@ -272,6 +274,8 @@ def graded_relations_check(ring: RingPresentation, bound: int | None = None) -> 
     rhs = g["S"] ** ring.d
     if lhs != rhs:
         witnesses.append(f"gr(x)^n*gr(y) = {lhs} but gr(s)^d = {rhs}")
+    # the tops written out, deliberately independent of the relations that the
+    # basis, derivation and hat_ideal_tops are derived from: do not derive them
     want = [parse_poly(f"X^{ring.n}*Y - S^{ring.d}", vs)]
     if ring.family == "full":
         lhs2 = g["X"] ** ring.e * g["Z"]

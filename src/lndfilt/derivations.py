@@ -11,8 +11,8 @@ of normal forms (_step), with no rewriting: per head monomial h (a product
 of the variables that head the ring's rewrite rules, each below its head
 power), nf(D(h)) and nf(h*D(v)) for each other variable v with D(v)
 nonzero.  _step_rows proves that these values fix D on canonical
-elements.  They are built once per derivation, on its first step, by the
-Leibniz pass below and normal_form, as integer numerators over one common
+elements.  They are built once per derivation, on its first step, by
+_chain_rule and normal_form, as integer numerators over one common
 denominator den_T, and packed once per key width as moves: a term's key less
 the key of h (and of v).  A step reads h from the key of a term c*x^a by one
 mask, adds c*m at key + move for each term of nf(D(h)), and c*e_v*m (e_v the
@@ -30,19 +30,19 @@ and den are divided by the gcd of den and all numerators, the lowest terms
 that MultiPoly keeps.  canonical_derivation builds its derivation once per
 ring object and holds it on the ring, so one step table serves every caller.
 
-The Leibniz pass (_leibniz, _formal_apply) differentiates an ambient
-polynomial in one integer pass on packed keys: each nonzero generator image
-is stored as integer numerators over one denominator den_D, and a term
-n_a*x^a adds n_a*a_k*m_u at key a - x_k + u for every k with a_k > 0 and
-every image term m_u*x^u.  It validates the images against the relations at
-construction and builds the step table.  Checks independent of the step
-table: the written-out golden degrees and images of acceptance #1 and #2,
-the closed form (monomial_degree) that degree_consistency compares with,
-test_leibniz_rule (D(ab) = a D(b) + b D(a) on products formed in the ring),
-and tests/test_leibniz.py, which compares apply, degree and iterate with the
-MultiPoly derivative route, sum_k dp/dx_k * D(x_k), reduced by normal_form
-or, along whole orbits, by a Fraction rewrite loop that shares no integer
-code with degree and iterate.
+One formal derivative, _chain_rule (sum over v of dp/dv * D(v), from
+MultiPoly.derivative and products), serves the three callers that work on
+ambient polynomials: the relation check in __init__, the step table's
+nf(D(h)), and canonical_derivation, which derives the images from the
+relations.  Checks independent of the step table: the written-out golden
+degrees and images of acceptance #1 and #2, the closed form
+(monomial_degree) that degree_consistency compares with, test_leibniz_rule
+(D(ab) = a D(b) + b D(a) on products formed in the ring), the closed-form
+images in tests/test_derivations.py, and tests/test_leibniz.py, which
+compares _formal_apply with a Leibniz rule on exponent tuples and Fractions,
+and apply, degree and iterate with the derivative route reduced by
+normal_form or, along whole orbits, by a Fraction rewrite loop that shares
+no integer code with degree and iterate.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from math import gcd, lcm
 from operator import or_
 from typing import Mapping
 
-from .polynomials import MultiPoly, _Packing, _from_terms, _packed, _unpacked
+from .polynomials import MultiPoly, _Packing, _packed
 from .rings import QuotElem, RingPresentation
 
 
@@ -61,10 +61,19 @@ class BudgetExceededError(RuntimeError):
     """Iterating the derivation did not reach zero within the given budget."""
 
 
+def _chain_rule(p: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:
+    """The sum over variables v of dp/dv * images[v], unreduced; zero images are skipped."""
+    total = MultiPoly.zero(p.varset)
+    for nm, image in images.items():
+        if not image.is_zero():
+            total = total + p.derivative(nm) * image
+    return total
+
+
 class Derivation:
     """A k-derivation of one presented ring, given by generator images."""
 
-    __slots__ = ("ring", "images", "_table", "_rows", "_packed")
+    __slots__ = ("ring", "images", "_rows", "_packed")
 
     def __init__(self, ring: RingPresentation, images: Mapping[str, QuotElem]):
         self.ring = ring
@@ -77,61 +86,22 @@ class Derivation:
                 raise ValueError(f"image of {nm!r} lives in a different ring")
             got[nm] = val
         self.images = got
-        # den_D and, per nonzero image, (variable index, ((exps, numerator), ...))
-        den = lcm(*[img.rep.den for img in got.values()])
-        self._table = den, tuple(
-            (k, tuple((u, n * (den // img.rep.den)) for u, n in img.rep.nums.items()))
-            for k, img in enumerate(got.values())
-            if not img.is_zero()
-        )
         self._rows: tuple | None = None
         self._packed: dict[int, tuple | None] = {}
         for rel in ring.relation_polys():
-            residual = self._formal_apply(rel)
-            if not ring.normal_form(residual).is_zero():
-                raise ValueError(
-                    f"images do not define a derivation: relation {rel} maps to "
-                    f"{ring.normal_form(residual)}"
-                )
-
-    def _leibniz(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
-        """D of the ambient polynomial with packed integer numerators terms over den, unreduced, in the same form.
-
-        terms first move to double the width while the images do not fit.
-        """
-        rows = [(k, 1, image) for k, image in self._table[1]]
-        table = packing.table(rows)
-        while table is None:
-            terms, packing = packing.widen(terms)
-            table = packing.table(rows)
-        mask = packing.mask
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in terms.items():
-            for shift, _, image in table:
-                power = key >> shift & mask
-                if not power:
-                    continue
-                c_k = c * power
-                for move, m in image:
-                    new = key + move
-                    v = get(new, 0) + c_k * m
-                    if v:
-                        out[new] = v
-                    else:
-                        del out[new]
-        return out, den * self._table[0], packing
+            residual = ring.normal_form(self._formal_apply(rel))
+            if not residual.is_zero():
+                raise ValueError(f"images do not define a derivation: relation {rel} maps to {residual}")
 
     def _formal_apply(self, p: MultiPoly) -> MultiPoly:
-        """Extend through the Leibniz rule on the ambient polynomial ring (unreduced)."""
-        out, den, packing = self._leibniz(*_packed(p))
-        return _from_terms(self.ring.varset, _unpacked(out, packing), den)
+        """D of an ambient polynomial by the chain rule (unreduced)."""
+        return _chain_rule(p, {nm: img.rep for nm, img in self.images.items()})
 
     def _step_rows(self) -> tuple[int, int, tuple]:
         """den_T, the largest exponent, and per head monomial h (exps of h, nf(D(h)), ((v, nf(h*D(v))), ...)).
 
         Why these values fix D on canonical elements.  Call the variables
-        that head a rewrite rule (read from ring._rule_tails: s, and y in
+        that head a rewrite rule (read from ring._rule_heads: s, and y in
         the full family) the head variables and the others (x, z, t, and y
         in the danielewski family) free.  Each canonical monomial splits as
         f*h, h a head monomial, every head exponent below its head power,
@@ -150,7 +120,7 @@ class Derivation:
         """
         if self._rows is None:
             ring, vs = self.ring, self.ring.varset
-            heads = {var: power for var, power, *_ in ring._rule_tails()["s_first"][1]}
+            heads = ring._rule_heads()
             free = [(k, img.rep) for k, img in enumerate(self.images.values()) if k not in heads and not img.is_zero()]
             built = []
             for exps in product(*[range(heads.get(k, 1)) for k in range(len(vs))]):
@@ -193,7 +163,7 @@ class Derivation:
                             for v, terms in free
                         ),
                     )
-                heads = sum(packing.mask << shifts[rule[0]] for rule in self.ring._rule_tails()["s_first"][1])
+                heads = sum(packing.mask << shifts[var] for var in self.ring._rule_heads())
                 table = den, heads, entries
             self._packed[packing.width] = table
         return self._packed[packing.width]
@@ -305,25 +275,25 @@ class Derivation:
 def canonical_derivation(ring: RingPresentation) -> Derivation:
     """The distinguished locally nilpotent derivation of a presented ring.
 
-    Sends x to 0 and s to x^(n+e); the images of y (and z) are forced by the
-    relations:  y -> x^e * dP/dS,  z -> dQ/dY * dP/dS - x^n.  On danielewski
-    rings (e = 0) this is x^n * d/dS + dP/dS * d/dY.  The cylinder variable
-    T, when present, is sent to 0.  Built once per ring object and held on
-    it, so every caller on one ring shares its step table.
+    Sends x (and the cylinder variable t) to 0 and s to x^(n+e); the
+    relations force the rest.  Relation k brings in variable k + 2 of the
+    varset (y, then z) with coefficient c = d(rel_k)/dv, a signed power of
+    x, so D(rel_k) = 0 gives D(v) = -(chain rule of rel_k at the images
+    found so far, D(v) still 0) / c, an exact division:
+
+        X^n*Y - P = 0:          D(Y) = P'(S)*X^(n+e) / X^n = X^e*P'(S)
+        Q - X^e*Z - S = 0:      D(Z) = (Q'(Y)*D(Y) - X^(n+e)) / X^e = Q'(Y)*P'(S) - X^n
+
+    On danielewski rings (e = 0, one relation) this is x^n*d/dS +
+    P'(S)*d/dY.  Built once per ring object and held on it, so every caller
+    on one ring shares its step table.
     """
     if ring._derivation is None:
         vs = ring.varset
-        x = MultiPoly.variable(vs, "X")
-        dp_ds = ring.p_poly().derivative("S")
-        images = {
-            "X": ring.zero(),
-            "S": ring.element(x ** (ring.n + ring.e)),
-            "Y": ring.element(x ** ring.e * dp_ds),
-        }
-        if ring.family == "full":
-            dq_dy = ring.q_poly().derivative("Y")
-            images["Z"] = ring.element(dq_dy * dp_ds - x ** ring.n)
-        if ring.cylinder:
-            images["T"] = ring.zero()
-        ring._derivation = Derivation(ring, images)
+        images = {nm: MultiPoly.zero(vs) for nm in vs.names}
+        images["S"] = MultiPoly.variable(vs, "X") ** (ring.n + ring.e)
+        for k, rel in enumerate(ring.relation_polys()):
+            v = vs.names[k + 2]
+            images[v] = -_chain_rule(rel, images).divide_exact(rel.derivative(v))
+        ring._derivation = Derivation(ring, {nm: ring.element(image) for nm, image in images.items()})
     return ring._derivation

@@ -214,8 +214,8 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 # product, and each exponent tuple is packed into one int (Kronecker packing),
 # so that a term pair costs one int addition and one int product in
 # _accumulate, the one double loop.
-# The rewrite loop (rings.py), the Leibniz pass and the derivation's step
-# table (derivations.py) share the key format (_Packing): field k holds the
+# The rewrite loop (rings.py) and the derivation's step table
+# (derivations.py) share the key format (_Packing): field k holds the
 # exponent of variable k in `width` bits, a multiple of 8 (struct.Struct packs
 # and unpacks up to 64, shifts do beyond), and the top bit of each field is
 # its guard bit.  Guard rule: two keys with clear guard bits add with no carry
@@ -230,12 +230,11 @@ def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
 # set, the pass's unconsumed input moves to double the width (_Packing.widen,
 # which reads the exact fields) and the pass runs there, so a carry is never
 # silent.  A derivation step tests its input keys the same way before its one
-# pass.  The Leibniz pass adds each input key once, so its results are exact;
-# they go to _unpacked.  Surviving keys are unpacked once per result, back to
-# exponent tuples (_unpacked), and the numerators stay as they are; the
-# result's denominator loses the gcd it shares with all of them
-# (_from_terms).  The key helpers return iterators, so that no list of a
-# product's size lives beside the product itself.
+# pass.  Surviving keys are unpacked once per result, back to exponent tuples
+# (_unpacked), and the numerators stay as they are; the result's denominator
+# loses the gcd it shares with all of them (_from_terms).  The key helpers
+# return iterators, so that no list of a product's size lives beside the
+# product itself.
 
 
 class _Packing:

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import lcm
 from operator import mul, or_
 from typing import Iterable, Mapping, Sequence, Union
@@ -411,6 +412,10 @@ class RingPresentation(ReadableDocument):
             for var, power, tail, index, scale in derived
         )
         return {"s_first": (td, rules), "y_first": (td, rules[::-1])}
+
+    def _rule_heads(self) -> dict[int, int]:
+        """{variable index: power} of each rule head: a canonical monomial keeps each such exponent below its power."""
+        return {var: power for var, power, *_ in self._rule_tails()["s_first"][1]}
 
     def _packed_rules(self, strategy: str, packing: _Packing) -> tuple | None:
         """A strategy's rules at one packing, built once per ring, strategy and width.
@@ -771,28 +776,22 @@ def basis_monomials(ring: RingPresentation, degree_bound: int) -> list[tuple[int
     """All (degree, (l, j, i)) with s^l y^j z^i of filtration degree <= bound.
 
     Covers one k[x]-module generator each; the x-power factor is free and
-    contributes degree 0.  For the danielewski family i is always 0 and the
-    y-exponent j is unbounded (up to the degree cap); for the full family
-    l < d and j < m.
+    contributes degree 0.  The variables of positive weight are s, y (and
+    z): a rule head's variable stays below its head power (l < d, and j < m
+    where y heads a rule), and any other runs up to bound // weight (j on
+    danielewski rings, i on full ones).  A ring without z has i = 0.
     """
     if ring.cylinder:
         raise ValueError("basis enumeration applies to the base ring, not its cylinder")
     if degree_bound < 0:
         return []
-    d, m = ring.d, ring.m
+    heads = ring._rule_heads()
+    graded = [(k, w) for k, w in enumerate(ring.weights) if w]
+    ranges = [range(heads[k]) if k in heads else range(degree_bound // w + 1) for k, w in graded]
     out = []
-    if ring.family == "full":
-        for i in range(degree_bound // (m * d) + 1):
-            for j in range(m):
-                for l in range(d):
-                    deg = l + d * j + m * d * i
-                    if deg <= degree_bound:
-                        out.append((deg, (l, j, i)))
-    else:
-        for j in range(degree_bound // d + 1):
-            for l in range(d):
-                deg = l + d * j
-                if deg <= degree_bound:
-                    out.append((deg, (l, j, 0)))
-    out.sort(key=lambda item: (item[0], item[1]))
+    for exps in product(*ranges):
+        deg = sum(w * e for (_, w), e in zip(graded, exps))
+        if deg <= degree_bound:
+            out.append((deg, (*exps, 0)[:3]))
+    out.sort()
     return out

@@ -10,6 +10,7 @@ from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem, RingPresentation
 
 from util import (
+    DANIELEWSKI_RINGS,
     RATIONAL_RINGS,
     count_widenings,
     grid_rings,
@@ -107,6 +108,35 @@ def test_grid_s_image_and_nilpotency():
         assert D.degree(z) == m * d
         assert D.iterate(z, m * d + 1).is_zero()
         assert not D.iterate(z, m * d).is_zero()
+
+
+CLOSED_FORM_RINGS = (
+    grid_rings()
+    + mixed_small_rings()
+    + RATIONAL_RINGS
+    + [grid_rings()[0].with_cylinder(), DANIELEWSKI_RINGS[1].with_cylinder()]
+)
+CLOSED_FORM_IDS = (
+    [f"grid-{k}" for k in range(24)]
+    + [f"mixed-{k}" for k in range(len(mixed_small_rings()))]
+    + ["rational-dan", "rational", "rational-cyl", "grid-0-cyl", "dan-2-cyl"]
+)
+
+
+@pytest.mark.parametrize("ring", CLOSED_FORM_RINGS, ids=CLOSED_FORM_IDS)
+def test_canonical_images_match_the_closed_forms(ring):
+    # the images derived from the relations against the closed forms
+    # y -> X^e*P'(S) and z -> Q'(Y)*P'(S) - X^n, written out here
+    D = canonical_derivation(ring)
+    x = MultiPoly.variable(ring.varset, "X")
+    dp_ds = ring.p_poly().derivative("S")
+    want = {nm: ring.zero() for nm in ring.varset.names}
+    want["S"] = ring.element(x ** (ring.n + ring.e))
+    want["Y"] = ring.element(x ** ring.e * dp_ds)
+    if "Z" in ring.varset.names:
+        want["Z"] = ring.element(ring.q_poly().derivative("Y") * dp_ds - x ** ring.n)
+    assert D.images == want
+    assert [str(img) for img in D.images.values()] == [str(img) for img in want.values()]
 
 
 def test_danielewski_canonical_derivation():

@@ -1,11 +1,11 @@
-"""The integer Leibniz pass of Derivation against the MultiPoly derivative route.
+"""The derivation's formal derivative and its step table against references.
 
-The reference (tests/util.py) differentiates with MultiPoly.derivative,
-multiplies by each image with MultiPoly products, sums with MultiPoly
-addition and reduces with normal_form, so it shares neither the integer
-image table nor the Leibniz loop nor the hand-off to the rewrite loop.  The
-orbit test reduces with the Fraction reference loop instead, so that it
-shares no integer code at all with degree and iterate.
+Derivation._formal_apply (the chain rule on MultiPoly) is compared with
+leibniz_reference (tests/util.py), the Leibniz rule on exponent tuples and
+Fractions, which runs no MultiPoly arithmetic.  apply, which reads the step
+table, is compared with the MultiPoly derivative route reduced by
+normal_form.  The orbit test reduces with the Fraction reference loop
+instead, so that it shares no integer code at all with degree and iterate.
 """
 
 from fractions import Fraction
@@ -16,7 +16,15 @@ from hypothesis import given, settings, strategies as st
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem
-from util import RATIONAL_RINGS, derivative_route, fractions, mixed_small_rings, reference_normal_form, rings
+from util import (
+    RATIONAL_RINGS,
+    derivative_route,
+    fractions,
+    leibniz_reference,
+    mixed_small_rings,
+    reference_normal_form,
+    rings,
+)
 
 
 @st.composite
@@ -26,7 +34,7 @@ def derivation_and_poly(draw, max_exp=4):
     D = canonical_derivation(ring)
     if draw(st.booleans()):
         # x is in the kernel, so (1/3)*x*D is again a derivation; it sends S to
-        # (1/3)*X^(n+e+1), so its image table has den_D > 1
+        # (1/3)*X^(n+e+1), so its images have a denominator > 1
         third_x = ring.element(MultiPoly.variable(vs, "X") * Fraction(1, 3))
         D = Derivation(ring, {nm: third_x * img for nm, img in D.images.items()})
     keys = st.tuples(*[st.integers(0, max_exp)] * len(vs))
@@ -35,10 +43,9 @@ def derivation_and_poly(draw, max_exp=4):
 
 @settings(max_examples=150, deadline=None)
 @given(derivation_and_poly())
-def test_leibniz_pass_equals_the_derivative_route(case):
+def test_formal_apply_equals_the_tuple_leibniz_rule(case):
     D, p = case
-    want = derivative_route(D, p)
-    assert D._formal_apply(p) == want
+    assert D._formal_apply(p) == MultiPoly(p.varset, leibniz_reference(D, p.terms))
     a = D.ring.normal_form(p)
     assert D.apply(a) == D.ring.normal_form(derivative_route(D, a.rep))
 

@@ -10,7 +10,7 @@ from lndfilt.checks import random_element
 from lndfilt.polynomials import MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
-from util import grid_rings, mixed_small_rings, random_poly
+from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, grid_rings, mixed_small_rings, random_poly, reference_basis
 
 
 def nf_str(ring, text):
@@ -216,6 +216,19 @@ def test_basis_monomials_danielewski():
         (4, (0, 1, 0)),
         (5, (1, 1, 0)),
     ]
+
+
+BASIS_RINGS = grid_rings() + DANIELEWSKI_RINGS + [ring.base() for ring in RATIONAL_RINGS]
+BASIS_IDS = [f"grid-{k}" for k in range(24)] + ["dan-1", "dan-2", "dan-3", "rational-dan", "rational", "rational-cyl-base"]
+
+
+@pytest.mark.parametrize("ring", BASIS_RINGS, ids=BASIS_IDS)
+def test_basis_monomials_match_the_family_enumeration(ring):
+    # the heads-and-weights enumeration against the written-out family loops,
+    # at every bound through three times the top weight (m*d, or d)
+    top = ring.m * ring.d if ring.m else ring.d
+    for bound in range(-1, 3 * top + 1):
+        assert basis_monomials(ring, bound) == reference_basis(ring, bound)
 
 
 def test_basis_spans_all_normal_forms(toy, rng):

@@ -65,6 +65,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def family_reads(tree: ast.AST) -> list[int]:
+    """Line numbers of every read of a .family attribute under tree."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "family"]
+
+
+def test_derivation_and_basis_read_no_family():
+    # the canonical derivation and the basis are derived from each ring's
+    # relations, rule heads and weights; a family branch there is a regression
+    package = Path(lndfilt.__file__).parent
+    derivations = ast.parse((package / "derivations.py").read_text(encoding="utf-8"))
+    assert family_reads(derivations) == []
+    rings = ast.parse((package / "rings.py").read_text(encoding="utf-8"))
+    (basis,) = [node for node in rings.body if isinstance(node, ast.FunctionDef) and node.name == "basis_monomials"]
+    assert family_reads(basis) == []
+
+
 def test_mutation_gate_holds_under_python_O():
     # the certificate's verdicts, derived ones included, never rest on an
     # assert, so stripping them changes nothing

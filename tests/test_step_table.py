@@ -1,6 +1,6 @@
 """Derivation._step's table of normal forms against the reduction route.
 
-The reduction route applies the Leibniz pass to an ambient monomial and
+The reduction route applies the chain rule to an ambient monomial and
 reduces the result with normal_form; the step table reads D off the values
 nf(D(h)) and nf(h*D(v)) that it stored once, with no rewriting per step.
 The orbit tests count what a D orbit runs, and that one canonical
@@ -20,13 +20,8 @@ from lndfilt.derivations import Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem, RingPresentation
 
-from util import RATIONAL_RINGS, grid_rings
+from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, grid_rings
 
-DANIELEWSKI_RINGS = [
-    RingPresentation.danielewski(1, ["-1", "0"]),
-    RingPresentation.danielewski(2, ["1", "0", "X^2", "0"]),
-    RingPresentation.danielewski(3, ["2", "X", "0"]),
-]
 # the 24-ring grid, three danielewski rings, a ring with rational tails, and
 # a cylinder ring (with rational tails too)
 TABLE_RINGS = grid_rings() + DANIELEWSKI_RINGS + RATIONAL_RINGS[1:]
@@ -40,7 +35,7 @@ def canonical_monomials(ring: RingPresentation) -> list[QuotElem]:
     power; every other variable (x, z, t, and y in the danielewski family)
     runs over 0, 1, 2.
     """
-    heads = {var: power for var, power, *_ in ring._rule_tails()["s_first"][1]}
+    heads = ring._rule_heads()
     ranges = [range(heads.get(k, 3)) for k in range(len(ring.varset))]
     return [
         QuotElem(ring, MultiPoly.monomial(ring.varset, exps), _trusted=True)

@@ -127,6 +127,14 @@ def rings(draw):
     return RingPresentation.full(n, e, p_coeffs, q_coeffs, cylinder)
 
 
+# the three danielewski shapes of bench/workloads.py
+DANIELEWSKI_RINGS = [
+    RingPresentation.danielewski(1, ["-1", "0"]),
+    RingPresentation.danielewski(2, ["1", "0", "X^2", "0"]),
+    RingPresentation.danielewski(3, ["2", "X", "0"]),
+]
+
+
 # fixed rings with rational tails, so that td != 1 is always covered
 RATIONAL_RINGS = [
     RingPresentation.danielewski(1, ["3/4", "1/2*X", "0"]),
@@ -182,6 +190,30 @@ def reference_normal_form(ring: RingPresentation, p: MultiPoly, strategy: str):
             for texps, tc in tail:
                 _add_into(current, tuple(b + t for b, t in zip(base, texps)), c * tc)
             _add_into(cofactors[index], tuple(base), c * scale)
+
+
+def reference_basis(ring: RingPresentation, degree_bound: int) -> list:
+    """basis_monomials written out per family: (degree, (l, j, i)) with l < d,
+    j < m and i free on full rings, l < d and j free on danielewski rings."""
+    if degree_bound < 0:
+        return []
+    d, m = ring.d, ring.m
+    out = []
+    if ring.family == "full":
+        for i in range(degree_bound // (m * d) + 1):
+            for j in range(m):
+                for l in range(d):
+                    deg = l + d * j + m * d * i
+                    if deg <= degree_bound:
+                        out.append((deg, (l, j, i)))
+    else:
+        for j in range(degree_bound // d + 1):
+            for l in range(d):
+                deg = l + d * j
+                if deg <= degree_bound:
+                    out.append((deg, (l, j, 0)))
+    out.sort(key=lambda item: (item[0], item[1]))
+    return out
 
 
 def leibniz_reference(derivation, terms: dict) -> dict:

@@ -54,12 +54,11 @@ def random_element(
     rng: Random,
     degree_bound: int,
     x_cap: int = 3,
-    max_terms: int = 5,
 ) -> QuotElem:
-    """A random element in canonical form with filtration degree <= the bound."""
+    """A random element in canonical form, of 1 to 5 terms, with filtration degree <= the bound."""
     pool = basis_monomials(ring, degree_bound)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 5)):
         _, (l, j, i) = rng.choice(pool)
         key = ring.basis_exponents(rng.randint(0, x_cap), l, j, i)
         num = rng.randint(-9, 9)
@@ -72,7 +71,6 @@ def degree_consistency(
     samples: int = 200,
     degree_bound: int = 10,
     rng: Random | None = None,
-    derivation: Derivation | None = None,
 ) -> CheckReport:
     """Degree by basis bookkeeping == degree by iterated derivation.
 
@@ -81,7 +79,7 @@ def degree_consistency(
     derivation.  The two computations share no code path.
     """
     rng = rng or Random(1)
-    D = derivation or canonical_derivation(ring)
+    D = canonical_derivation(ring)
     witnesses: list[str] = []
     specials = [ring.zero(), ring.one(), ring.element("X^3")]
     todo = specials + [random_element(ring, rng, degree_bound) for _ in range(samples)]
@@ -205,7 +203,6 @@ def kernel_check(
 def al_chain_check(
     ring: RingPresentation,
     bound: int | None = None,
-    derivation: Derivation | None = None,
 ) -> CheckReport:
     """Structure of the low filtration pieces, cross-checked by iteration.
 
@@ -229,7 +226,7 @@ def al_chain_check(
             f"al-chain needs a bound of at least {least}, one past the degree where "
             f"{'z' if z_entry else 'y'} enters, got {bound}"
         )
-    D = derivation or canonical_derivation(ring)
+    D = canonical_derivation(ring)
     witnesses: list[str] = []
     entries = basis_monomials(ring, bound)
 

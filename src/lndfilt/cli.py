@@ -278,21 +278,12 @@ def cmd_verify_suite(args, parser) -> int:
         graded_property_check(ring, degree_bound=8 if bound is None else bound, rng=rng),
     ]
     ok = all(r.passed for r in reports)
-    if args.json:
-        print(
-            dump_json(
-                {
-                    "ring": ring.fingerprint(),
-                    "checks": [r.to_json_dict() for r in reports],
-                    "pass": ok,
-                }
-            )
-        )
-    else:
-        for r in reports:
-            print(f"{r.check}: {'pass' if r.passed else 'FAIL'}")
-            for w in r.witnesses:
-                print(f"  witness: {w}")
+    data = {"ring": ring.fingerprint(), "checks": [r.to_json_dict() for r in reports], "pass": ok}
+    lines = []
+    for r in reports:
+        lines.append(f"{r.check}: {'pass' if r.passed else 'FAIL'}")
+        lines += [f"  witness: {w}" for w in r.witnesses]
+    _emit(args, data, "\n".join(lines))
     return 0 if ok else 1
 
 

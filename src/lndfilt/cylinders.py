@@ -441,12 +441,16 @@ def _eliminated_transport(
 def _transport_checks(
     endo: PolyEndo, source: RingPresentation, target: RingPresentation
 ) -> list[dict]:
-    """Each defining relation of source pushed through endo onto target's."""
+    """Each defining relation of source pushed through endo onto target's.
+
+    A ring with a second relation eliminates S with it, and adds the entry
+    that the two transports imply (_eliminated_transport).
+    """
     checks = [
         _identity_entry(f"relation-transport-{k}", endo.apply(rs), rt)
         for k, (rs, rt) in enumerate(zip(source.relation_polys(), target.relation_polys()), start=1)
     ]
-    if source.family == "full":
+    if len(checks) > 1:
         transports_pass = all(c["pass"] for c in checks)
         checks.append(_eliminated_transport(endo, source, target, transports_pass))
     return checks
@@ -566,15 +570,15 @@ def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
     for before, after in zip(steps, steps[1:]):
         if before.target_ring() != after.source_ring():
             raise ValueError(f"step {after} does not start at the target of {before}")
-    endos = [st.solve()[0] for st in steps]
+    solved = [st.solve() for st in steps]
     atomic = []
-    for st, endo in zip(steps, endos):
-        cert = _verify(endo, st, _stage_of(endo, st))
+    for st, (endo, stage) in zip(steps, solved):
+        cert = _verify(endo, st, stage)
         if not cert.passed:
             raise ValueError(f"atomic step {st} failed verification")
         atomic.append(cert)
-    composed = endos[0]
-    for endo in endos[1:]:
+    composed = solved[0][0]
+    for endo, _ in solved[1:]:
         composed = endo.compose(composed)
     if len(steps) == 1:
         return composed, atomic[0]
@@ -655,8 +659,8 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
         "direction": f"built from twist {lo} up to {hi}",
         "certificate": cert.to_json_dict(),
         "base_fingerprints": [
-            {"n": n, "e": e, "d": 2, "m": 2, "ring": base.fingerprint(), "hat_ideal_tops": top}
-            for e, base, top in zip((e1, e2), bases, tops)
+            {"n": b.n, "e": b.e, "d": b.d, "m": b.m, "ring": b.fingerprint(), "hat_ideal_tops": top}
+            for b, top in zip(bases, tops)
         ],
         "bases_distinct": tops[0] != tops[1],
         "note": (

@@ -9,7 +9,7 @@ with its degree.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, _from_terms, power_by_squaring
+from .polynomials import MultiPoly, _from_terms, ladder_power
 from .rings import QuotElem, RingPresentation
 
 
@@ -75,9 +75,8 @@ class GradedElem:
         return GradedElem(self.ring, grade, _from_terms(self.ring.varset, keep, reduced.den))
 
     def __pow__(self, k: int) -> GradedElem:
-        return power_by_squaring(
-            self, k, lambda: GradedElem(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
-        )
+        one = GradedElem(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
+        return ladder_power({0: one, 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedElem):

@@ -189,22 +189,30 @@ class ReadableDocument(Document):
         return cls.from_json_dict(load_json(text, cls.document))
 
 
-def power_by_squaring(base: T, k: int, one: Callable[[], T]) -> T:
-    """base**k by binary exponentiation, for any type with an associative `*`.
+def ladder_power(ladder: dict[int, T], k: int, product: Callable[[T, T], T] = mul) -> T:
+    """ladder[k], for a ladder {exponent: power} that holds at least the first power.
 
-    `one()` supplies the result for k = 0; every other result is a product
-    of squares of base, so base itself is returned unchanged for k = 1.
+    This is the package's one power routine.  A missing power is the
+    product of the largest lower power in the ladder and the power that
+    remains, so that the powers 1, 2, ..., k cost one product each; when that
+    lower power is under half of k, it is built as by squaring instead: an
+    even power from its half, an odd one from the power below (after Knuth,
+    TAOCP vol. 2, sec. 4.6.3).  Every power built is kept in the ladder, so
+    a shared ladder builds each power once.  On a fresh ladder {1: base} (the
+    __pow__ methods add {0: one}), base**k costs (bits - 1) squarings and
+    (set bits - 1) other products, as binary exponentiation does, and base
+    itself is returned for k = 1.  The recursion is at most twice the bit
+    length of k deep.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-    result = None
-    while k:
-        if k & 1:
-            result = base if result is None else result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return one() if result is None else result
+    got = ladder.get(k)
+    if got is None:
+        low = max(j for j in ladder if j < k)
+        if 2 * low < k:
+            low = k - 1 if k % 2 else k // 2
+        got = ladder[k] = product(ladder_power(ladder, low, product), ladder_power(ladder, k - low, product))
+    return got
 
 
 # ---------------------------------------------------------- product kernel
@@ -496,7 +504,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> MultiPoly:
-        return power_by_squaring(self, k, lambda: MultiPoly.constant(self.varset, 1))
+        # the unit is one validated term, as in variable: no cleaning pass
+        return ladder_power({0: _from_terms(self.varset, {(0,) * len(self.varset): 1}), 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -614,12 +623,8 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
     variable), acts by exponent arithmetic: a term's exponent e on its
     variable adds e*u to the term's exponents and multiplies its coefficient
     by c^e.  The other images go through one power table, shared by all of
-    polys, so each is raised to each power once.  A new power is the
-    product of the largest lower power already in the table and the power
-    that remains, so that the powers 1, 2, ..., k of an image cost one
-    product each.  When the largest lower power is under half the exponent,
-    the power is built as by squaring instead: an even one from its half,
-    an odd one from the power below.
+    polys: one ladder per image, extended by ladder_power, so each image is
+    raised to each power once.
 
     A polynomial's terms are grouped by their exponents on the variables
     with table images (the pattern), after the single-term images have acted
@@ -704,17 +709,6 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
 
     unit = {0: 1}
 
-    def power(name: str, n: int) -> dict[int, int]:
-        ladder = table[name]
-        got = ladder.get(n)
-        if got is None:
-            low = max(k for k in ladder if k < n)
-            if 2 * low < n:
-                low = n - 1 if n % 2 else n // 2
-            got = _accumulate({}, power(name, low).items(), list(power(name, n - low).items()))
-            ladder[n] = got
-        return got
-
     def evaluate(p: MultiPoly, top: tuple[int, ...]) -> E:
         names = p.varset.names
         used = [(k, names[k]) for k, d in enumerate(top) if d]
@@ -743,8 +737,8 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
             factor = unit
             for (k, nm), e in zip(powered, pattern):
                 if e:
-                    pk = power(nm, e)
-                    factor = pk if factor is unit else _accumulate({}, factor.items(), list(pk.items()))
+                    pk = ladder_power(table[nm], e, _times)
+                    factor = pk if factor is unit else _times(factor, pk)
             if factor is unit and not total:
                 total = group
             else:
@@ -755,6 +749,11 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
         return ring._to_elem(*ring._rewrite(total, den, packing, "s_first"))
 
     return [evaluate(p, top) for p, top in zip(polys, tops)]
+
+
+def _times(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two packed integer term maps of one packing."""
+    return _accumulate({}, a.items(), list(b.items()))
 
 
 def _add_terms(terms: dict[T, int], pairs: Iterable[tuple[T, int]]) -> None:
@@ -906,6 +905,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# the largest exponent that parse_poly and element JSON accept; the cost of a
+# normal form grows quadratically with it (S^10000 on the toy ring takes seconds)
+MAX_EXPONENT = 10_000
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -926,7 +930,7 @@ class _Parser:
     """
 
     MAX_NESTING = 100
-    MAX_EXPONENT = 10_000
+    MAX_EXPONENT = MAX_EXPONENT
     MAX_LITERAL_DIGITS = 1_000
 
     def __init__(self, tokens: list[tuple[str, str, int]], varset: VarSet, length: int):

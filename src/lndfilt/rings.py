@@ -8,10 +8,13 @@ Two presentations are supported, over the rationals:
 with P = S^d + f_{d-1}(X)*S^{d-1} + ... + f_0(X) monic of degree d >= 2 in S,
 and Q = Y^m + g_{m-1}(X)*Y^{m-1} + ... + g_0(X) monic of degree m >= 2 in Y.
 The full family requires (n, e) != (1, 0).  A danielewski ring is the full
-construction without the second relation; the two families differ only in
-that relation, and each ring states its family data once: the defining
-relations, each with the head of its rewrite rule, and one weight vector
-(0, 1, d, m*d) on (x, s, y, z), the cylinder variable t weighing 0.
+construction's one-relation prefix: each relation brings one new variable,
+and a ring's variables and weights are the prefixes of (x, s, y, z) and
+(0, 1, d, m*d) that its relations reach, the cylinder variable t (weight 0)
+appended.  So a ring states its family data once, as its relation list, each
+relation with the head of its rewrite rule; the family itself is derived:
+full exactly when Q is given.  Rewrite rules, cofactors, the S elimination
+and the certificates' transport checks all read that list.
 P, Q, the relations and the eliminated relation are built once per ring, on
 first use, like the rule tails below; relation_polys hands out a fresh list
 of the shared polynomials each time.
@@ -70,6 +73,7 @@ from operator import mul, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polynomials import (
+    MAX_EXPONENT,
     MultiPoly,
     ReadableDocument,
     VarSet,
@@ -80,9 +84,9 @@ from .polynomials import (
     _packed,
     _unpacked,
     dump_json,
+    ladder_power,
     load_json,
     parse_poly,
-    power_by_squaring,
     read_object,
     read_rational,
     substitute_all,
@@ -141,7 +145,7 @@ class RingPresentation(ReadableDocument):
     """
 
     __slots__ = (
-        "family", "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
+        "n", "e", "p_coeffs", "q_coeffs", "cylinder", "varset", "d", "m",
         "weights", "_tails", "_derivation", "_packed", "_p", "_q", "_rels", "_eliminated",
     )
     document = "ring"
@@ -163,7 +167,6 @@ class RingPresentation(ReadableDocument):
             raise ValueError(f"e must be an integer >= 0, got {e!r}")
         if not isinstance(cylinder, bool):
             raise ValueError(f"cylinder must be true or false, got {cylinder!r}")
-        self.family = family
         self.n = n
         self.e = e
         self.cylinder = cylinder
@@ -178,18 +181,15 @@ class RingPresentation(ReadableDocument):
                 raise ValueError(f"Q must have degree >= 2 in Y (got m={self.m})")
             if (n, e) == (1, 0):
                 raise ValueError("the full family excludes (n, e) = (1, 0)")
-            names, weights = ["X", "S", "Y", "Z"], [0, 1, self.d, self.m * self.d]
-        else:
-            if self.q_coeffs:
-                raise ValueError("danielewski rings have no Q")
-            if e != 0:
-                raise ValueError("danielewski rings have no twist exponent e")
-            names, weights = ["X", "S", "Y"], [0, 1, self.d]
-        if self.cylinder:
-            names.append("T")
-            weights.append(0)
-        self.varset = VarSet(names)
-        self.weights = tuple(weights)
+        elif self.q_coeffs:
+            raise ValueError("danielewski rings have no Q")
+        elif e != 0:
+            raise ValueError("danielewski rings have no twist exponent e")
+        # X and S, then the new variable of each relation: Y, and Z where Q is
+        # given; a danielewski ring is the full construction's one-relation prefix
+        size = 3 + bool(self.q_coeffs)
+        self.varset = VarSet(("X", "S", "Y", "Z")[:size] + ("T",) * cylinder)
+        self.weights = (0, 1, self.d, self.m * self.d)[:size] + (0,) * cylinder
         self._tails: dict[str, _RuleSet] | None = None
         # the canonical derivation, built by derivations.canonical_derivation
         self._derivation = None
@@ -226,8 +226,13 @@ class RingPresentation(ReadableDocument):
 
     # ------------------------------------------------------------- structure
 
+    @property
+    def family(self) -> str:
+        """"full" when Q is given (the second relation), else "danielewski"."""
+        return "full" if self.q_coeffs else "danielewski"
+
     def _key(self) -> tuple:
-        return (self.family, self.n, self.e, self.cylinder, self.p_coeffs, self.q_coeffs)
+        return (self.n, self.e, self.cylinder, self.p_coeffs, self.q_coeffs)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -248,7 +253,7 @@ class RingPresentation(ReadableDocument):
             "P": [str(c) for c in self.p_coeffs],
             "Q": [str(c) for c in self.q_coeffs],
         }
-        if self.family != "full":
+        if not self.q_coeffs:
             del out["e"], out["m"], out["Q"]
         return out
 
@@ -272,7 +277,7 @@ class RingPresentation(ReadableDocument):
 
     def q_poly(self) -> MultiPoly:
         """Q(X, Y) = Y^m + sum g_j(X) Y^j over this ring's varset (full only, built once)."""
-        if self.family != "full":
+        if not self.q_coeffs:
             raise ValueError("danielewski rings have no Q")
         if self._q is None:
             self._q = self._monic("Y", self.q_coeffs)
@@ -290,10 +295,10 @@ class RingPresentation(ReadableDocument):
     def _relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
         """Each defining relation with the head of its rewrite rule.
 
-        X^n*Y - P with head S^d, and for the full family Q - X^e*Z - S with
-        head Y^m.  The rewrite rules, their cofactors and the relations that
-        the certificates transport all come from this one list, built once
-        per ring.
+        X^n*Y - P with head S^d, and where Q is given (the full family)
+        Q - X^e*Z - S with head Y^m.  The rewrite rules, their cofactors, the
+        S elimination and the relations that the certificates transport all
+        come from this one list, built once per ring.
         """
         if self._rels is None:
             self._rels = self._build_relations()
@@ -302,7 +307,7 @@ class RingPresentation(ReadableDocument):
     def _build_relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
         x, s, y = (MultiPoly.variable(self.varset, nm) for nm in ("X", "S", "Y"))
         rels = [(self._head("S", self.d), x ** self.n * y - self.p_poly())]
-        if self.family == "full":
+        if self.q_coeffs:
             z = MultiPoly.variable(self.varset, "Z")
             rels.append((self._head("Y", self.m), self.q_poly() - x ** self.e * z - s))
         return tuple(rels)
@@ -312,12 +317,12 @@ class RingPresentation(ReadableDocument):
         return [rel for _, rel in self._relations()]
 
     def eliminate_s(self, p: MultiPoly) -> MultiPoly:
-        """p with S -> Q(X, Y) - X^e*Z substituted: the S elimination (full only)."""
-        if self.family != "full":
+        """p with S -> S + rel2 = Q(X, Y) - X^e*Z substituted: the S elimination (full only)."""
+        rels = self._relations()
+        if len(rels) < 2:
             raise ValueError("only the full family eliminates S")
-        vs = self.varset
-        images = {nm: MultiPoly.variable(vs, nm) for nm in vs.names}
-        images["S"] = self.q_poly() - images["X"] ** self.e * images["Z"]
+        images = {nm: MultiPoly.variable(self.varset, nm) for nm in self.varset.names}
+        images["S"] = images["S"] + rels[1][1]
         return p.substitute(images)
 
     def eliminated_relation(self) -> MultiPoly:
@@ -574,7 +579,7 @@ class RingPresentation(ReadableDocument):
         return QuotElem(self, MultiPoly.zero(self.varset), _trusted=True)
 
     def one(self) -> QuotElem:
-        return self.element(1)
+        return QuotElem(self, MultiPoly.constant(self.varset, 1), _trusted=True)
 
     def generator(self, name: str) -> QuotElem:
         return self.element(MultiPoly.variable(self.varset, name))
@@ -678,7 +683,7 @@ class QuotElem:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> QuotElem:
-        return power_by_squaring(self, k, self.ring.one)
+        return ladder_power({0: self.ring.one(), 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -727,8 +732,9 @@ class QuotElem:
         """The element whose terms are the objects {"x": 1, ..., "c": "3/4"} of data.
 
         An absent exponent is 0.  A term that is not an object, lacks "c",
-        has a key that names no variable, or has an exponent that is not a
-        non-negative integer raises ValueError, as does a coefficient that
+        has a key that names no variable, or has an exponent that is not an
+        integer from 0 to MAX_EXPONENT (the parser's cap, checked before any
+        reduction) raises ValueError, as does a coefficient that
         polynomials.read_rational refuses.
         """
         keys = [nm.lower() for nm in ring.varset.names]
@@ -736,15 +742,15 @@ class QuotElem:
         for entry in data:
             if not isinstance(entry, Mapping):
                 raise ValueError(f"element term must be an object, got {entry!r}")
-            unknown = sorted(set(entry) - {*keys, "c"})
-            if unknown:
-                raise ValueError(f"element term has unknown keys {unknown}")
+            read_object(entry, "element term", (), (*keys, "c"))
             if "c" not in entry:
                 raise ValueError(f"element term lacks its coefficient 'c': {entry!r}")
             exps = tuple(entry.get(k, 0) for k in keys)
             for k, e in zip(keys, exps):
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponent {k!r} must be an integer >= 0, got {e!r}")
+                if e > MAX_EXPONENT:
+                    raise ValueError(f"exponent {k!r} is larger than {MAX_EXPONENT}")
             c = read_rational(entry["c"], "element coefficient")
             if c:
                 terms[exps] = terms.get(exps, Fraction(0)) + c

@@ -3,6 +3,9 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
+from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +17,11 @@ from lndfilt.polynomials import (
     WeightFunction,
     _Parser,
     _format_coeff,
+    ladder_power,
     parse_poly,
     substitute_all,
 )
+from lndfilt.rings import QuotElem, toy_ring
 from util import fresh_power_substitute
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
@@ -177,6 +182,35 @@ def test_power_matches_repeated_product(a, k):
     assert a ** k == expected
 
 
+def test_power_costs_binary_exponentiation_products(monkeypatch):
+    # one ladder routine behind every __pow__: base**k on a fresh ladder costs
+    # (bits - 1) squarings and (set bits - 1) other products, none for k = 0
+    calls = {MultiPoly: 0, QuotElem: 0}
+
+    def counted(cls):
+        real = cls.__mul__
+
+        def product(a, b):
+            calls[cls] += 1
+            return real(a, b)
+
+        return product
+
+    ring = toy_ring()
+    bases = {MultiPoly: P("X + 1"), QuotElem: ring.element("X + 1")}
+    for cls in bases:
+        monkeypatch.setattr(cls, "__mul__", counted(cls))
+    for cls, base in bases.items():
+        for k in range(65):
+            calls[cls] = 0
+            got = base ** k
+            assert calls[cls] == (k.bit_length() + bin(k).count("1") - 2 if k else 0), (cls, k)
+            want = MultiPoly(XSYZ, {(i, 0, 0, 0): comb(k, i) for i in range(k + 1)})
+            assert (got.rep if cls is QuotElem else got) == want
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer, got -1"):
+        bases[MultiPoly] ** -1
+
+
 def test_scalar_coercion():
     x = P("X")
     assert 2 * x + 1 == P("2*X + 1")
@@ -254,7 +288,20 @@ def _image_polys():
 )
 def test_shared_power_ladder_matches_fresh_powers(polys, images):
     expected = [fresh_power_substitute(p, images) for p in polys]
-    assert substitute_all(polys, images) == expected
+    built = []
+
+    def spy(ladder, k, product=mul):
+        if k not in ladder:
+            built.append((ladder, k))
+        return ladder_power(ladder, k, product)
+
+    with patch("lndfilt.polynomials.ladder_power", spy):
+        assert substitute_all(polys, images) == expected
+    # one ladder per image that is not a single term, shared by all of polys, and
+    # each power built once in it
+    ladders = {id(ladder) for ladder, _ in built}
+    assert len(ladders) <= sum(len(img.nums) != 1 for img in images.values())
+    assert len({(id(ladder), k) for ladder, k in built}) == len(built)
     assert [p.substitute(images) for p in polys] == expected
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lndfilt.checks import random_element
-from lndfilt.polynomials import MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
+from lndfilt.polynomials import MAX_EXPONENT, MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
 from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, grid_rings, mixed_small_rings, random_poly, reference_basis
@@ -334,6 +334,14 @@ def test_element_json_errors(toy):
     for text, match in cases:
         with pytest.raises(ValueError, match=match):
             QuotElem.from_json(toy, text)
+    # an exponent past the parser's cap is refused before any reduction (at
+    # 8,000, under no cap, s alone took seconds to reduce)
+    for big in (MAX_EXPONENT + 1, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exponent 's' is larger than {MAX_EXPONENT}"):
+            QuotElem.from_json(toy, json.dumps([{"s": big, "c": "1"}]))
+        assert time.perf_counter() - start < 1.0
+    assert QuotElem.from_json(toy, json.dumps([{"x": MAX_EXPONENT, "c": "1"}])) == toy.element(f"X^{MAX_EXPONENT}")
     # absent exponents are 0, and equal monomials add up before reduction
     elem = QuotElem.from_json(toy, '[{"s": 2, "c": "1/2"}, {"s": 2, "x": 0, "c": "1/2"}]')
     assert elem == toy.element("X^2*Y")

@@ -81,6 +81,51 @@ def test_derivation_and_basis_read_no_family():
     assert family_reads(basis) == []
 
 
+FAMILIES = {"full", "danielewski"}
+# the only places that compare with a family name: the constructor's input
+# checks, the automorphism family's domain check, and the two closed-form
+# oracles kept deliberately independent of the relation list
+FAMILY_COMPARISONS = {
+    ("rings.py", "RingPresentation.__init__"),
+    ("automorphisms.py", "_require_normalized"),
+    ("checks.py", "al_chain_check"),
+    ("checks.py", "graded_relations_check"),
+}
+
+
+def family_comparisons(tree: ast.AST, scope: str = "") -> list[tuple[str, int]]:
+    """(enclosing definition, line) of every comparison with a family name under tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += family_comparisons(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Compare):
+            names = {
+                leaf.value
+                for side in (node.left, *node.comparators)
+                for leaf in ast.walk(side)
+                if isinstance(leaf, ast.Constant)
+            }
+            if names & FAMILIES:
+                found.append((scope, node.lineno))
+        found += family_comparisons(node, scope)
+    return found
+
+
+def test_family_names_are_compared_only_where_allowed():
+    # every other family difference is read off the ring's relation list
+    found = [
+        (path.name, scope, line)
+        for path in SOURCES
+        for scope, line in family_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    stray = [f"{name}:{line} in {scope or 'module'}" for name, scope, line in found if (name, scope) not in FAMILY_COMPARISONS]
+    assert stray == []
+    # and each allowed place still holds one, so the list does not go stale
+    assert {(name, scope) for name, scope, _ in found} == FAMILY_COMPARISONS
+
+
 def test_mutation_gate_holds_under_python_O():
     # the certificate's verdicts, derived ones included, never rest on an
     # assert, so stripping them changes nothing

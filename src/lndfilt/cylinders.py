@@ -21,20 +21,26 @@ The two step constructions, each solved by forced exact divisions:
 
 Every division must be exact; a remainder would witness a wrong valuation
 and raises immediately.  A solve returns the endomorphism and a
-RecoveryStage: the recovery chain and the displacement identity, which
-depend on the step alone.  The endomorphism carries its step and stage, so
-verify_step(solve_step(step), step) solves once; verify_step solves the step
+RecoveryStage: the step's source and target rings, the recovery chain and
+the displacement identity, which depend on the step alone.  The
+endomorphism carries its step and stage, so verify_step(solve_step(step),
+step) solves once and builds each ring once; verify_step solves the step
 itself only for an endomorphism that no solve of an equal step built.
 verify_step certifies an endomorphism through three independent routes:
 exact relation transport, the forced congruence (atomic steps), and a
 recovery chain that rebuilds every target generator from the images; every
-check runs on every call, whichever solve the stage came from.  One more
-check of the full family, the eliminated three-variable relation
-transported onto the target's, is not independent:
-it follows from the two relation transports and one identity of the target
-ring (S -> Q - X^e*Z kills the second relation, and the eliminated relation
-is by definition the first one with S so replaced), so it is derived from
-them, and expanded only when a premise fails; see _eliminated_transport.
+check runs on every call, whichever solve the stage came from.  Two kinds
+of entry are derived, not computed again:
+
+* the full family's eliminated three-variable relation transported onto
+  the target's follows from the two relation transports (S -> Q - X^e*Z
+  kills the second relation, in which S enters only as -S, and the
+  eliminated relation is by definition the first one with S so replaced),
+  so it is expanded only when a transport fails; see _eliminated_transport;
+* each stage-2 recovery row compares a recovered generator with the
+  generator, which the stage-1 row claiming that generator has already
+  done, so it takes that row's verdict; see _verify.
+
 Chains compose by substitution.  A chain's certificate is assembled from its
 steps' certificates: the composite's relation transports are checked afresh,
 and every recovery entry follows from the steps' own; see _compose_steps.
@@ -153,12 +159,18 @@ class RecoveryRow:
 class RecoveryStage:
     """What a step's solve hands its certificate, besides the endomorphism.
 
-    The recovery chain, which rows rebuild the generators, and the
-    displacement (lhs, rhs, unit) that forced the T-image.  All of it depends
-    on the step alone, not on the images.  An endomorphism carries the stage
-    its solve built, so the stage is frozen and its rows are a tuple.
+    The step's source and target rings, built once by the solve; the
+    recovery chain, and which row rebuilds each generator (outputs[nm] names
+    a row whose claimed element is the generator nm, so its verdict is the
+    generator's final one); and the displacement (lhs, rhs, unit): the step
+    maps lhs to rhs, which is -unit*T in the target, and that identity forced
+    the T-image.  All of it depends on the step alone, not on the images.
+    An endomorphism carries the stage its solve built, so the stage is
+    frozen and its rows are a tuple.
     """
 
+    source: RingPresentation
+    target: RingPresentation
     rows: tuple[RecoveryRow, ...]
     outputs: dict[str, str]
     displacement: tuple[MultiPoly, MultiPoly, Fraction | int]
@@ -189,12 +201,13 @@ class FullStep:
 
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
         """The step isomorphism and its recovery stage, every division checked exact."""
-        src = self.source_ring()
+        src, tgt = self.source_ring(), self.target_ring()
         vs = src.varset
         n, e = self.n, self.e
-        displacement = self.displacement(src)
         x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
         p = src.p_poly()
+        # the step maps Y*Z - X*T to rhs, which is -4*T in the target
+        displacement = (y * z - x * t, 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y), 4)
 
         h = x ** (n + e) * t
         ident = {nm: _v(vs, nm) for nm in vs.names}
@@ -232,21 +245,10 @@ class FullStep:
             RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
         ]
         outputs = {"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"}
-        stage = RecoveryStage(tuple(rows), outputs, displacement)
+        stage = RecoveryStage(src, tgt, tuple(rows), outputs, displacement)
         endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
         endo._solved = (self, stage)
         return endo, stage
-
-    def displacement(self, source: RingPresentation | None = None) -> tuple[MultiPoly, MultiPoly, int]:
-        """(lhs, rhs, unit): the step maps Y*Z - X*T to rhs, which is -unit*T in the target.
-
-        source, when given, is this step's source ring, so that a solve builds it once.
-        """
-        vs = (source or self.source_ring()).varset
-        x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
-        n, e = self.n, self.e
-        rhs = 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y)
-        return y * z - x * t, rhs, 4
 
 
 @dataclass(frozen=True)
@@ -283,13 +285,14 @@ class DanielewskiStep:
 
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
         """The step isomorphism and its recovery stage, every division checked exact."""
-        src = self.source_ring()
+        src, tgt = self.source_ring(), self.target_ring()
         vs = src.varset
         n, d = self.n, src.d
-        displacement = self.displacement(src)
         c = self.constant()
         x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
         p = src.p_poly()
+        # the step maps Y*S - X*T to rhs, which is -d*c*T in the target
+        displacement = (y * s - x * t, d * t * (p - c - x ** (n + 1) * y), d * c)
         qt = (p - s ** d - c).divide_exact(x)
 
         h = x ** n * t
@@ -332,20 +335,10 @@ class DanielewskiStep:
             ),
         ]
         outputs = {"X": "x", "S": "s", "Y": "y", "T": "t"}
-        stage = RecoveryStage(tuple(rows), outputs, displacement)
+        stage = RecoveryStage(src, tgt, tuple(rows), outputs, displacement)
         endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
         endo._solved = (self, stage)
         return endo, stage
-
-    def displacement(self, source: RingPresentation | None = None) -> tuple[MultiPoly, MultiPoly, Fraction]:
-        """(lhs, rhs, unit): the step maps Y*S - X*T to rhs, which is -unit*T in the target.
-
-        source, when given, is this step's source ring, so that a solve builds it once.
-        """
-        src = source or self.source_ring()
-        x, s, y, t = (_v(src.varset, nm) for nm in ("X", "S", "Y", "T"))
-        d, c = src.d, self.constant()
-        return y * s - x * t, d * t * (src.p_poly() - c - x ** (self.n + 1) * y), d * c
 
 
 def _require_step(step) -> FullStep | DanielewskiStep:
@@ -413,29 +406,32 @@ def _eliminated_transport(
     the two relation transports, not independent of them.
     sigma'.phi.sigma and sigma'.phi are algebra maps that agree on every
     generator but S (sigma fixes the others), and on S they differ by
-    sigma'(phi(rel2)), since sigma(S) = S + rel2.  Two premises hold by
-    definition: E = sigma(rel1) and E' = sigma'(rel1'), because
-    eliminated_relation is eliminate_s of the first relation.  (The toy
+    sigma'(phi(rel2)), since sigma(S) = S + rel2.  Three premises hold by
+    construction: E = sigma(rel1) and E' = sigma'(rel1'), because
+    eliminated_relation is eliminate_s of the first relation (the toy
     relation written out in tests/test_rings.py pins that definition
-    independently.)  So when
+    independently), and sigma'(rel2') = 0, because S enters
+    rel2' = Q - X^e*Z - S only as -S, so sigma' turns it into
+    Q - X^e*Z - (Q - X^e*Z) (tests/test_rings.py checks this on every
+    two-relation ring of its grids).  So when
 
         phi(rel1) = rel1' and phi(rel2) = rel2'   (transport-1 and -2),
-        sigma'(rel2') = 0,
 
     the two maps agree on S as well, and
 
         sigma'(phi(E)) = sigma'(phi(sigma(rel1))) = sigma'(phi(rel1))
                        = sigma'(rel1') = E'.
 
-    The last premise holds in the target ring alone, without phi, and costs
-    one small substitution instead of pushing E through phi.  When any
-    premise fails, sigma'(phi(E)) is expanded directly, so the verdict and
-    the residual are those of the direct check on every input.
+    So a passing pair of transports gives the passing entry with no
+    computation.  When a transport fails, sigma'(phi(E)) is expanded
+    directly, so the verdict and the residual are those of the direct check
+    on every input.
     """
-    want = target.eliminated_relation()
-    implied = transports_pass and target.eliminate_s(target.relation_polys()[1]).is_zero()
-    got = want if implied else target.eliminate_s(endo.apply(source.eliminated_relation()))
-    return _identity_entry("relation-transport-eliminated", got, want, "exact identity after eliminating S")
+    name, holds = "relation-transport-eliminated", "exact identity after eliminating S"
+    if transports_pass:
+        return {"name": name, "pass": True, "detail": holds}
+    got = target.eliminate_s(endo.apply(source.eliminated_relation()))
+    return _identity_entry(name, got, target.eliminated_relation(), holds)
 
 
 def _transport_checks(
@@ -456,16 +452,19 @@ def _transport_checks(
     return checks
 
 
-def _verify(
-    endo: PolyEndo, step: FullStep | DanielewskiStep, stage: RecoveryStage
-) -> IsoCertificate:
+def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     """Certify one atomic step's endomorphism against its endpoint rings.
 
-    stage is the step's recovery stage, which also holds its displacement.
+    stage is the step's recovery stage, which also holds its endpoint rings
+    and its displacement.  Two kinds of entry are derived, not computed:
+    the eliminated-relation entry follows from the two relation transports
+    (_eliminated_transport), and each stage-2 row is the verdict of the
+    stage-1 row named by stage.outputs, since that row's claimed element is
+    the generator and its value is the one the stage-2 row would compare.
     """
-    source, target = step.source_ring(), step.target_ring()
+    source, target = stage.source, stage.target
     vs = source.varset
-    if vs != target.varset or vs != endo.varset:
+    if vs != endo.varset:
         raise ValueError("source, target and endomorphism must share one varset")
     cert = IsoCertificate(source=source, target=target, endo=endo)
     cert.checks = _transport_checks(endo, source, target)
@@ -480,15 +479,17 @@ def _verify(
 
     # recovery: rebuild every target generator in the target quotient
     values: dict = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
+    verdicts = {}
     rows = []
     for row in stage.rows:
         val = evaluate_in_ring(row.expr, values)
         values[row.symbol] = val
+        verdicts[row.symbol] = val == target.normal_form(row.claimed)
         rows.append(
             {
                 "element": str(row.claimed),
                 "expression": f"{row.symbol} := {row.expr}",
-                "pass": val == target.normal_form(row.claimed),
+                "pass": verdicts[row.symbol],
             }
         )
     cert.recovery.append({"stage": 1, "entries": rows})
@@ -496,7 +497,7 @@ def _verify(
         {
             "element": nm.lower(),
             "expression": f"stage-1 recovery of {nm}",
-            "pass": values[stage.outputs[nm]] == target.generator(nm),
+            "pass": verdicts[stage.outputs[nm]],
         }
         for nm in vs.names
     ]
@@ -525,7 +526,7 @@ def verify_step(endo: PolyEndo, step) -> IsoCertificate:
     solves step once for them.  Every check runs on endo's images either way.
     """
     _require_step(step)
-    return _verify(endo, step, _stage_of(endo, step))
+    return _verify(endo, _stage_of(endo, step))
 
 
 def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
@@ -567,13 +568,13 @@ def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
 
     So nothing is reduced or evaluated on the composite's images.
     """
-    for before, after in zip(steps, steps[1:]):
-        if before.target_ring() != after.source_ring():
-            raise ValueError(f"step {after} does not start at the target of {before}")
     solved = [st.solve() for st in steps]
+    for k in range(1, len(steps)):
+        if solved[k - 1][1].target != solved[k][1].source:
+            raise ValueError(f"step {steps[k]} does not start at the target of {steps[k - 1]}")
     atomic = []
     for st, (endo, stage) in zip(steps, solved):
-        cert = _verify(endo, st, stage)
+        cert = _verify(endo, stage)
         if not cert.passed:
             raise ValueError(f"atomic step {st} failed verification")
         atomic.append(cert)
@@ -644,7 +645,8 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
     Builds and verifies the chain between the two cylinders and pairs the
     certificate with the evidence that tells the bases apart: the top
     components of their defining relations (the relations of the associated
-    graded algebras), compared rather than assumed to differ.
+    graded algebras), compared rather than assumed to differ.  The bases
+    are the certificate's endpoint rings without T.
     """
     if e1 == e2:
         raise ValueError("the two twists must differ")
@@ -652,7 +654,8 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
     endo, cert = compose_chain(n, lo, hi)
     if not cert.passed:
         raise ValueError("chain verification failed; no certificate to report")
-    bases = [RingPresentation.full(n, e, ["1", "0"], ["0", "0"]) for e in (e1, e2)]
+    low, high = cert.source.base(), cert.target.base()
+    bases = [low, high] if e1 < e2 else [high, low]
     tops = [[str(t) for t in hat_ideal_tops(base)] for base in bases]
     return {
         "cylinders_isomorphic": True,

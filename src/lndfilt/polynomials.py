@@ -201,18 +201,24 @@ def ladder_power(ladder: dict[int, T], k: int, product: Callable[[T, T], T] = mu
     a shared ladder builds each power once.  On a fresh ladder {1: base} (the
     __pow__ methods add {0: one}), base**k costs (bits - 1) squarings and
     (set bits - 1) other products, as binary exponentiation does, and base
-    itself is returned for k = 1.  The recursion is at most twice the bit
-    length of k deep.
+    itself is returned for k = 1.  Each missing power lacks at most one of
+    its two operands (low is in the ladder, or k - low is 1, or both are
+    k/2), so the powers to build form one path, at most twice the bit length
+    of k long: it is walked down first, then built up in that order.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-    got = ladder.get(k)
-    if got is None:
-        low = max(j for j in ladder if j < k)
-        if 2 * low < k:
-            low = k - 1 if k % 2 else k // 2
-        got = ladder[k] = product(ladder_power(ladder, low, product), ladder_power(ladder, k - low, product))
-    return got
+    path = []
+    j = k
+    while j not in ladder:
+        low = max(i for i in ladder if i < j)
+        if 2 * low < j:
+            low = j - 1 if j % 2 else j // 2
+        path.append((j, low))
+        j = j - low if low in ladder else low
+    for j, low in reversed(path):
+        ladder[j] = product(ladder[low], ladder[j - low])
+    return ladder[k]
 
 
 # ---------------------------------------------------------- product kernel
@@ -349,43 +355,16 @@ def _product(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int])
     return _unpacked(acc, packing)
 
 
-class _TermView(Mapping):
-    """A polynomial's terms as a read-only map exponent tuple -> Fraction, for printing and tests.
-
-    len, in and iteration read the numerator map; only item access builds a
-    Fraction.
-    """
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: Mapping[tuple[int, ...], int], den: int):
-        self._nums, self._den = nums, den
-
-    def __getitem__(self, exps: tuple[int, ...]) -> Fraction:
-        return Fraction(self._nums[exps], self._den)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._nums)
-
-    def __contains__(self, exps: object) -> bool:
-        return exps in self._nums
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 class MultiPoly:
     """A sparse polynomial with exact rational coefficients.
 
     The term with exponent tuple e has coefficient nums[e]/den: nums maps
     exponent tuples to nonzero ints, den is a positive int, and the gcd of den
     and all numerators is 1, so each polynomial has exactly one (nums, den).
-    The zero polynomial has nums == {} and den == 1.  ``terms`` shows the same
-    terms with Fraction coefficients.  Instances are treated as immutable; all
-    operations return fresh polynomials.
+    The zero polynomial has nums == {} and den == 1.  ``terms`` is a fresh
+    dict of the same terms with Fraction coefficients, for printing and
+    tests.  Instances are treated as immutable; all operations return fresh
+    polynomials.
     """
 
     __slots__ = ("varset", "nums", "den")
@@ -413,8 +392,8 @@ class MultiPoly:
         self.den = den
 
     @property
-    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        return _TermView(self.nums, self.den)
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {exps: Fraction(n, self.den) for exps, n in self.nums.items()}
 
     # ---------------------------------------------------------------- basics
 

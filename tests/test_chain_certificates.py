@@ -58,7 +58,7 @@ def expanded_chain_certificate(steps: list) -> tuple[PolyEndo, IsoCertificate]:
     cert = IsoCertificate(source=source, target=target, endo=composed)
     cert.checks = _transport_checks(composed, source, target)
     if len(steps) == 1:
-        lhs, rhs, unit = steps[0].displacement()
+        lhs, rhs, unit = solved[0][2].displacement
         moved = composed.apply(lhs)
         ok_exact = moved == rhs
         cert.checks.append(

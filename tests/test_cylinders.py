@@ -116,7 +116,15 @@ def test_recovery_chain_shape():
     assert all(r["pass"] for r in rows)
 
 
-@pytest.mark.parametrize("n,e", [(2, 1), (1, 2), (3, 2), (2, 3)])
+TWIST_PARAMS = [(2, 1), (1, 2), (3, 2), (2, 3)]
+SIZE_PARAMS = [
+    (2, ["5", "X^3"]),
+    (1, ["-2", "X", "0"]),
+    (3, ["1", "0", "X^2", "0"]),
+]
+
+
+@pytest.mark.parametrize("n,e", TWIST_PARAMS)
 def test_general_twist_steps_verify(n, e):
     step = FullStep(n, e)
     endo = solve_step(step)
@@ -141,14 +149,7 @@ def test_size_step_verifies():
     assert [r["element"] for r in rows] == ["X", "T", "S", "X*Y", "S*Y", "Y"]
 
 
-@pytest.mark.parametrize(
-    "n,coeffs",
-    [
-        (2, ["5", "X^3"]),
-        (1, ["-2", "X", "0"]),
-        (3, ["1", "0", "X^2", "0"]),
-    ],
-)
+@pytest.mark.parametrize("n,coeffs", SIZE_PARAMS)
 def test_general_size_steps_verify(n, coeffs):
     step = DanielewskiStep(n, coeffs)
     cert = verify_step(solve_step(step), step)
@@ -360,8 +361,9 @@ def test_poly_endo_validates_images():
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Record every step solve, ring construction and relation build."""
-    seen = SimpleNamespace(solves=[], rings=[], builds=[])
+    """Record every step solve, ring construction and relation build, and
+    every call of the ring methods that a derived certificate entry spares."""
+    seen = SimpleNamespace(solves=[], rings=[], builds=[], derived=[])
     for cls in (FullStep, DanielewskiStep):
 
         def solve(step, original=cls.solve):
@@ -381,9 +383,16 @@ def counters(monkeypatch):
 
     monkeypatch.setattr(RingPresentation, "__init__", counting_init)
     monkeypatch.setattr(RingPresentation, "_build_relations", counting_build)
+    for name in ("eliminated_relation", "eliminate_s", "generator"):
+
+        def spared(ring, *args, name=name, original=getattr(RingPresentation, name)):
+            seen.derived.append(name)
+            return original(ring, *args)
+
+        monkeypatch.setattr(RingPresentation, name, spared)
 
     def clear():
-        for log in (seen.solves, seen.rings, seen.builds):
+        for log in (seen.solves, seen.rings, seen.builds, seen.derived):
             log.clear()
 
     seen.clear = clear
@@ -404,8 +413,30 @@ def test_solve_and_verify_solve_once(counters, make, _):
     cert = verify_step(solve_step(step), step)
     assert cert.passed
     assert counters.solves == [step]
-    assert len(counters.rings) <= 3
+    assert len(counters.rings) == 2
     assert len(counters.builds) == len({id(ring) for ring in counters.builds})
+    # the eliminated entry and the stage-2 rows are derived, not recomputed
+    assert counters.derived == []
+
+
+ALL_STEPS = (
+    [FullStep(1, 1), FullStep(3, 3)]
+    + [FullStep(n, e) for n, e in TWIST_PARAMS]
+    + [DanielewskiStep(1, SIZE_P), DanielewskiStep(2, SIZE_P)]
+    + [DanielewskiStep(n, coeffs) for n, coeffs in SIZE_PARAMS]
+)
+
+
+@pytest.mark.parametrize("step", ALL_STEPS, ids=str)
+def test_each_output_names_a_row_claiming_its_generator(step):
+    # the premise of the derived stage-2 rows in cylinders._verify
+    _, stage = step.solve()
+    claimed = {row.symbol: row.claimed for row in stage.rows}
+    vs = stage.source.varset
+    assert list(stage.outputs) == list(vs.names)
+    for nm, symbol in stage.outputs.items():
+        assert claimed[symbol] == MultiPoly.variable(vs, nm)
+    assert (stage.source, stage.target) == (step.source_ring(), step.target_ring())
 
 
 @pytest.mark.parametrize("make,make_other", STEP_PAIRS, ids=["full", "danielewski"])
@@ -428,7 +459,7 @@ def test_endos_from_elsewhere_are_solved_for(counters, make, make_other):
         cert = verify_step(candidate, step)
         assert counters.solves == [step], name
         assert cert.passed is (name in ("json", "composed")), name
-        assert cert.to_json_dict() == _verify(candidate, step, step.solve()[1]).to_json_dict(), name
+        assert cert.to_json_dict() == _verify(candidate, step.solve()[1]).to_json_dict(), name
 
 
 def test_changed_images_of_a_solved_endo_are_checked(counters):
@@ -443,4 +474,4 @@ def test_changed_images_of_a_solved_endo_are_checked(counters):
     cert = verify_step(endo, step)
     assert counters.solves == []
     assert not cert.passed
-    assert cert.to_json_dict() == _verify(endo, step, step.solve()[1]).to_json_dict()
+    assert cert.to_json_dict() == _verify(endo, step.solve()[1]).to_json_dict()

@@ -211,6 +211,14 @@ def test_power_costs_binary_exponentiation_products(monkeypatch):
         bases[MultiPoly] ** -1
 
 
+def test_power_of_a_unit_at_a_huge_exponent():
+    # the ladder walks down 2000 levels without recursing
+    one = MultiPoly.constant(XSYZ, 1)
+    assert one ** 2**2000 == one
+    unit = toy_ring().one()
+    assert unit ** 2**2000 == unit
+
+
 def test_scalar_coercion():
     x = P("X")
     assert 2 * x + 1 == P("2*X + 1")

@@ -202,6 +202,6 @@ def test_hot_paths_build_no_fraction(ring, rational, fraction_count):
     p * q
     q * q
     assert fraction_count["built"] == before
-    # the counter is live: reading one coefficient of the view builds one
+    # the counter is live: reading the terms of a one-term polynomial builds one
     MultiPoly.constant(vs, 3).terms[(0,) * len(vs)]
     assert fraction_count["built"] == before + 1

@@ -99,6 +99,16 @@ def test_relations_reduce_to_zero_everywhere():
             assert ring.normal_form(ring.eliminated_relation()).is_zero()
 
 
+def test_eliminating_s_kills_the_second_relation():
+    # the premise of the derived eliminated-relation entry of the cylinder
+    # certificates: S enters Q - X^e*Z - S only as -S
+    full = [r for r in grid_rings() + mixed_small_rings() + RATIONAL_RINGS if len(r.relation_polys()) == 2]
+    assert len(full) == 24 + 5 + 2
+    for ring in full:
+        for r in (ring.base(), ring.with_cylinder()):
+            assert r.eliminate_s(r.relation_polys()[1]).is_zero(), r
+
+
 def test_strategies_agree(rng):
     for ring in mixed_small_rings():
         for _ in range(40):

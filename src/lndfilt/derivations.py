@@ -7,7 +7,7 @@ honest iteration (this is the oracle that the closed-form degree
 bookkeeping is tested against).
 
 One application of D to a canonical representative is one pass over a table
-of normal forms (_step), with no rewriting: per head monomial h (a product
+of normal forms, with no rewriting: per head monomial h (a product
 of the variables that head the ring's rewrite rules, each below its head
 power), nf(D(h)) and nf(h*D(v)) for each other variable v with D(v)
 nonzero.  _step_rows proves that these values fix D on canonical
@@ -18,17 +18,24 @@ the key of h (and of v).  A step reads h from the key of a term c*x^a by one
 mask, adds c*m at key + move for each term of nf(D(h)), and c*e_v*m (e_v the
 exponent of v in x^a) at key + move for each term of each nf(h*D(v)); so p =
 (1/den) sum c_a x^a goes to D(p) over den*den_T, canonical as it is
-built.  degree and iterate feed each result to the next step, so the orbit a,
-D(a), D^2(a), ... stays packed from a's representative to the empty map, and
-a result is unpacked only where a caller asks for an element (apply's
-result, iterate's last, the budget error's message).  Guard and restart (the
-key format of polynomials.py): a step first tests the guard bits of its
+built.  Every application runs in one loop, _orbit, which feeds each result
+to the next step: apply takes one step, iterate k, and degree steps to the
+empty map or its budget, so the orbit a, D(a), D^2(a), ... stays packed from
+a's representative to the end, and a result is unpacked only where a caller
+asks for an element (apply's result, iterate's last, the budget error's
+message).  The loop reads the step table and the packing's fields once, and
+again only after a widening.  Guard and restart (the key format of
+polynomials.py): before every step the loop tests the guard bits of the
 input keys and moves the map to double the width while one is set or the
 table does not fit; then every field of key - h - v and every table exponent
-is below 2^(width-1), so no sum carries.  After a step with den != 1 the map
-and den are divided by the gcd of den and all numerators, the lowest terms
-that MultiPoly keeps.  canonical_derivation builds its derivation once per
-ring object and holds it on the ring, so one step table serves every caller.
+is below 2^(width-1), so no sum carries.  The gcd rule: where den_T != 1,
+each step multiplies den by den_T and divides the map and den by the gcd of
+den and all numerators, so the numbers stay as small as MultiPoly's.  Where
+den_T == 1, den never grows and no step divides: each numerator is den times
+a coefficient of the orbit, so it carries at most a factor of the input's
+den, and _to_elem returns the result in lowest terms.  canonical_derivation
+builds its derivation once per ring object and holds it on the ring, so one
+step table serves every caller.
 
 One formal derivative, _chain_rule (sum over v of dp/dv * D(v), from
 MultiPoly.derivative and products), serves the three callers that work on
@@ -59,6 +66,13 @@ from .rings import QuotElem, RingPresentation
 
 class BudgetExceededError(RuntimeError):
     """Iterating the derivation did not reach zero within the given budget."""
+
+
+def _count(k: object, what: str) -> int:
+    """k, a step count; ValueError unless it is an int >= 0 (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {k!r}")
+    return k
 
 
 def _chain_rule(p: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:
@@ -168,52 +182,63 @@ class Derivation:
             self._packed[packing.width] = table
         return self._packed[packing.width]
 
-    def _step(self, terms: Mapping[int, int], den: int, packing: _Packing) -> tuple[dict[int, int], int, _Packing]:
-        """One application of D to a canonical packed integer term map over den.
+    def _orbit(
+        self, terms: dict[int, int], den: int, packing: _Packing, limit: int
+    ) -> tuple[dict[int, int], int, _Packing, int]:
+        """D^i of a canonical packed integer term map over den: (map, den, packing, i).
 
-        One pass over the step table (module docstring), after moving the
-        map to double the width while a guard bit of its keys is set or the
-        table does not fit, so no field carries.  The result is the
-        canonical map of D(a) in that packing, over a denominator with no
-        factor common to all of its numerators; its guard bits may be set,
-        and the next step tests them.
+        The one loop that applies D: it steps until the map is empty or
+        limit steps are taken (limit a Python int, so any budget counts), and
+        i is the number of steps.  Each step is one pass over the step table
+        (module docstring).  The table and the packing's fields are read once
+        and again only after a widening: before every step the map moves to
+        double the width while a guard bit of its keys is set or the table
+        does not fit, so no field carries.  Where den_T != 1 each step divides
+        out the gcd of den and all numerators; where den_T == 1 den stays
+        fixed, and the caller's _to_elem takes out the common factor.
         """
-        table = self._step_table(packing)
-        while table is None or reduce(or_, terms, 0) & packing.guard:
-            terms, packing = packing.widen(terms)
-            table = self._step_table(packing)
-        den_t, heads, entries = table
-        mask = packing.mask
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in terms.items():
-            image, free = entries[key & heads]
-            for move, m in image:
-                new = key + move
-                v = get(new, 0) + c * m
-                if v:
-                    out[new] = v
-                else:
-                    del out[new]
-            for shift, moves in free:
-                power = key >> shift & mask
-                if not power:
-                    continue
-                c_v = c * power
-                for move, m in moves:
+        steps = 0
+        table = None
+        while terms and steps < limit:
+            if table is None or reduce(or_, terms, 0) & guard:
+                table = self._step_table(packing)
+                while table is None or reduce(or_, terms, 0) & packing.guard:
+                    terms, packing = packing.widen(terms)
+                    table = self._step_table(packing)
+                den_t, heads, entries = table
+                mask, guard = packing.mask, packing.guard
+            out: dict[int, int] = {}
+            get = out.get
+            for key, c in terms.items():
+                image, free = entries[key & heads]
+                for move, m in image:
                     new = key + move
-                    v = get(new, 0) + c_v * m
+                    v = get(new, 0) + c * m
                     if v:
                         out[new] = v
                     else:
                         del out[new]
-        den *= den_t
-        if den != 1:
-            g = gcd(den, *out.values())
-            if g != 1:
-                den //= g
-                out = {k: v // g for k, v in out.items()}
-        return out, den, packing
+                for shift, moves in free:
+                    power = key >> shift & mask
+                    if not power:
+                        continue
+                    c_v = c * power
+                    for move, m in moves:
+                        new = key + move
+                        v = get(new, 0) + c_v * m
+                        if v:
+                            out[new] = v
+                        else:
+                            del out[new]
+            terms = out
+            steps += 1
+            if den_t != 1:
+                den *= den_t
+                g = gcd(den, *out.values())
+                if g != 1:
+                    den //= g
+                    terms = {k: v // g for k, v in out.items()}
+        return terms, den, packing, steps
 
     def _integer_terms(self, a: QuotElem) -> tuple[dict[int, int], int, _Packing]:
         """a's representative, packed, as integer numerators over one denominator."""
@@ -222,22 +247,17 @@ class Derivation:
         return _packed(a.rep)
 
     def apply(self, a: QuotElem) -> QuotElem:
-        return self.ring._to_elem(*self._step(*self._integer_terms(a)))
+        return self.ring._to_elem(*self._orbit(*self._integer_terms(a), 1)[:3])
 
     def __call__(self, a: QuotElem) -> QuotElem:
         return self.apply(a)
 
     def iterate(self, a: QuotElem, k: int) -> QuotElem:
         """The k-fold application D^k(a), converted to an element once."""
-        if k < 0:
-            raise ValueError("iteration count must be non-negative")
+        _count(k, "iteration count")
         if not k or a.is_zero():
             return a
-        terms, den, packing = self._integer_terms(a)
-        for _ in range(k):
-            terms, den, packing = self._step(terms, den, packing)
-            if not terms:
-                break
+        terms, den, packing, _ = self._orbit(*self._integer_terms(a), k)
         return self.ring._to_elem(terms, den, packing)
 
     def default_budget(self, a: QuotElem) -> int:
@@ -250,23 +270,21 @@ class Derivation:
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:
         """min{ i : D^(i+1)(a) = 0 }, or None for a = 0 (minus infinity).
 
-        The orbit a, D(a), D^2(a), ... stays a packed integer term map over
-        one denominator (see _step), widened only when a guard bit is set,
-        and stops at the empty map; no exponent tuple and no element is
+        One _orbit run of at most bound + 1 steps, from a's packed
+        representative to the empty map; no exponent tuple and no element is
         built unless the budget runs out.  Raises BudgetExceededError when
         D^(bound+1)(a) is still nonzero, which for a locally nilpotent
         derivation means the bound was too small; the message shows
-        D^(bound+1)(a) exactly.
+        D^(bound+1)(a) exactly.  A bound that is not an int >= 0 is refused
+        with ValueError before any step.
         """
+        bound = self.default_budget(a) if bound is None else _count(bound, "degree bound")
         terms, den, packing = self._integer_terms(a)
         if not terms:
             return None
-        if bound is None:
-            bound = self.default_budget(a)
-        for i in range(bound + 1):
-            terms, den, packing = self._step(terms, den, packing)
-            if not terms:
-                return i
+        terms, den, packing, steps = self._orbit(terms, den, packing, bound + 1)
+        if not terms:
+            return steps - 1
         raise BudgetExceededError(
             f"derivation budget {bound} exceeded on {a}; still nonzero: {self.ring._to_elem(terms, den, packing)}"
         )

@@ -115,6 +115,12 @@ class WeightFunction:
         return f"WeightFunction({self.varset!r}, {self.weights})"
 
 
+def _require_scalar(c: object, exps: tuple[int, ...]) -> None:
+    """TypeError unless the coefficient c of the term at exps is an int or Fraction (a bool is not)."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} of term {exps} is not an int or Fraction")
+
+
 def _from_terms(varset: VarSet, nums: dict[tuple[int, ...], int], den: int = 1) -> MultiPoly:
     """The polynomial nums/den, for nonzero numerators and den > 0: no copy, one gcd when den != 1.
 
@@ -380,8 +386,7 @@ class MultiPoly:
                         f"bad exponent tuple in term {exps}: {c!r} for {varset!r}; "
                         "exponents are integers >= 0, one per variable"
                     )
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"coefficient {c!r} of term {exps} is not an int or Fraction")
+                _require_scalar(c, exps)
                 if c:
                     clean[exps] = c
         # over the lcm of reduced denominators, the numerators share no
@@ -403,7 +408,10 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, varset: VarSet, c: Scalar) -> MultiPoly:
-        return cls(varset, {(0,) * len(varset): c})
+        zeros = (0,) * len(varset)
+        _require_scalar(c, zeros)
+        # one checked term, already in lowest terms: no cleaning pass needed
+        return _from_terms(varset, {zeros: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, varset: VarSet, name: str) -> MultiPoly:

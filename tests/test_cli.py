@@ -132,11 +132,11 @@ def test_derivation_applications_are_capped(capsys, monkeypatch):
     assert run(capsys, "deg", "--toy", "X^5000*S")[1].strip() == "1"
     assert run(capsys, "deg", "--toy", "--bound", str(cap), "S")[1].strip() == "1"
 
-    def no_iteration(self, terms, den):
+    def no_iteration(self, *args):
         raise AssertionError("D was applied")
 
-    # every application of D, from apply, iterate or degree, is one _step
-    monkeypatch.setattr(Derivation, "_step", no_iteration)
+    # every application of D, from apply, iterate or degree, runs in _orbit
+    monkeypatch.setattr(Derivation, "_orbit", no_iteration)
     for argv, message in [
         (["deg", "--toy", "Z^2000"], f"degree 8000; its iteration would need more than {cap}"),
         (["deg", "--toy", "Z^250"], "closed-form degree 1000"),

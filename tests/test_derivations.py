@@ -1,6 +1,8 @@
 """The canonical derivation: images, Leibniz action, nilpotency degrees."""
 
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +14,12 @@ from lndfilt.rings import QuotElem, RingPresentation
 from util import (
     DANIELEWSKI_RINGS,
     RATIONAL_RINGS,
+    count_applications,
     count_widenings,
     grid_rings,
     leibniz_reference,
     mixed_small_rings,
+    orbit_reads,
     reference_normal_form,
 )
 
@@ -156,6 +160,26 @@ def test_budget_exceeded(toy):
     assert D.degree(toy.generator("Z")) == 4
 
 
+@pytest.mark.parametrize("bad", [-1, -(2**70), True, False, 1.0, "2", Fraction(1), None], ids=repr)
+def test_step_counts_are_refused_before_any_step(toy, monkeypatch, bad):
+    D = canonical_derivation(toy)
+
+    def no_orbit(self, *args):
+        raise AssertionError("D was applied")
+
+    monkeypatch.setattr(Derivation, "_orbit", no_orbit)
+    for text in ("S*Y", "0"):
+        a = toy.element(text)
+        if bad is not None:  # None asks degree for its default budget
+            with pytest.raises(ValueError, match=re.escape(f"degree bound must be a non-negative integer, got {bad!r}")):
+                D.degree(a, bad)
+        with pytest.raises(ValueError, match=re.escape(f"iteration count must be a non-negative integer, got {bad!r}")):
+            D.iterate(a, bad)
+    monkeypatch.undo()
+    assert D.degree(toy.element("7"), 0) == 0
+    assert D.degree(toy.element("S*Y"), 2**64) == 3
+
+
 def test_orbit_builds_no_element_per_application(toy, monkeypatch):
     calls = Counter()
 
@@ -172,15 +196,22 @@ def test_orbit_builds_no_element_per_application(toy, monkeypatch):
         D = canonical_derivation(ring)
         a = ring.element(text)
         want = D.degree(a)
+        # D^want(a) is the last nonzero map and D^(want+1)(a) the first empty one
+        packed = D._integer_terms(a)
+        last, first_zero = D._orbit(*packed, want), D._orbit(*packed, want + 1)
+        assert last[0] and last[3] == want
+        assert not first_zero[0] and first_zero[3] == want + 1
+        reads = orbit_reads(D, a, want + 1), orbit_reads(D, a, 2)
         with monkeypatch.context() as m:
-            for cls, name in [(Derivation, "apply"), (Derivation, "_step"), (QuotElem, "__init__")]:
+            count_applications(m, calls)
+            for cls, name in [(Derivation, "apply"), (QuotElem, "__init__")]:
                 m.setattr(cls, name, counting(name, getattr(cls, name)))
             calls.clear()
             assert D.degree(a) == want
-            assert calls == {"_step": want + 1}
+            assert calls == {"_orbit": 1, "steps": want + 1, "table reads": reads[0]}
             calls.clear()
             D.iterate(a, 2)
-            assert calls == {"_step": 2, "__init__": 1}
+            assert calls == {"_orbit": 1, "steps": 2, "table reads": reads[1], "__init__": 1}
 
 
 def test_cylinder_variable_in_kernel(toy):

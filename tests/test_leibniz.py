@@ -9,14 +9,16 @@ instead, so that it shares no integer code at all with degree and iterate.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem
 from util import (
+    DANIELEWSKI_RINGS,
     RATIONAL_RINGS,
     derivative_route,
     fractions,
@@ -87,3 +89,48 @@ def test_orbit_equals_repeated_apply(case):
         assert str(info.value) == (
             f"derivation budget {bound} exceeded on {a}; still nonzero: {orbit[bound + 1]}"
         )
+
+
+# step tables with den_T == 1, where _orbit keeps den fixed and defers the
+# gcd to the result's conversion, and with den_T != 1 (rational tails)
+UNIT_TABLE_RINGS = [r for r in mixed_small_rings() + DANIELEWSKI_RINGS if canonical_derivation(r)._step_rows()[0] == 1]
+proper_fractions = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(2, 7))
+
+
+@st.composite
+def fractional_element(draw):
+    ring = draw(st.sampled_from(UNIT_TABLE_RINGS + RATIONAL_RINGS))
+    keys = st.tuples(*[st.integers(0, 2)] * len(ring.varset))
+    terms = draw(st.dictionaries(keys, proper_fractions, min_size=1, max_size=5))
+    return canonical_derivation(ring), MultiPoly(ring.varset, terms)
+
+
+def lowest_terms(a: QuotElem) -> bool:
+    return gcd(a.rep.den, *a.rep.nums.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_element())
+def test_deferred_gcd_matches_the_fraction_orbit(case):
+    D, p = case
+    assert UNIT_TABLE_RINGS
+    orbit = reference_orbit(D, p)
+    a = orbit[0]
+    assume(a.rep.den > 1)
+    for b, image in zip(orbit, orbit[1:]):
+        got = D.apply(b)
+        assert got == image and lowest_terms(got)
+    for k in range(len(orbit) + 1):
+        got = D.iterate(a, k)
+        assert got == orbit[min(k, len(orbit) - 1)] and lowest_terms(got)
+    den_t = D._step_rows()[0]
+    terms, den, _, steps = D._orbit(*D._integer_terms(a), len(orbit))
+    assert not terms and steps == len(orbit) - 1
+    if den_t == 1:
+        # the denominator never grows, so it is never divided
+        assert D._orbit(*D._integer_terms(a), len(orbit) - 2)[1] == a.rep.den
+    if len(orbit) > 2:
+        bound = len(orbit) - 3
+        with pytest.raises(BudgetExceededError) as info:
+            D.degree(a, bound)
+        assert str(info.value) == f"derivation budget {bound} exceeded on {a}; still nonzero: {orbit[bound + 1]}"

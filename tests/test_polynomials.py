@@ -238,6 +238,19 @@ def test_terms_must_be_exact():
     assert str(MultiPoly(xy, {(2, 0): 3, (0, 1): Fraction(-1, 2), (1, 1): 0})) == "3*X^2 - 1/2*Y"
 
 
+def test_constant_matches_the_general_constructor():
+    for vs in (VarSet(("X",)), XSYZ):
+        zeros = (0,) * len(vs)
+        for c in (0, 1, -1, 7, -(10**30), Fraction(0), Fraction(4, 2), Fraction(-3, 4), Fraction(10**20, 3)):
+            got = MultiPoly.constant(vs, c)
+            want = MultiPoly(vs, {zeros: c})
+            assert (got.varset, got.nums, got.den) == (want.varset, want.nums, want.den)
+            assert type(got.den) is int and all(type(n) is int for n in got.nums.values())
+        for c in (True, False, 0.5, "1", None):
+            with pytest.raises(TypeError, match=rf"coefficient {re.escape(repr(c))} of term {re.escape(str(zeros))} is not"):
+                MultiPoly.constant(vs, c)
+
+
 # ------------------------------------------------------- calculus and weights
 
 

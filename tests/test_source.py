@@ -81,6 +81,29 @@ def test_derivation_and_basis_read_no_family():
     assert family_reads(basis) == []
 
 
+def callers(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
+    """The enclosing definitions of every call of .attr(...) under tree."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= callers(node, attr, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr:
+            found.add(scope)
+        found |= callers(node, attr, scope)
+    return found
+
+
+def test_one_loop_applies_the_derivation():
+    # every application of D reads the step table, so reading it from one
+    # function keeps D's step in one place
+    tree = ast.parse((Path(lndfilt.__file__).parent / "derivations.py").read_text(encoding="utf-8"))
+    assert callers(tree, "_step_table") == {"Derivation._orbit"}
+    (derivation,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Derivation"]
+    methods = {node.name for node in derivation.body if isinstance(node, ast.FunctionDef)}
+    assert "_orbit" in methods and "_step" not in methods
+
+
 FAMILIES = {"full", "danielewski"}
 # the only places that compare with a family name: the constructor's input
 # checks, the automorphism family's domain check, and the two closed-form

@@ -1,4 +1,4 @@
-"""Derivation._step's table of normal forms against the reduction route.
+"""The derivation's step table of normal forms against the reduction route.
 
 The reduction route applies the chain rule to an ambient monomial and
 reduces the result with normal_form; the step table reads D off the values
@@ -20,7 +20,7 @@ from lndfilt.derivations import Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import QuotElem, RingPresentation
 
-from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, grid_rings
+from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, count_applications, grid_rings, orbit_reads
 
 # the 24-ring grid, three danielewski rings, a ring with rational tails, and
 # a cylinder ring (with rational tails too)
@@ -91,6 +91,7 @@ def test_orbit_runs_no_rewrite(monkeypatch, ring, text):
     a = ring.element(text)
     want = D.degree(a)  # builds the table
     assert want == a.degree()
+    reads = orbit_reads(D, a, want + 1)
     calls = Counter()
 
     def counting(name, fn):
@@ -102,9 +103,9 @@ def test_orbit_runs_no_rewrite(monkeypatch, ring, text):
 
     monkeypatch.setattr(rings.RingPresentation, "_rewrite", counting("_rewrite", rings.RingPresentation._rewrite))
     monkeypatch.setattr(rings, "_reducible", counting("_reducible", rings._reducible))
-    monkeypatch.setattr(Derivation, "_step", counting("_step", Derivation._step))
+    count_applications(monkeypatch, calls)
     assert D.degree(a) == want
-    assert calls == {"_step": want + 1}
+    assert calls == {"_orbit": 1, "steps": want + 1, "table reads": reads}
 
 
 def test_canonical_derivation_is_built_once_per_ring(monkeypatch):

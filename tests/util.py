@@ -246,3 +246,40 @@ def count_widenings(monkeypatch) -> list:
 
     monkeypatch.setattr(_Packing, "widen", widen)
     return widths
+
+
+def count_applications(monkeypatch, calls) -> None:
+    """Count into calls what the orbits of every derivation run.
+
+    "_orbit" counts runs of the one loop that applies D and "steps" the
+    applications that each run reports.  "table reads" counts every lookup in
+    the step table, which a step makes once per term of its input, so k
+    applications from a read the term counts of a, D(a), ..., D^(k-1)(a)
+    (orbit_reads).
+    """
+    from lndfilt.derivations import Derivation
+
+    real_orbit, real_table = Derivation._orbit, Derivation._step_table
+
+    class Reads(dict):
+        def __getitem__(self, key):
+            calls["table reads"] += 1
+            return dict.__getitem__(self, key)
+
+    def orbit(self, *args):
+        out = real_orbit(self, *args)
+        calls["_orbit"] += 1
+        calls["steps"] += out[3]
+        return out
+
+    def step_table(self, packing):
+        table = real_table(self, packing)
+        return table and (*table[:2], Reads(table[2]))
+
+    monkeypatch.setattr(Derivation, "_orbit", orbit)
+    monkeypatch.setattr(Derivation, "_step_table", step_table)
+
+
+def orbit_reads(derivation, a, k: int) -> int:
+    """The step-table reads of k applications of the derivation from a."""
+    return sum(len(derivation.iterate(a, i).rep.nums) for i in range(k))

@@ -63,7 +63,7 @@ from .polynomials import (
     read_object,
     substitute_all,
 )
-from .rings import RingPresentation, evaluate_in_ring
+from .rings import _X_ONLY, RingPresentation, evaluate_in_ring
 
 
 class PolyEndo(ReadableDocument):
@@ -180,6 +180,12 @@ def _v(vs: VarSet, name: str) -> MultiPoly:
     return MultiPoly.variable(vs, name)
 
 
+# the coefficient lists of the twist steps' fixed P = S^2 + 1 and Q = Y^2,
+# built once, so that a step ring parses no coefficient text
+_TWIST_P = (MultiPoly.constant(_X_ONLY, 1), MultiPoly.zero(_X_ONLY))
+_TWIST_Q = (MultiPoly.zero(_X_ONLY), MultiPoly.zero(_X_ONLY))
+
+
 @dataclass(frozen=True)
 class FullStep:
     """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
@@ -194,10 +200,10 @@ class FullStep:
             raise ValueError("the twist step starts at e >= 1")
 
     def source_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e, ["1", "0"], ["0", "0"], cylinder=True)
+        return RingPresentation.full(self.n, self.e, _TWIST_P, _TWIST_Q, cylinder=True)
 
     def target_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e + 1, ["1", "0"], ["0", "0"], cylinder=True)
+        return RingPresentation.full(self.n, self.e + 1, _TWIST_P, _TWIST_Q, cylinder=True)
 
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
         """The step isomorphism and its recovery stage, every division checked exact."""

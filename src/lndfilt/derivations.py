@@ -264,7 +264,7 @@ class Derivation:
         """A safe nilpotency budget from the ambient size of a."""
         if a.is_zero():
             return 1
-        total = max(sum(exps) for exps in a.rep.nums)
+        total = max(map(sum, a.rep.nums))
         return max(self.ring.weights) * total + 1
 
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:

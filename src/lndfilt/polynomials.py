@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, starmap
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, getitem, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
@@ -49,6 +49,24 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _PowerTexts(dict):
+    """The printed powers of one variable, {0: "", 1: "X", e: "X^e"}, each built on first use.
+
+    Keyed by the exponent itself, so a table holds only the powers printed
+    so far, whatever their size.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
+
+
 class VarSet:
     """An ordered set of variable names.
 
@@ -57,7 +75,7 @@ class VarSet:
     guessing an embedding.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_texts")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -68,6 +86,7 @@ class VarSet:
                 raise ValueError(f"invalid variable name: {nm!r}")
         self.names = names
         self._index = {nm: k for k, nm in enumerate(names)}
+        self._texts: tuple[_PowerTexts, ...] | None = None
 
     def index(self, name: str) -> int:
         try:
@@ -77,6 +96,12 @@ class VarSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
+
+    def power_texts(self) -> tuple[_PowerTexts, ...]:
+        """One table of printed powers per variable, kept for the printer's next call."""
+        if self._texts is None:
+            self._texts = tuple(map(_PowerTexts, self.names))
+        return self._texts
 
     def __len__(self) -> int:
         return len(self.names)
@@ -565,7 +590,7 @@ class MultiPoly:
             out = tuple(a - b for a, b in zip(exps, dexps))
             if any(e < 0 for e in out):
                 raise ValueError(
-                    f"non-exact division: term {_format_term(self.varset, exps, n, self.den)} "
+                    f"non-exact division: term {_from_terms(self.varset, {exps: n}, self.den)} "
                     f"not divisible by {divisor}"
                 )
             acc[out] = n * scale
@@ -574,22 +599,48 @@ class MultiPoly:
     # -------------------------------------------------------------- printing
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponents, numerator over den) pairs in graded-lex descending order (canonical print order)."""
-        return sorted(self.nums.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        """(exponents, numerator over den) pairs in graded-lex descending order (canonical print order).
+
+        The one order routine of every printer: two stable sorts, by the
+        exponent tuples and then by their sums, both descending, order the
+        terms as the key (sum(e), e) would, with no key tuple per term; a
+        polynomial of one term needs neither.
+        """
+        nums = self.nums
+        if len(nums) < 2:
+            return list(nums.items())
+        order = sorted(nums, reverse=True)
+        order.sort(key=sum, reverse=True)
+        return [(exps, nums[exps]) for exps in order]
 
     def __str__(self) -> str:
+        """The terms in sorted_terms order, as "-3/4*X^2*Y + S - 2".
+
+        Each term is its coefficient's text (left out when it is +-1 and a
+        variable follows) and the texts of its powers, read from the
+        varset's power_texts tables, with the term's sign moved into the
+        " + " / " - " between terms.
+        """
         if not self.nums:
             return "0"
-        parts: list[str] = []
+        den = self.den
+        texts = self.varset.power_texts()
+        join = "*".join
+        out = []
         for exps, n in self.sorted_terms():
-            body = _format_term(self.varset, exps, n, self.den)
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append("- " + body[1:])
+            if n < 0:
+                out.append(" - ")
+                n = -n
             else:
-                parts.append("+ " + body)
-        return " ".join(parts)
+                out.append(" + ")
+            factors = join(filter(None, map(getitem, texts, exps)))
+            if factors and n == den:
+                out.append(factors)
+                continue
+            coeff = str(n) if den == 1 and n < _CHUNK_BASE else _format_coeff(n, den)
+            out.append(f"{coeff}*{factors}" if factors else coeff)
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -845,23 +896,6 @@ def read_rational(value: object, what: str) -> Fraction:
     if not q:
         raise ValueError(f"{what} is {_excerpt(value)}, with a zero denominator")
     return Fraction(-_read_decimal(p) if sign == "-" else _read_decimal(p), q)
-
-
-def _format_term(varset: VarSet, exps: tuple[int, ...], num: int, den: int) -> str:
-    """The text of the term (num/den)*x^exps."""
-    factors = []
-    for nm, e in zip(varset.names, exps):
-        if e == 1:
-            factors.append(nm)
-        elif e > 1:
-            factors.append(f"{nm}^{e}")
-    if not factors:
-        return _format_coeff(num, den)
-    if num == den:
-        return "*".join(factors)
-    if num == -den:
-        return "-" + "*".join(factors)
-    return _format_coeff(num, den) + "*" + "*".join(factors)
 
 
 # ------------------------------------------------------------------- parsing

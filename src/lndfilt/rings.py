@@ -284,13 +284,18 @@ class RingPresentation(ReadableDocument):
         return self._q
 
     def _monic(self, name: str, coeffs: tuple[MultiPoly, ...]) -> MultiPoly:
-        """name^k + sum c_i(X) name^i over this ring's varset, k = len(coeffs)."""
-        vs = self.varset
-        v = MultiPoly.variable(vs, name)
-        out = v ** len(coeffs)
+        """name^k + sum c_i(X) name^i over this ring's varset, k = len(coeffs).
+
+        Assembled term by term over the lcm of the c_i's denominators: the
+        c_i*name^i have distinct name-exponents, so no two terms meet.
+        """
+        den = lcm(*[c.den for c in coeffs])
+        nums = {self._exps(**{name: len(coeffs)}): den}
         for i, c in enumerate(coeffs):
-            out = out + c.rename(vs) * (v ** i)
-        return out
+            scale = den // c.den
+            for (a,), n in c.nums.items():
+                nums[self._exps(X=a, **{name: i})] = n * scale
+        return _from_terms(self.varset, nums, den)
 
     def _relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
         """Each defining relation with the head of its rewrite rule.
@@ -305,11 +310,18 @@ class RingPresentation(ReadableDocument):
         return self._rels
 
     def _build_relations(self) -> tuple[tuple[tuple[int, ...], MultiPoly], ...]:
-        x, s, y = (MultiPoly.variable(self.varset, nm) for nm in ("X", "S", "Y"))
-        rels = [(self._head("S", self.d), x ** self.n * y - self.p_poly())]
+        """The relations assembled from the term maps of P and Q, over their denominators.
+
+        P has no Y and Q no S or Z, so the monomials X^n*Y, X^e*Z and S meet
+        no term of the polynomial they are added to.
+        """
+        p = self.p_poly()
+        rel1 = {self._exps(X=self.n, Y=1): p.den, **{exps: -c for exps, c in p.nums.items()}}
+        rels = [(self._exps(S=self.d), _from_terms(self.varset, rel1, p.den))]
         if self.q_coeffs:
-            z = MultiPoly.variable(self.varset, "Z")
-            rels.append((self._head("Y", self.m), self.q_poly() - x ** self.e * z - s))
+            q = self.q_poly()
+            rel2 = {**q.nums, self._exps(X=self.e, Z=1): -q.den, self._exps(S=1): -q.den}
+            rels.append((self._exps(Y=self.m), _from_terms(self.varset, rel2, q.den)))
         return tuple(rels)
 
     def relation_polys(self) -> list[MultiPoly]:
@@ -434,10 +446,11 @@ class RingPresentation(ReadableDocument):
             self._packed[key] = packing.table(self._rule_tails()[strategy][1])
         return self._packed[key]
 
-    def _head(self, name: str, power: int) -> tuple[int, ...]:
-        """Exponents of the rule head name^power."""
+    def _exps(self, **powers: int) -> tuple[int, ...]:
+        """The exponent tuple of the monomial with the given power of each named variable."""
         exps = [0] * len(self.varset)
-        exps[self.varset.index(name)] = power
+        for name, power in powers.items():
+            exps[self.varset.index(name)] = power
         return tuple(exps)
 
     def normal_form(

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from lndfilt import cylinders, rings
 from lndfilt.cylinders import (
     DanielewskiStep,
     FullStep,
@@ -87,6 +88,21 @@ def test_twist_step_verifies():
     data = cert.to_json_dict()
     assert data["pass"] is True
     assert data["endo"]["vars"] == ["X", "S", "Y", "Z", "T"]
+
+
+def test_twist_step_rings_parse_no_text(monkeypatch):
+    # the fixed P and Q of the twist steps are built once, not parsed per ring
+    step = FullStep(2, 3)
+    parsed = [RingPresentation.full(2, e, ["1", "0"], ["0", "0"], cylinder=True) for e in (3, 4)]
+    parses = []
+    for module in (rings, cylinders):
+        real = module.parse_poly
+        monkeypatch.setattr(module, "parse_poly", lambda *args, real=real: parses.append(args) or real(*args))
+    made = [step.source_ring(), step.target_ring()]
+    assert made == parsed
+    assert [ring.fingerprint() for ring in made] == [ring.fingerprint() for ring in parsed]
+    assert verify_step(solve_step(step), step).passed
+    assert parses == []
 
 
 def test_twist_step_congruence_value():

@@ -10,7 +10,15 @@ from lndfilt.checks import random_element
 from lndfilt.polynomials import MAX_EXPONENT, MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
-from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, grid_rings, mixed_small_rings, random_poly, reference_basis
+from util import (
+    DANIELEWSKI_RINGS,
+    RATIONAL_RINGS,
+    arithmetic_ring_data,
+    grid_rings,
+    mixed_small_rings,
+    random_poly,
+    reference_basis,
+)
 
 
 def nf_str(ring, text):
@@ -420,7 +428,9 @@ def _monic_from_coefficients(ring, name, coeffs):
         RingPresentation.danielewski(1, ["1", "0", "X^2", "0"], cylinder=True),
         RingPresentation.danielewski(2, ["2", "X", "0"]),
         RingPresentation.danielewski(3, ["-1", "1/2*X^2"], cylinder=True),
-    ],
+    ]
+    + [ring.with_cylinder() for ring in grid_rings()]
+    + [ring for base in DANIELEWSKI_RINGS + RATIONAL_RINGS for ring in (base.base(), base.with_cylinder())],
     ids=str,
 )
 def test_ring_data_built_once_matches_coefficients(ring):
@@ -431,6 +441,13 @@ def test_ring_data_built_once_matches_coefficients(ring):
     if ring.family == "full":
         q = _monic_from_coefficients(ring, "Y", ring.q_coeffs)
         rels.append(q - x ** ring.e * MultiPoly.variable(vs, "Z") - s)
+    # the ring assembles P, Q and the relations from the coefficients' term
+    # maps; the construction by products, powers and sums gives the same
+    oracle_p, oracle_q, oracle_rels = arithmetic_ring_data(ring)
+    assert ring.p_poly() == oracle_p == p
+    assert list(ring._relations()) == oracle_rels
+    if ring.family == "full":
+        assert ring.q_poly() == oracle_q == q
     for _ in range(2):  # the first call builds, the second reads what was built
         assert ring.p_poly() == p
         assert ring.relation_polys() == rels

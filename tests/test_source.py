@@ -7,6 +7,10 @@ import sys
 from pathlib import Path
 
 import lndfilt
+from lndfilt import polynomials
+from lndfilt.checks import random_element
+from lndfilt.rings import toy_ring
+from util import DANIELEWSKI_RINGS, RATIONAL_RINGS
 
 SOURCES = sorted(Path(lndfilt.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,13 +86,13 @@ def test_derivation_and_basis_read_no_family():
 
 
 def callers(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
-    """The enclosing definitions of every call of .attr(...) under tree."""
+    """The enclosing definitions of every call of .attr(...) or attr(...) under tree."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found |= callers(node, attr, f"{scope}.{node.name}".lstrip("."))
             continue
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr:
+        if isinstance(node, ast.Call) and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
             found.add(scope)
         found |= callers(node, attr, scope)
     return found
@@ -102,6 +106,37 @@ def test_one_loop_applies_the_derivation():
     (derivation,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Derivation"]
     methods = {node.name for node in derivation.body if isinstance(node, ast.FunctionDef)}
     assert "_orbit" in methods and "_step" not in methods
+
+
+# every sort in the package: sorted_terms orders a polynomial's terms for
+# every printer; the others order JSON keys, filtration degrees and basis
+# monomials
+SORTS = {
+    ("polynomials.py", "MultiPoly.sorted_terms"),
+    ("polynomials.py", "read_object"),
+    ("cli.py", "cmd_filtration"),
+    ("rings.py", "basis_monomials"),
+}
+
+
+def test_sorted_terms_is_the_one_print_order(rng):
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    # the per-term formatter is gone: __str__ formats in one pass
+    assert not hasattr(polynomials, "_format_term")
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_format_term" not in defined
+    # no other place in the package sorts terms for output
+    found = {(name, scope) for name, tree in trees.items() for sort in ("sorted", "sort") for scope in callers(tree, sort)}
+    assert found == SORTS
+    # and element JSON lists its terms in sorted_terms order, graded-lex descending
+    for ring in [toy_ring(), *DANIELEWSKI_RINGS, *(ring.base() for ring in RATIONAL_RINGS)]:
+        keys = [nm.lower() for nm in ring.varset.names]
+        for _ in range(20):
+            elem = random_element(ring, rng, 8)
+            listed = [tuple(term[k] for k in keys) for term in elem.to_json_list()]
+            order = [exps for exps, _ in elem.rep.sorted_terms()]
+            assert listed == order
+            assert order == sorted(elem.rep.nums, key=lambda exps: (sum(exps), exps), reverse=True)
 
 
 FAMILIES = {"full", "danielewski"}

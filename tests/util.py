@@ -6,7 +6,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from lndfilt.polynomials import MultiPoly, VarSet
+from lndfilt.polynomials import MultiPoly, VarSet, _format_coeff
 from lndfilt.rings import RingPresentation
 
 
@@ -70,12 +70,74 @@ def schoolbook_substitute(p: MultiPoly, images: dict, target: VarSet) -> dict:
     return {key: a for key, a in total.items() if a}
 
 
+def reference_term(varset: VarSet, exps: tuple[int, ...], num: int, den: int) -> str:
+    """The text of the term (num/den)*x^exps, one factor at a time."""
+    factors = []
+    for nm, e in zip(varset.names, exps):
+        if e == 1:
+            factors.append(nm)
+        elif e > 1:
+            factors.append(f"{nm}^{e}")
+    if not factors:
+        return _format_coeff(num, den)
+    if num == den:
+        return "*".join(factors)
+    if num == -den:
+        return "-" + "*".join(factors)
+    return _format_coeff(num, den) + "*" + "*".join(factors)
+
+
+def reference_str(p: MultiPoly) -> str:
+    """The reference printer: terms ordered by a (sum(e), e) key each, then joined with their signs."""
+    if not p.nums:
+        return "0"
+    parts = []
+    for exps, n in sorted(p.nums.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        body = reference_term(p.varset, exps, n, p.den)
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append("- " + body[1:])
+        else:
+            parts.append("+ " + body)
+    return " ".join(parts)
+
+
 def derivative_route(derivation, p: MultiPoly) -> MultiPoly:
     """The reference D(p), unreduced: the sum over variables of dp/dx_k * D(x_k)."""
     total = MultiPoly.zero(p.varset)
     for nm in p.varset.names:
         total = total + p.derivative(nm) * derivation.images[nm].rep
     return total
+
+
+def arithmetic_ring_data(ring: RingPresentation) -> tuple:
+    """P, Q (None without a second relation) and the (head, relation) list, by MultiPoly arithmetic.
+
+    The construction that RingPresentation assembles term by term: each monic
+    polynomial as v^k + sum c_i(X)*v^i, and the relations X^n*Y - P and
+    Q - X^e*Z - S, all by products, powers and sums.
+    """
+    vs = ring.varset
+
+    def monic(name, coeffs):
+        v = MultiPoly.variable(vs, name)
+        out = v ** len(coeffs)
+        for i, c in enumerate(coeffs):
+            out = out + c.rename(vs) * (v**i)
+        return out
+
+    def head(name, power):
+        return tuple(power if nm == name else 0 for nm in vs.names)
+
+    x, s, y = (MultiPoly.variable(vs, nm) for nm in ("X", "S", "Y"))
+    p = monic("S", ring.p_coeffs)
+    rels = [(head("S", ring.d), x**ring.n * y - p)]
+    q = None
+    if ring.q_coeffs:
+        q = monic("Y", ring.q_coeffs)
+        rels.append((head("Y", ring.m), q - x**ring.e * MultiPoly.variable(vs, "Z") - s))
+    return p, q, rels
 
 
 def grid_rings() -> list[RingPresentation]:

@@ -2,13 +2,14 @@
 
 Every subcommand is a thin wrapper over exactly one library operation.
 Exit codes: 0 on success, 1 when a verification or degree comparison fails,
-2 for usage and parse errors.
+2 for usage and parse errors and for an --out file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 
@@ -56,36 +57,46 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _read(path: str, what: str, parser: argparse.ArgumentParser) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        parser.error(f"cannot read {what} file: {err}")
+
+
 def _load_ring(args, parser: argparse.ArgumentParser) -> RingPresentation:
     if getattr(args, "toy", False):
         return toy_ring()
     path = getattr(args, "ring", None)
     if not path:
         parser.error("provide --ring FILE or --toy")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        parser.error(f"cannot read ring file: {err}")
-    return RingPresentation.from_json(text)
+    return RingPresentation.from_json(_read(path, "ring", parser))
 
 
 def _load_params(args, parser: argparse.ArgumentParser) -> AutParams:
-    try:
-        text = Path(args.params).read_text(encoding="utf-8")
-    except OSError as err:
-        parser.error(f"cannot read parameter file: {err}")
-    return AutParams.from_json(text)
+    return AutParams.from_json(_read(args.params, "parameter", parser))
 
 
 def _emit(args, data: dict, human: str) -> None:
     print(dump_json(data) if args.json else human)
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that names a directory or lies in none, before any work."""
+    if Path(out).is_dir():
+        raise ValueError(f"cannot write output file: {out!r} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"cannot write output file: {str(Path(out).parent)!r} is not a directory")
+
+
 def _write_json(args, data: dict) -> None:
     text = dump_json(data)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as err:
+            raise ValueError(f"cannot write output file: {err}") from None
     else:
         print(text)
 
@@ -383,10 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args, parser)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

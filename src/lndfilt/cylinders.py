@@ -27,10 +27,10 @@ endomorphism carries its step and stage, so verify_step(solve_step(step),
 step) solves once and builds each ring once; verify_step solves the step
 itself only for an endomorphism that no solve of an equal step built.
 verify_step certifies an endomorphism through three independent routes:
-exact relation transport, the forced congruence (atomic steps), and a
-recovery chain that rebuilds every target generator from the images; every
-check runs on every call, whichever solve the stage came from.  Two kinds
-of entry are derived, not computed again:
+exact relation transport (one substitute_all call), the forced congruence
+(atomic steps), and a recovery chain that rebuilds every target generator
+from the images; every check runs on every call, whichever solve the stage
+came from.  Two kinds of entry are derived, not computed again:
 
 * the full family's eliminated three-variable relation transported onto
   the target's follows from the two relation transports (S -> Q - X^e*Z
@@ -160,19 +160,17 @@ class RecoveryStage:
     """What a step's solve hands its certificate, besides the endomorphism.
 
     The step's source and target rings, built once by the solve; the
-    recovery chain, and which row rebuilds each generator (outputs[nm] names
-    a row whose claimed element is the generator nm, so its verdict is the
-    generator's final one); and the displacement (lhs, rhs, unit): the step
-    maps lhs to rhs, which is -unit*T in the target, and that identity forced
-    the T-image.  All of it depends on the step alone, not on the images.
-    An endomorphism carries the stage its solve built, so the stage is
-    frozen and its rows are a tuple.
+    recovery chain, in which the row named nm.lower() claims the generator
+    nm, so its verdict is the generator's final one; and the displacement
+    (lhs, rhs, unit): the step maps lhs to rhs, which is -unit*T in the
+    target, and that identity forced the T-image.  All of it depends on the
+    step alone, not on the images.  An endomorphism carries the stage its
+    solve built, so the stage is frozen and its rows are a tuple.
     """
 
     source: RingPresentation
     target: RingPresentation
     rows: tuple[RecoveryRow, ...]
-    outputs: dict[str, str]
     displacement: tuple[MultiPoly, MultiPoly, Fraction | int]
 
 
@@ -216,8 +214,7 @@ class FullStep:
         displacement = (y * z - x * t, 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y), 4)
 
         h = x ** (n + e) * t
-        ident = {nm: _v(vs, nm) for nm in vs.names}
-        p_shift = p.substitute({**ident, "S": s + h})
+        p_shift = p.substitute({"X": x, "S": s + h})
         ell = (p_shift - p).divide_exact(x ** n)
         f = (2 * y * ell + ell * ell - h).divide_exact(x ** e)
         img_y = y + ell
@@ -250,8 +247,7 @@ class FullStep:
             RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
             RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
         ]
-        outputs = {"X": "x", "S": "s", "Y": "y", "Z": "z", "T": "t"}
-        stage = RecoveryStage(src, tgt, tuple(rows), outputs, displacement)
+        stage = RecoveryStage(src, tgt, tuple(rows), displacement)
         endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
         endo._solved = (self, stage)
         return endo, stage
@@ -302,8 +298,7 @@ class DanielewskiStep:
         qt = (p - s ** d - c).divide_exact(x)
 
         h = x ** n * t
-        ident = {nm: _v(vs, nm) for nm in vs.names}
-        p_shift = p.substitute({**ident, "S": s + h})
+        p_shift = p.substitute({"X": x, "S": s + h})
         ell = (p_shift - p).divide_exact(x ** n)
         img_y = x * y + ell
         # the displacement identity phi(Y*S - X*T) = rhs forces the T-image
@@ -340,8 +335,7 @@ class DanielewskiStep:
                 y,
             ),
         ]
-        outputs = {"X": "x", "S": "s", "Y": "y", "T": "t"}
-        stage = RecoveryStage(src, tgt, tuple(rows), outputs, displacement)
+        stage = RecoveryStage(src, tgt, tuple(rows), displacement)
         endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
         endo._solved = (self, stage)
         return endo, stage
@@ -448,9 +442,10 @@ def _transport_checks(
     A ring with a second relation eliminates S with it, and adds the entry
     that the two transports imply (_eliminated_transport).
     """
+    moved = substitute_all(source.relation_polys(), endo.images)
     checks = [
-        _identity_entry(f"relation-transport-{k}", endo.apply(rs), rt)
-        for k, (rs, rt) in enumerate(zip(source.relation_polys(), target.relation_polys()), start=1)
+        _identity_entry(f"relation-transport-{k}", got, rt)
+        for k, (got, rt) in enumerate(zip(moved, target.relation_polys()), start=1)
     ]
     if len(checks) > 1:
         transports_pass = all(c["pass"] for c in checks)
@@ -464,9 +459,9 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     stage is the step's recovery stage, which also holds its endpoint rings
     and its displacement.  Two kinds of entry are derived, not computed:
     the eliminated-relation entry follows from the two relation transports
-    (_eliminated_transport), and each stage-2 row is the verdict of the
-    stage-1 row named by stage.outputs, since that row's claimed element is
-    the generator and its value is the one the stage-2 row would compare.
+    (_eliminated_transport), and the stage-2 row of generator nm is the
+    verdict of stage-1 row nm.lower(), which claims the generator and holds
+    the value the stage-2 row would compare.
     """
     source, target = stage.source, stage.target
     vs = source.varset
@@ -503,7 +498,7 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
         {
             "element": nm.lower(),
             "expression": f"stage-1 recovery of {nm}",
-            "pass": verdicts[stage.outputs[nm]],
+            "pass": verdicts[nm.lower()],
         }
         for nm in vs.names
     ]

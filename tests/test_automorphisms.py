@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lndfilt import automorphisms
 from lndfilt.automorphisms import (
     AutParams,
     build_auto,
@@ -76,6 +77,51 @@ def test_verify_auto_rejects_invalid(toy):
     report = verify_auto(toy, AutParams.make(1, 2))
     assert not report.passed
     assert report.witnesses
+
+
+def test_verify_auto_witnesses_a_wrong_inverse(toy, monkeypatch):
+    # an inverse whose shift is off by one fixes X but moves S, and with it
+    # Y and Z, on both sides
+    params = AutParams.make(8, 16, "1 + X")
+    true_inverse = automorphisms.inverse_params
+
+    def off_by_one(ring, p):
+        inv = true_inverse(ring, p)
+        return AutParams(inv.lam, inv.mu, inv.a + 1)
+
+    monkeypatch.setattr(automorphisms, "inverse_params", off_by_one)
+    assert verify_auto(toy, params).witnesses == [
+        "inverse fails on S (left)",
+        "inverse fails on S (right)",
+        "inverse fails on Y (left)",
+        "inverse fails on Y (right)",
+        "inverse fails on Z (left)",
+        "inverse fails on Z (right)",
+    ]
+
+
+def test_verify_auto_witnesses_a_tampered_image(toy, monkeypatch):
+    # S -> 16*S + X^3*(1 + X) + X breaks both relations; against the true
+    # inverse the tampered map fails on S both ways, and on Y and Z where it
+    # is applied last (right)
+    params = AutParams.make(8, 16, "1 + X")
+    true_build = automorphisms.build_auto
+
+    def tampered(ring, p):
+        auto = true_build(ring, p)
+        if p == params:
+            auto.images["S"] = auto.images["S"] + ring.generator("X")
+        return auto
+
+    monkeypatch.setattr(automorphisms, "build_auto", tampered)
+    assert verify_auto(toy, params).witnesses == [
+        "relation X^2*Y - S^2 maps to -2*X^5 - 2*X^4 - X^2 - 32*X*S",
+        "relation -X*Z + Y^2 - S maps to -X",
+        "inverse fails on S (left)",
+        "inverse fails on S (right)",
+        "inverse fails on Y (right)",
+        "inverse fails on Z (right)",
+    ]
 
 
 def test_inverse_params_compose_to_identity(toy):

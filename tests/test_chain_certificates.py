@@ -102,7 +102,7 @@ def expanded_chain_certificate(steps: list) -> tuple[PolyEndo, IsoCertificate]:
                     "pass": val == target.normal_form(row.claimed) if last else None,
                 }
             )
-        nxt = {nm: values[sym] for nm, sym in stage.outputs.items()}
+        nxt = {nm: values[nm.lower()] for nm in vs.names}
         if not last:
             expected = boundaries[idx - 1]
             rows.append(
@@ -175,6 +175,15 @@ def test_chain_stdout_is_pinned(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=["cyliso", "danielewski-cyliso"])
+def test_chain_out_file_is_pinned(capsys, tmp_path, argv, digest):
+    # --out writes the bytes the command prints without it
+    out = tmp_path / "chain.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"certificate: pass -> {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # sha256 of the stdout of two commands outside the chains, recorded before

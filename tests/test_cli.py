@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
+from lndfilt import cli
+from lndfilt.cylinders import DanielewskiStep, FullStep
 from lndfilt.cli import MAX_CHAIN_STEPS, MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, MAX_SUITE_BOUND, main
 from lndfilt.derivations import Derivation
 from lndfilt.rings import QuotElem, toy_ring
@@ -230,6 +236,97 @@ def test_cyliso_writes_certificate(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     assert data["certificate"]["pass"] is True
     assert data["endo"]["images"]["S"] == "X^2*T + S"
+
+
+OUT_COMMANDS = {
+    "cyliso": ["cyliso", "-n", "1", "--from", "1", "--to", "2"],
+    "danielewski-cyliso": ["danielewski-cyliso", "--from", "1", "--to", "2", "--poly", "1,0,X^2,0"],
+    "auto-build": ["auto-build", "--ring", "{ring}", "--params", "{params}"],
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every step solve and automorphism build, recorded; a refused --out makes none."""
+    calls = []
+    for owner, name in ((FullStep, "solve"), (DanielewskiStep, "solve")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda step, original=original: calls.append(step) or original(step))
+    original_build = cli.build_auto
+    monkeypatch.setattr(cli, "build_auto", lambda *args: calls.append(args) or original_build(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_out_is_refused_before_any_work(capsys, tmp_path, ring_file, no_work, command, case):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": "-1", "mu": "1", "a": "3*X^2"}))
+    out = tmp_path / "missing" / "x.json" if case == "missing-directory" else tmp_path
+    argv = [arg.format(ring=ring_file, params=params) for arg in OUT_COMMANDS[command]]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    if case == "directory":
+        assert err == f"error: cannot write output file: '{out}' is a directory\n"
+    else:
+        assert err == f"error: cannot write output file: '{out.parent}' is not a directory\n"
+    assert no_work == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_write_error_exits_2(capsys, tmp_path, monkeypatch):
+    def full_disk(path, *args, **kwargs):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "chain.json"
+    code, stdout, err = run(capsys, "cyliso", "-n", "1", "--from", "1", "--to", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write output file: [Errno 28] No space left on device: '{out}'\n"
+
+
+def test_unwritable_out_has_no_traceback(tmp_path):
+    # the whole program, as a user runs it: one error line and exit 2, not a crash
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = tmp_path / "nonexistent" / "x.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "lndfilt.cli", "cyliso", "-n", "1", "--from", "1", "--to", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: cannot write output file: '{out.parent}' is not a directory\n"
+    assert "Traceback" not in done.stderr
+
+
+def test_auto_build_out_file_holds_the_stdout_bytes(capsys, tmp_path, ring_file):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": "-1", "mu": "1", "a": "3*X^2"}))
+    code, printed, _ = run(capsys, "auto-build", "--ring", ring_file, "--params", str(params))
+    assert code == 0
+    out = tmp_path / "auto.json"
+    code, stdout, _ = run(capsys, "auto-build", "--ring", ring_file, "--params", str(params), "--out", str(out))
+    assert (code, stdout) == (0, "")
+    assert out.read_text(encoding="utf-8") == printed
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "nf", "--toy", "Y^2*S")
+        second = run(capsys, "nf", "--toy", "Y^2*S")
+        assert first == second == (0, "X^2*Y + X*S*Z\n", "")
+        # a usage error after a successful call still exits 2
+        with pytest.raises(SystemExit) as info:
+            main(["deg", "--toy", "--bound", "-1", "Y"])
+        assert info.value.code == 2
+        assert "argument --bound: must be >= 0, got -1" in capsys.readouterr().err
+        assert run(capsys, "deg", "--toy", "Y") == (0, "2\n", "")
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_cyliso_equal_twists_usage_error(capsys):

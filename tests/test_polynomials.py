@@ -22,7 +22,7 @@ from lndfilt.polynomials import (
     substitute_all,
 )
 from lndfilt.rings import QuotElem, toy_ring
-from util import fresh_power_substitute
+from util import fresh_power_substitute, reference_rename, renamings
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
 
@@ -406,6 +406,14 @@ def test_rename_transports_between_varsets():
     assert q == P("X^2 + 1")
     with pytest.raises(ValueError):
         P("S").rename(small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamings())
+def test_rename_matches_the_exponent_loop(case):
+    p, target = case
+    assert p.rename(target) == reference_rename(p, target)
+    assert str(p.rename(target)) == str(reference_rename(p, target))
 
 
 def test_varset_mismatch_raises():

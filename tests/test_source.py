@@ -197,3 +197,42 @@ def test_mutation_gate_holds_under_python_O():
         "14 deletions, 0 survived",
         "14 chain deletions, 0 accepted",
     ]
+
+
+def definition(tree: ast.AST, qualname: str) -> ast.AST:
+    """The function or class definition of a dotted name such as "MultiPoly.rename"."""
+    node = tree
+    for part in qualname.split("."):
+        (node,) = [
+            child for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == part
+        ]
+    return node
+
+
+def test_maps_are_applied_through_the_one_evaluation_routine():
+    # a map applied to several polynomials goes through one substitute_all
+    # call (or compose, which is one), not through a hand-made copy of it
+    package = Path(lndfilt.__file__).parent
+    trees = {
+        name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("polynomials", "automorphisms", "cylinders")
+    }
+    rename = definition(trees["polynomials"], "MultiPoly.rename")
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(rename))
+    assert "MultiPoly.rename" in callers(trees["polynomials"], "substitute")
+    automorphisms = trees["automorphisms"]
+    assert "verify_auto" not in callers(automorphisms, "apply")
+    assert "verify_auto" not in callers(automorphisms, "evaluate_in_ring")
+    assert {"verify_auto", "RingAutomorphism.compose"} <= callers(automorphisms, "substitute_all")
+    assert "verify_auto" in callers(automorphisms, "compose")
+    cylinders = trees["cylinders"]
+    assert "_transport_checks" not in callers(cylinders, "apply")
+    assert "_transport_checks" in callers(cylinders, "substitute_all")
+    assert [arg.arg for arg in definition(cylinders, "_transport_checks").args.args] == ["endo", "source", "target"]
+    # the step solvers and build_auto pass no identity images
+    assert not any(isinstance(node, ast.Name) and node.id == "ident" for node in ast.walk(cylinders))
+    # the row named nm.lower() rebuilds generator nm; no field restates it
+    stage = definition(cylinders, "RecoveryStage")
+    fields = {node.target.id for node in stage.body if isinstance(node, ast.AnnAssign)}
+    assert fields == {"source", "target", "rows", "displacement"}

@@ -6,7 +6,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from lndfilt.polynomials import MultiPoly, VarSet, _format_coeff
+from lndfilt.polynomials import MultiPoly, VarSet, _format_coeff, _from_terms
 from lndfilt.rings import RingPresentation
 
 
@@ -26,6 +26,22 @@ def random_poly(
         exps = tuple(rng.randint(0, max_exp) for _ in varset.names)
         terms[exps] = random_fraction(rng)
     return MultiPoly(varset, terms)
+
+
+def reference_rename(p: MultiPoly, target: VarSet) -> MultiPoly:
+    """p moved to target by placing each exponent at its variable's index there.
+
+    The exponent loop MultiPoly.rename ran before it became one
+    substitute_all call.
+    """
+    mapping = [target.index(nm) for nm in p.varset.names]
+    acc: dict[tuple[int, ...], int] = {}
+    for exps, n in p.nums.items():
+        out = [0] * len(target)
+        for k, e in enumerate(exps):
+            out[mapping[k]] = e
+        acc[tuple(out)] = n
+    return _from_terms(target, acc, p.den)
 
 
 def fresh_power_substitute(p: MultiPoly, images: dict) -> MultiPoly:
@@ -174,6 +190,18 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 def x_polys(draw):
     """A polynomial in X of degree <= 2 with rational coefficients, maybe 0."""
     return MultiPoly(X_ONLY, {(k,): draw(fractions) for k in range(draw(st.integers(0, 3)))})
+
+
+@st.composite
+def renamings(draw):
+    """A polynomial and a varset holding its variables in another order, with extra names."""
+    pool = ["A", "B", "C", "D", "E", "F"]
+    names = draw(st.permutations(pool))
+    source = VarSet(names[: draw(st.integers(0, 4))])
+    target = list(draw(st.permutations(names[: len(source) + draw(st.integers(0, 2))])))
+    exps = st.tuples(*[st.integers(0, 5)] * len(source))
+    terms = draw(st.dictionaries(exps, fractions, max_size=6))
+    return MultiPoly(source, terms), VarSet(target)
 
 
 @st.composite

@@ -9,7 +9,7 @@ from fractions import Fraction
 # A VarSet fixes the names and the order of the variables.  Polynomials
 # over different variable sets refuse to interact, which catches a whole
 # class of silent bugs early.
-from lndfilt import MultiPoly, VarSet, WeightFunction, parse_poly
+from lndfilt import MultiPoly, VarSet, parse_poly, toy_ring
 
 vs = VarSet(("X", "S", "Y"))
 
@@ -49,14 +49,16 @@ print("p with S -> S + X^2 :", shifted)
 delta = shifted - p
 print("(p(S+X^2) - p(S)) / X =", delta.divide_exact(x))
 
-# A WeightFunction assigns an integer weight to each variable (given in
-# varset order) and measures terms by total weight.
-w = WeightFunction(vs, (0, 1, 2))
-print("weights        : X -> 0, S -> 1, Y -> 2")
-top = max(w.of_exponents(exps) for exps in q.terms)
-print("top weight of q:", top)
-slice_terms = {exps: c for exps, c in q.terms.items() if w.of_exponents(exps) == top}
-print("top slice of q :", MultiPoly(vs, slice_terms))
+# A ring weighs its variables for its degree filtration: the toy ring of
+# demo 02 weighs X, S, Y, Z by 0, 1, 2, 4.  top_slice returns the largest
+# weight among a polynomial's terms and the sum of the terms of that weight.
+ring = toy_ring()
+r = parse_poly("Y^2 - X*Z + S + 3", ring.varset)
+top, top_terms = ring.top_slice(r)
+print("weights        : X -> 0, S -> 1, Y -> 2, Z -> 4")
+print("r              =", r)
+print("top weight of r:", top)
+print("top slice of r :", top_terms)
 
 # Scalar multiplication accepts int and Fraction on either side.
 print("(2/3) * p =", Fraction(2, 3) * p)

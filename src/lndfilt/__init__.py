@@ -36,7 +36,7 @@ from .cylinders import (
 )
 from .derivations import BudgetExceededError, Derivation, canonical_derivation
 from .graded import GradedElem, gr_leading, graded_generators, hat_ideal_tops
-from .polynomials import MultiPoly, ParseError, VarSet, WeightFunction, parse_poly
+from .polynomials import MultiPoly, ParseError, VarSet, parse_poly
 from .rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "RingAutomorphism",
     "RingPresentation",
     "VarSet",
-    "WeightFunction",
     "al_chain_check",
     "basis_monomials",
     "build_auto",

@@ -4,12 +4,15 @@ Filtering a ring by F_i = { a : degree(a) <= i } (degree induced by the
 canonical derivation) yields an associated graded algebra.  Because every
 canonical representative splits monomial-by-monomial along the degree, a
 graded class is stored as the homogeneous part of a representative, tagged
-with its degree.
+with its degree.  That part is the ring's top slice (RingPresentation.top_slice)
+of the representative: gr_leading, graded products and hat_ideal_tops all read
+it.  The public constructor checks a part given from outside; the classes
+built here are homogeneous by construction and go through _graded unchecked.
 """
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, _from_terms, ladder_power
+from .polynomials import MultiPoly, ladder_power
 from .rings import QuotElem, RingPresentation
 
 
@@ -23,16 +26,14 @@ class GradedElem:
     __slots__ = ("ring", "grade", "part")
 
     def __init__(self, ring: RingPresentation, grade: int, part: MultiPoly):
-        if part.varset != ring.varset:
-            raise ValueError("graded part varset does not match the ring")
+        if isinstance(grade, bool) or not isinstance(grade, int) or grade < 0:
+            raise ValueError(f"grade must be an integer >= 0, got {grade!r}")
+        ring._require_own(part)
         for exps in part.nums:
-            if ring.monomial_degree(exps) != grade:
-                raise ValueError(
-                    f"term of degree {ring.monomial_degree(exps)} in a grade-{grade} class"
-                )
-        self.ring = ring
-        self.grade = grade
-        self.part = part
+            got = ring.monomial_degree(exps)
+            if got != grade:
+                raise ValueError(f"term of degree {got} in a grade-{grade} class")
+        self.ring, self.grade, self.part = ring, grade, part
 
     def is_zero(self) -> bool:
         return self.part.is_zero()
@@ -42,17 +43,19 @@ class GradedElem:
             raise ValueError("graded classes from different rings")
 
     def __add__(self, other: GradedElem) -> GradedElem:
+        if not isinstance(other, GradedElem):
+            return NotImplemented
         self._check(other)
         if self.grade != other.grade:
-            raise ValueError(
-                f"cannot add graded classes of degrees {self.grade} and {other.grade}"
-            )
-        return GradedElem(self.ring, self.grade, self.part + other.part)
+            raise ValueError(f"cannot add graded classes of degrees {self.grade} and {other.grade}")
+        return _graded(self.ring, self.grade, self.part + other.part)
 
     def __neg__(self) -> GradedElem:
-        return GradedElem(self.ring, self.grade, -self.part)
+        return _graded(self.ring, self.grade, -self.part)
 
     def __sub__(self, other: GradedElem) -> GradedElem:
+        if not isinstance(other, GradedElem):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: GradedElem) -> GradedElem:
@@ -62,30 +65,23 @@ class GradedElem:
         part of lower degree is exactly what the associated graded
         construction quotients away.
         """
+        if not isinstance(other, GradedElem):
+            return NotImplemented
         self._check(other)
         grade = self.grade + other.grade
-        reduced = self.ring.normal_form(self.part * other.part).rep
-        keep = {}
-        for exps, n in reduced.nums.items():
-            got = self.ring.monomial_degree(exps)
-            if got > grade:
-                raise RuntimeError(f"degree grew under multiplication: {exps}")
-            if got == grade:
-                keep[exps] = n
-        return GradedElem(self.ring, grade, _from_terms(self.ring.varset, keep, reduced.den))
+        top, part = self.ring.top_slice(self.ring.normal_form(self.part * other.part).rep)
+        if top is not None and top > grade:
+            raise RuntimeError(f"degree grew under multiplication: {top} > {grade}")
+        return _graded(self.ring, grade, part if top == grade else MultiPoly.zero(self.ring.varset))
 
     def __pow__(self, k: int) -> GradedElem:
-        one = GradedElem(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
+        one = _graded(self.ring, 0, MultiPoly.constant(self.ring.varset, 1))
         return ladder_power({0: one, 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedElem):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.grade == other.grade
-            and self.part == other.part
-        )
+        return (self.ring, self.grade, self.part) == (other.ring, other.grade, other.part)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.grade, self.part))
@@ -97,13 +93,19 @@ class GradedElem:
         return f"GradedElem({self})"
 
 
+def _graded(ring: RingPresentation, grade: int, part: MultiPoly) -> GradedElem:
+    """The class of part in grade, for a part homogeneous of that grade: no check, no copy."""
+    out = GradedElem.__new__(GradedElem)
+    out.ring, out.grade, out.part = ring, grade, part
+    return out
+
+
 def gr_leading(a: QuotElem) -> GradedElem:
     """The leading graded class of a nonzero element (error on zero)."""
-    deg = a.degree()
+    deg, part = a.ring.top_slice(a.rep)
     if deg is None:
         raise ValueError("the zero element has no leading graded class")
-    keep = {exps: n for exps, n in a.rep.nums.items() if a.ring.monomial_degree(exps) == deg}
-    return GradedElem(a.ring, deg, _from_terms(a.ring.varset, keep, a.rep.den))
+    return _graded(a.ring, deg, part)
 
 
 def graded_generators(ring: RingPresentation) -> dict[str, GradedElem]:
@@ -112,11 +114,10 @@ def graded_generators(ring: RingPresentation) -> dict[str, GradedElem]:
 
 
 def hat_ideal_tops(ring: RingPresentation) -> list[MultiPoly]:
-    """Top weight-components of the defining relations.
+    """Top slices of the defining relations.
 
     Under the weight (0, 1, d, m*d) on (x, s, y, z) these are the relations
     presenting the associated graded algebra: x^n*y - s^d and (full family)
     y^m - x^e*z.
     """
-    w = ring.degree_weights()
-    return [rel.top_component(w) for rel in ring.relation_polys()]
+    return [ring.top_slice(rel)[1] for rel in ring.relation_polys()]

@@ -119,27 +119,6 @@ class VarSet:
         return f"VarSet{self.names}"
 
 
-class WeightFunction:
-    """Non-negative integer weights, one per variable of a varset."""
-
-    __slots__ = ("varset", "weights")
-
-    def __init__(self, varset: VarSet, weights: Sequence[int]):
-        weights = tuple(int(w) for w in weights)
-        if len(weights) != len(varset):
-            raise ValueError(f"expected {len(varset)} weights, got {len(weights)}")
-        if any(w < 0 for w in weights):
-            raise ValueError(f"weights must be non-negative: {weights}")
-        self.varset = varset
-        self.weights = weights
-
-    def of_exponents(self, exps: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
-
-    def __repr__(self) -> str:
-        return f"WeightFunction({self.varset!r}, {self.weights})"
-
-
 def _require_scalar(c: object, exps: tuple[int, ...]) -> None:
     """TypeError unless the coefficient c of the term at exps is an int or Fraction (a bool is not)."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
@@ -554,21 +533,6 @@ class MultiPoly:
             # no images: substitute_all would keep the empty varset
             return MultiPoly.constant(target, self.constant_value())
         return self.substitute({nm: MultiPoly.variable(target, nm) for nm in self.varset.names})
-
-    def weight_degree(self, w: WeightFunction) -> int | None:
-        """Max weight of a term under w; None for the zero polynomial."""
-        if w.varset != self.varset:
-            raise ValueError("weight function varset mismatch")
-        if not self.nums:
-            return None
-        return max(w.of_exponents(e) for e in self.nums)
-
-    def top_component(self, w: WeightFunction) -> MultiPoly:
-        """The sum of terms of maximal w-weight (0 for the zero polynomial)."""
-        d = self.weight_degree(w)
-        return _from_terms(
-            self.varset, {e: n for e, n in self.nums.items() if w.of_exponents(e) == d}, self.den
-        )
 
     def divide_exact(self, divisor: MultiPoly) -> MultiPoly:
         """Exact division by a single-term divisor; raises if any term fails.

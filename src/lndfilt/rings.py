@@ -77,7 +77,6 @@ from .polynomials import (
     MultiPoly,
     ReadableDocument,
     VarSet,
-    WeightFunction,
     _format_coeff,
     _from_terms,
     _Packing,
@@ -347,15 +346,23 @@ class RingPresentation(ReadableDocument):
             self._eliminated = self.eliminate_s(self._relations()[0][1])
         return self._eliminated
 
-    def degree_weights(self) -> WeightFunction:
-        """The filtration weight of each ambient variable (x, t weigh 0)."""
-        return WeightFunction(self.varset, self.weights)
-
     def monomial_degree(self, exps: Sequence[int]) -> int:
         """Filtration degree of one stored monomial: s + d*y (+ m*d*z)."""
         if len(exps) != len(self.weights):
             raise ValueError(f"expected {len(self.weights)} exponents, got {tuple(exps)}")
         return sum(map(mul, self.weights, exps))
+
+    def top_slice(self, p: MultiPoly) -> tuple[int | None, MultiPoly]:
+        """The largest monomial_degree among p's terms and the sum of the terms of that degree.
+
+        (None, 0) for the zero polynomial.  The package's one top-degree
+        filter: leading graded classes, graded products and the tops of the
+        relations all read it.
+        """
+        self._require_own(p)
+        degrees = {exps: self.monomial_degree(exps) for exps in p.nums}
+        top = max(degrees.values(), default=None)
+        return top, _from_terms(self.varset, {e: n for e, n in p.nums.items() if degrees[e] == top}, p.den)
 
     def basis_exponents(self, a: int, l: int, j: int, i: int) -> tuple[int, ...]:
         """The exponent tuple of x^a*s^l*y^j*z^i, for (l, j, i) from basis_monomials.
@@ -453,6 +460,11 @@ class RingPresentation(ReadableDocument):
             exps[self.varset.index(name)] = power
         return tuple(exps)
 
+    def _require_own(self, p: MultiPoly) -> None:
+        """ValueError unless p is a polynomial over this ring's varset."""
+        if p.varset != self.varset:
+            raise ValueError(f"polynomial varset {p.varset!r} does not match ring {self.varset!r}")
+
     def normal_form(
         self,
         p: MultiPoly,
@@ -476,8 +488,7 @@ class RingPresentation(ReadableDocument):
         representative and the cofactors do not depend on the order of the
         rewrites within a pass.
         """
-        if p.varset != self.varset:
-            raise ValueError(f"polynomial varset {p.varset!r} does not match ring {self.varset!r}")
+        self._require_own(p)
         ruleset = self._rule_tails().get(strategy)
         if ruleset is None:
             raise ValueError(f"unknown strategy {strategy!r}")

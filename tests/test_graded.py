@@ -1,10 +1,12 @@
 """Associated graded algebra: leading classes, graded relations, top ideals."""
 
+from fractions import Fraction
+
 import pytest
 
 from lndfilt.checks import random_element
 from lndfilt.graded import GradedElem, gr_leading, graded_generators, hat_ideal_tops
-from lndfilt.polynomials import MultiPoly, parse_poly
+from lndfilt.polynomials import MultiPoly, VarSet, parse_poly
 from lndfilt.rings import RingPresentation
 
 from util import grid_rings, mixed_small_rings
@@ -103,9 +105,45 @@ def test_graded_add_requires_same_grade(toy):
 def test_graded_class_validation(toy):
     with pytest.raises(ValueError, match="grade-3 class"):
         GradedElem(toy, 3, parse_poly("Y", toy.varset))
+    with pytest.raises(ValueError, match="does not match ring"):
+        GradedElem(toy, 0, parse_poly("X", VarSet(("X", "S", "Y"))))
     zero_class = GradedElem(toy, 5, MultiPoly.zero(toy.varset))
     assert zero_class.is_zero()
     assert str(gr_leading(toy.element("2*S"))) == "[2*S]_1"
+
+
+def test_graded_grade_must_be_a_natural_number(toy):
+    zero = MultiPoly.zero(toy.varset)
+    for grade in (-1, True, False, 1.0, "2", None):
+        with pytest.raises(ValueError, match="grade must be an integer >= 0"):
+            GradedElem(toy, grade, zero)
+    assert GradedElem(toy, 0, MultiPoly.constant(toy.varset, 3)).grade == 0
+
+
+def test_graded_arithmetic_refuses_other_operands(toy):
+    g = gr_leading(toy.element("S"))
+    for other in (2, Fraction(1, 2), toy.element("S"), parse_poly("S", toy.varset)):
+        with pytest.raises(TypeError):
+            g * other
+        with pytest.raises(TypeError):
+            other * g
+        with pytest.raises(TypeError):
+            g + other
+        with pytest.raises(TypeError):
+            other + g
+        with pytest.raises(TypeError):
+            g - other
+        with pytest.raises(TypeError):
+            other - g
+    assert g != 2
+
+
+def test_graded_product_of_zero_class(toy):
+    g = gr_leading(toy.element("S + Y"))
+    zero_class = GradedElem(toy, 3, MultiPoly.zero(toy.varset))
+    product = g * zero_class
+    assert product.is_zero() and product.grade == 5
+    assert product == zero_class * g
 
 
 def test_power_is_the_repeated_product(rng):

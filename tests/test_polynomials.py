@@ -1,4 +1,4 @@
-"""Polynomial layer: parsing, printing, exact arithmetic, weights."""
+"""Polynomial layer: parsing, printing, exact arithmetic."""
 
 import re
 from decimal import Decimal
@@ -14,7 +14,6 @@ from lndfilt.polynomials import (
     MultiPoly,
     ParseError,
     VarSet,
-    WeightFunction,
     _Parser,
     _format_coeff,
     ladder_power,
@@ -251,7 +250,7 @@ def test_constant_matches_the_general_constructor():
                 MultiPoly.constant(vs, c)
 
 
-# ------------------------------------------------------- calculus and weights
+# ------------------------------------------------------------------ calculus
 
 
 def test_partial_derivative():
@@ -370,24 +369,6 @@ def test_substitute_all_checks_images():
         substitute_all([P("X"), P("S")], {"X": P("X")})
     assert substitute_all([], {"X": P("X")}) == []
     assert substitute_all([P("0"), P("X^3")], {"X": P("X + 1")}) == [P("0"), P("(X + 1)^3")]
-
-
-def test_weight_degree_and_top_component():
-    w = WeightFunction(XSYZ, (0, 1, 2, 4))
-    p = P("X^2*Y - S^2")
-    assert p.weight_degree(w) == 2
-    assert p.top_component(w) == p
-    q = P("Y^2 - X*Z + S + 3")
-    assert q.weight_degree(w) == 4
-    assert q.top_component(w) == P("Y^2 - X*Z")
-    assert MultiPoly.zero(XSYZ).weight_degree(w) is None
-
-
-def test_weight_function_validation():
-    with pytest.raises(ValueError):
-        WeightFunction(XSYZ, (0, 1, 2))
-    with pytest.raises(ValueError):
-        WeightFunction(XSYZ, (0, -1, 2, 4))
 
 
 def test_divide_exact():

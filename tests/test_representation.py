@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lndfilt.derivations import canonical_derivation
-from lndfilt.polynomials import MultiPoly, VarSet, WeightFunction, parse_poly, substitute_all
-from lndfilt.rings import RingPresentation, evaluate_in_ring
+from lndfilt.polynomials import MultiPoly, VarSet, parse_poly, substitute_all
+from lndfilt.rings import RingPresentation, evaluate_in_ring, toy_ring
 from test_kernel import schoolbook
-from util import RATIONAL_RINGS, schoolbook_substitute
+from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, schoolbook_substitute
 
 XSY = VarSet(("X", "S", "Y"))
 WIDE = VarSet(("A", "X", "B", "S", "Y"))
@@ -80,7 +80,7 @@ def test_powers_keep_lowest_terms(ta, k):
 
 @settings(max_examples=150, deadline=None)
 @given(terms, st.sampled_from(XSY.names), st.tuples(*[st.integers(0, 2)] * 3), coefficients.filter(bool))
-def test_calculus_and_slices_keep_lowest_terms(ta, name, dexps, dc):
+def test_calculus_keeps_lowest_terms(ta, name, dexps, dc):
     a, ra = MultiPoly(XSY, ta), nonzero(ta)
     k = XSY.index(name)
     check(
@@ -91,16 +91,43 @@ def test_calculus_and_slices_keep_lowest_terms(ta, name, dexps, dc):
     for e, v in ra.items():
         renamed[(0, e[0], 0, e[1], e[2])] = v
     check(a.rename(WIDE), renamed)
-    w = WeightFunction(XSY, (0, 1, 2))
-    if ra:
-        top = max(w.of_exponents(e) for e in ra)
-        check(a.top_component(w), {e: v for e, v in ra.items() if w.of_exponents(e) == top})
     divisor = MultiPoly.monomial(XSY, dexps, dc)
     if all(all(x >= y for x, y in zip(e, dexps)) for e in ra):
         check(a.divide_exact(divisor), {tuple(x - y for x, y in zip(e, dexps)): v / dc for e, v in ra.items()})
     else:
         with pytest.raises(ValueError, match="non-exact division"):
             a.divide_exact(divisor)
+
+
+# a toy, a danielewski and a cylinder ring, each with its weights written out
+SLICE_RINGS = [
+    (toy_ring(), (0, 1, 2, 4)),
+    (DANIELEWSKI_RINGS[0], (0, 1, 2)),
+    (RATIONAL_RINGS[2], (0, 1, 3, 6, 0)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SLICE_RINGS), st.data())
+def test_top_slices_keep_lowest_terms(ring_weights, data):
+    ring, weights = ring_weights
+    ta = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(weights)), coefficients, max_size=6))
+    a, ra = MultiPoly(ring.varset, ta), nonzero(ta)
+    top, part = ring.top_slice(a)
+    if not ra:
+        assert top is None
+        check(part, {})
+        return
+    degree = {e: sum(w * x for w, x in zip(weights, e)) for e in ra}
+    assert top == max(degree.values())
+    check(part, {e: v for e, v in ra.items() if degree[e] == top})
+
+
+def test_top_slice_of_zero():
+    for ring, _ in SLICE_RINGS:
+        top, part = ring.top_slice(MultiPoly.zero(ring.varset))
+        assert top is None
+        check(part, {})
 
 
 monomials = st.builds(

@@ -203,6 +203,26 @@ def test_monomial_degree(toy):
     assert dan.monomial_degree((3, 1, 2)) == 1 + 2 * 2
 
 
+def test_top_slice(toy):
+    # the toy ring weighs (X, S, Y, Z) by (0, 1, 2, 4)
+    p = parse_poly("X^2*Y - S^2", toy.varset)
+    assert toy.top_slice(p) == (2, p)
+    q = parse_poly("Y^2 - X*Z + S + 3", toy.varset)
+    assert toy.top_slice(q) == (4, parse_poly("Y^2 - X*Z", toy.varset))
+    assert toy.top_slice(MultiPoly.zero(toy.varset)) == (None, MultiPoly.zero(toy.varset))
+    # a slice over the denominator is in lowest terms
+    assert toy.top_slice(parse_poly("1/2*X*Y + 1/3*S", toy.varset)) == (2, parse_poly("1/2*X*Y", toy.varset))
+    cyl = toy.with_cylinder()
+    assert cyl.top_slice(parse_poly("T^5*S + X*T + Y", cyl.varset)) == (2, parse_poly("Y", cyl.varset))
+
+
+def test_top_slice_requires_matching_varset(toy):
+    with pytest.raises(ValueError, match="does not match ring"):
+        toy.top_slice(parse_poly("X", VarSet(("X", "S", "Y"))))
+    with pytest.raises(ValueError, match="does not match ring"):
+        toy.top_slice(MultiPoly.zero(toy.with_cylinder().varset))
+
+
 def test_element_degree(toy):
     assert toy.element("X^7").degree() == 0
     assert toy.element("S").degree() == 1

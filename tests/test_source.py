@@ -9,7 +9,7 @@ from pathlib import Path
 import lndfilt
 from lndfilt import polynomials
 from lndfilt.checks import random_element
-from lndfilt.rings import toy_ring
+from lndfilt.rings import RingPresentation, toy_ring
 from util import DANIELEWSKI_RINGS, RATIONAL_RINGS
 
 SOURCES = sorted(Path(lndfilt.__file__).parent.glob("*.py"))
@@ -96,6 +96,14 @@ def callers(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
             found.add(scope)
         found |= callers(node, attr, scope)
     return found
+
+
+def calls(tree: ast.AST, attr: str) -> int:
+    """The number of calls of .attr(...) or attr(...) under tree."""
+    return sum(
+        isinstance(node, ast.Call) and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        for node in ast.walk(tree)
+    )
 
 
 def test_one_loop_applies_the_derivation():
@@ -224,8 +232,15 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     automorphisms = trees["automorphisms"]
     assert "verify_auto" not in callers(automorphisms, "apply")
     assert "verify_auto" not in callers(automorphisms, "evaluate_in_ring")
-    assert {"verify_auto", "RingAutomorphism.compose"} <= callers(automorphisms, "substitute_all")
-    assert "verify_auto" in callers(automorphisms, "compose")
+    # verify_auto reads only the images of its two composites: one
+    # substitute_all call each, through the helper that compose uses too, and
+    # no composed parameters
+    assert callers(automorphisms, "_images_after") == {"verify_auto", "RingAutomorphism.compose"}
+    assert calls(definition(automorphisms, "verify_auto"), "_images_after") == 2
+    assert calls(definition(automorphisms, "RingAutomorphism._images_after"), "substitute_all") == 1
+    assert "verify_auto" not in callers(automorphisms, "compose")
+    assert "verify_auto" not in callers(automorphisms, "compose_params")
+    assert callers(automorphisms, "substitute_all") >= {"verify_auto", "RingAutomorphism._images_after"}
     cylinders = trees["cylinders"]
     assert "_transport_checks" not in callers(cylinders, "apply")
     assert "_transport_checks" in callers(cylinders, "substitute_all")
@@ -236,3 +251,22 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     stage = definition(cylinders, "RecoveryStage")
     fields = {node.target.id for node in stage.body if isinstance(node, ast.AnnAssign)}
     assert fields == {"source", "target", "rows", "displacement"}
+
+
+def test_one_top_slice():
+    # the ring says which terms have top filtration degree; the graded
+    # algebra reads that slice and builds its classes without a second check
+    assert not hasattr(polynomials, "WeightFunction")
+    assert not hasattr(polynomials.MultiPoly, "weight_degree")
+    assert not hasattr(polynomials.MultiPoly, "top_component")
+    assert not hasattr(RingPresentation, "degree_weights")
+    package = Path(lndfilt.__file__).parent
+    graded = ast.parse((package / "graded.py").read_text(encoding="utf-8"))
+    assert callers(graded, "top_slice") == {"gr_leading", "GradedElem.__mul__", "hat_ideal_tops"}
+    # only the public constructor, which takes outside input, compares a
+    # term's degree with the grade
+    assert callers(graded, "monomial_degree") == {"GradedElem.__init__"}
+    assert callers(graded, "GradedElem") == set()
+    assert callers(graded, "_graded") == {
+        "GradedElem.__add__", "GradedElem.__neg__", "GradedElem.__mul__", "GradedElem.__pow__", "gr_leading",
+    }

@@ -1,6 +1,7 @@
 """Explicit isomorphisms between cylinders over non-isomorphic base rings.
 
-The two step constructions, each solved by forced exact divisions:
+The two step constructions, solved by one algorithm (_Step.solve) of forced
+exact divisions, in which each kind gives only its own formulas:
 
 * full family, P = S^2 + 1 and Q = Y^2 fixed:  an isomorphism
   R(n, e)[T] -> R(n, e+1)[T] with
@@ -19,13 +20,16 @@ The two step constructions, each solved by forced exact divisions:
 
   where H = X^n*T and L as above.
 
-Every division must be exact; a remainder would witness a wrong valuation
-and raises immediately.  A solve returns the endomorphism and a
-RecoveryStage: the step's source and target rings, the recovery chain and
-the displacement identity, which depend on the step alone.  The
-endomorphism carries its step and stage, so verify_step(solve_step(step),
-step) solves once and builds each ring once; verify_step solves the step
-itself only for an endomorphism that no solve of an equal step built.
+Both maps X -> X, S -> S + H with H = X^k*T, k = n + e of the source ring
+(e = 0 on a danielewski ring), and both T-images are forced by the
+displacement identity phi(A*B - X*T) = rhs, with A*B = Y*Z and Y*S.  Every
+division must be exact; a remainder would witness a wrong valuation and
+raises immediately.  A solve returns the endomorphism and a RecoveryStage:
+the step's source and target rings, the recovery chain and the displacement
+identity, which depend on the step alone.  The endomorphism carries its
+step and stage, so verify_step(solve_step(step), step) solves once and
+builds each ring once; verify_step solves the step itself only for an
+endomorphism that no solve of an equal step built.
 verify_step certifies an endomorphism through three independent routes:
 exact relation transport (one substitute_all call), the forced congruence
 (atomic steps), and a recovery chain that rebuilds every target generator
@@ -50,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Mapping, Sequence
 
 from .graded import hat_ideal_tops
@@ -89,7 +95,7 @@ class PolyEndo(ReadableDocument):
                 raise ValueError(f"image of {nm!r} uses varset {img.varset!r}")
             got[nm] = img
         self.images = got
-        self._solved: tuple[FullStep | DanielewskiStep, RecoveryStage] | None = None
+        self._solved: tuple[_Step, RecoveryStage] | None = None
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         if p.varset != self.varset:
@@ -184,12 +190,82 @@ _TWIST_P = (MultiPoly.constant(_X_ONLY, 1), MultiPoly.zero(_X_ONLY))
 _TWIST_Q = (MultiPoly.zero(_X_ONLY), MultiPoly.zero(_X_ONLY))
 
 
+class _Step:
+    """The step algorithm that FullStep and DanielewskiStep share.
+
+    A kind states only what differs: its endpoint rings (_ring(0) and
+    _ring(1)); its displacement (_displacement: the names A and B, rhs and
+    unit, where the step maps A*B - X*T to rhs, which is -unit*T in the
+    target); the images of its relation variables with the T-image's split
+    and solver pieces (_forced); and its recovery rows after s (_ROWS,
+    _rows).  The solve does the rest once: S -> S + H with H = X^k*T for
+    k = n + e of the source ring (e = 0 on a danielewski ring),
+    L = (P(X, S+H) - P)/X^n, the forced T-image, the split check, the
+    recovery varset and the rows x, t and s.
+    """
+
+    _ROWS: tuple[str, ...]
+
+    def source_ring(self) -> RingPresentation:
+        return self._ring(0)
+
+    def target_ring(self) -> RingPresentation:
+        return self._ring(1)
+
+    def solve(self) -> tuple[PolyEndo, RecoveryStage]:
+        """The step isomorphism and its recovery stage, every division checked exact.
+
+        The recovery varset holds the generators, then x, t, s and every row
+        of the kind but the last: the rows that later rows read.  A row's
+        claim is the product of the generators its letters name, so row "xz"
+        claims X*Z.
+        """
+        src, tgt = self.source_ring(), self.target_ring()
+        vs = src.varset
+        g = {nm: _v(vs, nm) for nm in vs.names}
+        x, s, t = g["X"], g["S"], g["T"]
+        p = src.p_poly()
+        k = src.n + src.e
+        h = x ** k * t
+        ell = (p.substitute({"X": x, "S": s + h}) - p).divide_exact(x ** self.n)
+        a, b, rhs, unit = self._displacement(g, p)
+        images, split, pieces = self._forced(g, p, h, ell)
+        images.update(X=x, S=s + h)
+        # the displacement identity phi(A*B - X*T) = rhs forces the T-image
+        images["T"] = (images[a] * images[b] - rhs).divide_exact(x)
+        if images["T"] != g[a] * g[b] + split:
+            raise RuntimeError("T-image split disagrees with the solver")
+
+        symbols = ("x", "t", "s", *self._ROWS)
+        mixed = VarSet((*vs.names, *symbols[:-1]))
+        m = {nm: _v(mixed, nm) for nm in mixed.names}
+        # the solver pieces, moved into the recovery varset: generator nm
+        # becomes row nm.lower() where that row is a variable
+        moved = substitute_all(list(pieces), {nm: m.get(nm.lower(), m[nm]) for nm in vs.names})
+        exprs = (
+            m["X"],
+            Fraction(-1) / unit * (m[a] * m[b] - m["X"] * m["T"]),
+            m["S"] - m["x"] ** k * m["t"],
+            *self._rows(m, *moved),
+        )
+        rows = tuple(
+            RecoveryRow(sym, expr, reduce(mul, (g[ch.upper()] for ch in sym)))
+            for sym, expr in zip(symbols, exprs, strict=True)
+        )
+        stage = RecoveryStage(src, tgt, rows, (g[a] * g[b] - x * t, rhs, unit))
+        endo = PolyEndo(vs, images)
+        endo._solved = (self, stage)
+        return endo, stage
+
+
 @dataclass(frozen=True)
-class FullStep:
+class FullStep(_Step):
     """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
 
     n: int
     e: int
+
+    _ROWS = ("y", "xz", "yz", "sz", "z")
 
     def __post_init__(self):
         if self.n < 1:
@@ -197,68 +273,41 @@ class FullStep:
         if self.e < 1:
             raise ValueError("the twist step starts at e >= 1")
 
-    def source_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e, _TWIST_P, _TWIST_Q, cylinder=True)
+    def _ring(self, step: int) -> RingPresentation:
+        return RingPresentation.full(self.n, self.e + step, _TWIST_P, _TWIST_Q, cylinder=True)
 
-    def target_ring(self) -> RingPresentation:
-        return RingPresentation.full(self.n, self.e + 1, _TWIST_P, _TWIST_Q, cylinder=True)
-
-    def solve(self) -> tuple[PolyEndo, RecoveryStage]:
-        """The step isomorphism and its recovery stage, every division checked exact."""
-        src, tgt = self.source_ring(), self.target_ring()
-        vs = src.varset
-        n, e = self.n, self.e
-        x, s, y, z, t = (_v(vs, nm) for nm in ("X", "S", "Y", "Z", "T"))
-        p = src.p_poly()
+    def _displacement(self, g: dict, p: MultiPoly) -> tuple:
+        x, s, y, z, t = (g[nm] for nm in "XSYZT")
         # the step maps Y*Z - X*T to rhs, which is -4*T in the target
-        displacement = (y * z - x * t, 4 * t * (s * (y * y - x ** (e + 1) * z) - x ** n * y), 4)
+        return "Y", "Z", 4 * t * (s * (y * y - x ** (self.e + 1) * z) - x ** self.n * y), 4
 
-        h = x ** (n + e) * t
-        p_shift = p.substitute({"X": x, "S": s + h})
-        ell = (p_shift - p).divide_exact(x ** n)
+    def _forced(self, g: dict, p: MultiPoly, h: MultiPoly, ell: MultiPoly) -> tuple:
+        """The Y- and Z-images; the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z."""
+        x, s, y, z, t = (g[nm] for nm in "XSYZT")
+        n, e = self.n, self.e
         f = (2 * y * ell + ell * ell - h).divide_exact(x ** e)
-        img_y = y + ell
-        img_z = x * z + f
-        # the displacement identity phi(Y*Z - X*T) = rhs forces the T-image
-        img_t = (img_y * img_z - displacement[1]).divide_exact(x)
-
-        # recovery: the T-image splits as Y*Z + (X*Z)*a1 + b with a1, b free of Z
         a1 = (ell + 4 * x ** e * s * t).divide_exact(x)
         b = (y * f + ell * f + 4 * x ** n * y * t - 4 * t * s * y * y).divide_exact(x)
-        if img_t != y * z + (x * z) * a1 + b:
-            raise RuntimeError("T-image split disagrees with the solver")
+        return {"Y": y + ell, "Z": x * z + f}, (x * z) * a1 + b, (ell, f, a1, b)
 
-        mixed = VarSet(("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"))
-        low = {"X": "x", "S": "s", "Y": "y", "T": "t"}
-        # the solver pieces, moved into the mixed recovery varset
-        m_ell, m_f, m_a1, m_b = substitute_all(
-            [ell, f, a1, b], {nm: _v(mixed, low.get(nm, nm)) for nm in vs.names}
+    def _rows(self, m: dict, ell: MultiPoly, f: MultiPoly, a1: MultiPoly, b: MultiPoly) -> tuple:
+        return (
+            m["Y"] - ell,
+            m["Z"] - f,
+            m["T"] - m["xz"] * a1 - b,
+            m["y"] * m["yz"] - m["x"] ** (self.e - 1) * m["xz"] * m["xz"],
+            m["x"] ** self.n * m["yz"] - m["s"] * m["sz"],
         )
-        mx, ms, my, mz, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "Z", "T"))
-        rx, rs, ry, rt = (_v(mixed, nm) for nm in ("x", "s", "y", "t"))
-        r_xz, r_yz, r_sz = (_v(mixed, nm) for nm in ("xz", "yz", "sz"))
-        rows = [
-            RecoveryRow("x", mx, x),
-            RecoveryRow("t", Fraction(-1, 4) * (my * mz - mx * mt), t),
-            RecoveryRow("s", ms - rx ** (n + e) * rt, s),
-            RecoveryRow("y", my - m_ell, y),
-            RecoveryRow("xz", mz - m_f, x * z),
-            RecoveryRow("yz", mt - r_xz * m_a1 - m_b, y * z),
-            RecoveryRow("sz", ry * r_yz - rx ** (e - 1) * r_xz * r_xz, s * z),
-            RecoveryRow("z", rx ** n * r_yz - rs * r_sz, z),
-        ]
-        stage = RecoveryStage(src, tgt, tuple(rows), displacement)
-        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "Z": img_z, "T": img_t})
-        endo._solved = (self, stage)
-        return endo, stage
 
 
 @dataclass(frozen=True)
-class DanielewskiStep:
+class DanielewskiStep(_Step):
     """One size increment n -> n+1 for a fixed P = S^d + X*Qt(X,S) + c, c != 0."""
 
     n: int
     p_coeffs: tuple
+
+    _ROWS = ("xy", "sy", "y")
 
     def __init__(self, n: int, p_coeffs: Sequence):
         ring = RingPresentation.danielewski(max(n, 1), p_coeffs)
@@ -272,77 +321,40 @@ class DanielewskiStep:
         for i, f in enumerate(self.p_coeffs):
             residue = f.constant_value() if i else f.constant_value() - c
             if residue != 0:
-                raise ValueError(
-                    "every coefficient of P - S^d - c must be divisible by X"
-                )
+                raise ValueError("every coefficient of P - S^d - c must be divisible by X")
 
     def constant(self) -> Fraction:
         return self.p_coeffs[0].constant_value()
 
-    def source_ring(self) -> RingPresentation:
-        return RingPresentation.danielewski(self.n, self.p_coeffs, cylinder=True)
+    def _ring(self, step: int) -> RingPresentation:
+        return RingPresentation.danielewski(self.n + step, self.p_coeffs, cylinder=True)
 
-    def target_ring(self) -> RingPresentation:
-        return RingPresentation.danielewski(self.n + 1, self.p_coeffs, cylinder=True)
-
-    def solve(self) -> tuple[PolyEndo, RecoveryStage]:
-        """The step isomorphism and its recovery stage, every division checked exact."""
-        src, tgt = self.source_ring(), self.target_ring()
-        vs = src.varset
-        n, d = self.n, src.d
-        c = self.constant()
-        x, s, y, t = (_v(vs, nm) for nm in ("X", "S", "Y", "T"))
-        p = src.p_poly()
+    def _displacement(self, g: dict, p: MultiPoly) -> tuple:
+        x, y, t = g["X"], g["Y"], g["T"]
+        d, c = len(self.p_coeffs), self.constant()
         # the step maps Y*S - X*T to rhs, which is -d*c*T in the target
-        displacement = (y * s - x * t, d * t * (p - c - x ** (n + 1) * y), d * c)
+        return "Y", "S", d * t * (p - c - x ** (self.n + 1) * y), d * c
+
+    def _forced(self, g: dict, p: MultiPoly, h: MultiPoly, ell: MultiPoly) -> tuple:
+        """The Y-image; the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree."""
+        x, s, y, t = (g[nm] for nm in "XSYT")
+        d, c = len(self.p_coeffs), self.constant()
         qt = (p - s ** d - c).divide_exact(x)
-
-        h = x ** n * t
-        p_shift = p.substitute({"X": x, "S": s + h})
-        ell = (p_shift - p).divide_exact(x ** n)
-        img_y = x * y + ell
-        # the displacement identity phi(Y*S - X*T) = rhs forces the T-image
-        img_t = (img_y * (s + h) - displacement[1]).divide_exact(x)
-
-        # recovery: the T-image splits as Y*S + (d+1)*X^n*Y*T + yfree
         yfree = (ell * s + ell * h - d * t * s ** d - d * x * t * qt).divide_exact(x)
-        if img_t != y * s + (d + 1) * x ** n * y * t + yfree:
-            raise RuntimeError("T-image split disagrees with the solver")
+        return {"Y": x * y + ell}, (d + 1) * x ** self.n * y * t + yfree, (ell, yfree, qt)
 
-        mixed = VarSet(("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"))
-        low = {"X": "x", "S": "s", "T": "t"}
-        # the solver pieces, moved into the mixed recovery varset
-        m_ell, m_yfree, m_qt = substitute_all(
-            [ell, yfree, qt], {nm: _v(mixed, low.get(nm, nm)) for nm in vs.names}
+    def _rows(self, m: dict, ell: MultiPoly, yfree: MultiPoly, qt: MultiPoly) -> tuple:
+        n, d, c = self.n, len(self.p_coeffs), self.constant()
+        rx, r_xy = m["x"], m["xy"]
+        return (
+            m["Y"] - ell,
+            m["T"] - (d + 1) * rx ** (n - 1) * m["t"] * r_xy - yfree,
+            (Fraction(1) / c) * (rx ** (n - 1) * r_xy * r_xy - m["sy"] * m["s"] ** (d - 1) - r_xy * qt),
         )
-        mx, ms, my, mt = (_v(mixed, nm) for nm in ("X", "S", "Y", "T"))
-        rx, rs, rt = (_v(mixed, nm) for nm in ("x", "s", "t"))
-        r_xy, r_sy = _v(mixed, "xy"), _v(mixed, "sy")
-        rows = [
-            RecoveryRow("x", mx, x),
-            RecoveryRow("t", (Fraction(-1) / (d * c)) * (my * ms - mx * mt), t),
-            RecoveryRow("s", ms - rx ** n * rt, s),
-            RecoveryRow("xy", my - m_ell, x * y),
-            RecoveryRow("sy", mt - (d + 1) * rx ** (n - 1) * rt * r_xy - m_yfree, s * y),
-            RecoveryRow(
-                "y",
-                (Fraction(1) / c)
-                * (
-                    rx ** (n - 1) * r_xy * r_xy
-                    - r_sy * rs ** (d - 1)
-                    - r_xy * m_qt
-                ),
-                y,
-            ),
-        ]
-        stage = RecoveryStage(src, tgt, tuple(rows), displacement)
-        endo = PolyEndo(vs, {"X": x, "S": s + h, "Y": img_y, "T": img_t})
-        endo._solved = (self, stage)
-        return endo, stage
 
 
-def _require_step(step) -> FullStep | DanielewskiStep:
-    if not isinstance(step, (FullStep, DanielewskiStep)):
+def _require_step(step) -> _Step:
+    if not isinstance(step, _Step):
         raise TypeError(f"not a cylinder step: {step!r}")
     return step
 
@@ -506,7 +518,7 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     return cert
 
 
-def _stage_of(endo: PolyEndo, step: FullStep | DanielewskiStep) -> RecoveryStage:
+def _stage_of(endo: PolyEndo, step: _Step) -> RecoveryStage:
     """step's recovery stage: the one endo was solved with, else a fresh solve's.
 
     A stage depends on its step alone, so the stage of a solve of an equal

@@ -119,9 +119,14 @@ class VarSet:
         return f"VarSet{self.names}"
 
 
+def _is_scalar(c: object) -> bool:
+    """The package's one scalar test: an int or a Fraction, and not a bool."""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 def _require_scalar(c: object, exps: tuple[int, ...]) -> None:
-    """TypeError unless the coefficient c of the term at exps is an int or Fraction (a bool is not)."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+    """TypeError unless the coefficient c of the term at exps is a scalar (_is_scalar)."""
+    if not _is_scalar(c):
         raise TypeError(f"coefficient {c!r} of term {exps} is not an int or Fraction")
 
 
@@ -216,7 +221,7 @@ def ladder_power(ladder: dict[int, T], k: int, product: Callable[[T, T], T] = mu
     k/2), so the powers to build form one path, at most twice the bit length
     of k long: it is walked down first, then built up in that order.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
     path = []
     j = k
@@ -449,7 +454,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._check_same_varset(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return MultiPoly.constant(self.varset, other)
         return None
 
@@ -481,17 +486,15 @@ class MultiPoly:
         return q + (-self)
 
     def __mul__(self, other: object) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly.zero(self.varset)
-            scale = other.numerator
-            return _from_terms(
-                self.varset, {e: n * scale for e, n in self.nums.items()}, self.den * other.denominator
-            )
-        q = self._coerce(other)
-        if q is None:
+        if isinstance(other, MultiPoly):
+            self._check_same_varset(other)
+            return _from_terms(self.varset, _product(self.nums, other.nums), self.den * other.den)
+        if not _is_scalar(other):
             return NotImplemented
-        return _from_terms(self.varset, _product(self.nums, q.nums), self.den * q.den)
+        if not other:
+            return MultiPoly.zero(self.varset)
+        scale = other.numerator
+        return _from_terms(self.varset, {e: n * scale for e, n in self.nums.items()}, self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -500,7 +503,7 @@ class MultiPoly:
         return ladder_power({0: _from_terms(self.varset, {(0,) * len(self.varset): 1}), 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = MultiPoly.constant(self.varset, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -79,6 +79,7 @@ from .polynomials import (
     VarSet,
     _format_coeff,
     _from_terms,
+    _is_scalar,
     _Packing,
     _packed,
     _unpacked,
@@ -121,8 +122,11 @@ def _coerce_x_polys(coeffs: Sequence[CoeffLike], name: str) -> tuple[MultiPoly, 
 # index, 1/(head coefficient in the relation)); the tail coefficients and the
 # cofactor scale are integer numerators over the ring's tail denominator
 _Rule = tuple[int, int, tuple[tuple[tuple[int, ...], int], ...], int, int]
-# the tail denominator and the rules in the order a strategy tries them
+# the tail denominator and the rules, in relation order
 _RuleSet = tuple[int, tuple[_Rule, ...]]
+# each strategy as the slice step of the order it tries the rules in: s_first
+# in relation order, y_first reversed
+_STRATEGIES = {"s_first": 1, "y_first": -1}
 
 
 def _reducible(keys: Iterable[int], rules: Sequence[tuple], mask: int) -> list:
@@ -189,10 +193,10 @@ class RingPresentation(ReadableDocument):
         size = 3 + bool(self.q_coeffs)
         self.varset = VarSet(("X", "S", "Y", "Z")[:size] + ("T",) * cylinder)
         self.weights = (0, 1, self.d, self.m * self.d)[:size] + (0,) * cylinder
-        self._tails: dict[str, _RuleSet] | None = None
+        self._tails: _RuleSet | None = None
         # the canonical derivation, built by derivations.canonical_derivation
         self._derivation = None
-        self._packed: dict[tuple[str, int], tuple | None] = {}
+        self._packed: dict[int, tuple | None] = {}
         self._p: MultiPoly | None = None
         self._q: MultiPoly | None = None
         self._rels: tuple[tuple[tuple[int, ...], MultiPoly], ...] | None = None
@@ -392,8 +396,8 @@ class RingPresentation(ReadableDocument):
                     f"measure at {texps}"
                 )
 
-    def _rule_tails(self) -> dict[str, _RuleSet]:
-        """The tail denominator and the rewrite rules in each strategy's order.
+    def _rule_tails(self) -> _RuleSet:
+        """The tail denominator and the rewrite rules, in relation order.
 
         Built, and checked against the termination measure, once per ring.
         """
@@ -401,7 +405,7 @@ class RingPresentation(ReadableDocument):
             self._tails = self._build_rule_tails()
         return self._tails
 
-    def _build_rule_tails(self) -> dict[str, _RuleSet]:
+    def _build_rule_tails(self) -> _RuleSet:
         """Derive one rewrite rule per relation: head -> head - rel/c.
 
         c is the head's coefficient in rel, so replacing c'*base*head by
@@ -435,23 +439,22 @@ class RingPresentation(ReadableDocument):
             )
             for var, power, tail, index, scale in derived
         )
-        return {"s_first": (td, rules), "y_first": (td, rules[::-1])}
+        return td, rules
 
     def _rule_heads(self) -> dict[int, int]:
         """{variable index: power} of each rule head: a canonical monomial keeps each such exponent below its power."""
-        return {var: power for var, power, *_ in self._rule_tails()["s_first"][1]}
+        return {var: power for var, power, *_ in self._rule_tails()[1]}
 
-    def _packed_rules(self, strategy: str, packing: _Packing) -> tuple | None:
-        """A strategy's rules at one packing, built once per ring, strategy and width.
+    def _packed_rules(self, packing: _Packing) -> tuple | None:
+        """The rules at one packing, in relation order, built once per ring and width.
 
         Each rule as (head shift, head power, ((tail key - head key, tail
         numerator), ...), relation index, cofactor scale), after
         _Packing.table; None when a head or tail exponent does not fit.
         """
-        key = (strategy, packing.width)
-        if key not in self._packed:
-            self._packed[key] = packing.table(self._rule_tails()[strategy][1])
-        return self._packed[key]
+        if packing.width not in self._packed:
+            self._packed[packing.width] = packing.table(self._rule_tails()[1])
+        return self._packed[packing.width]
 
     def _exps(self, **powers: int) -> tuple[int, ...]:
         """The exponent tuple of the monomial with the given power of each named variable."""
@@ -489,16 +492,16 @@ class RingPresentation(ReadableDocument):
         rewrites within a pass.
         """
         self._require_own(p)
-        ruleset = self._rule_tails().get(strategy)
-        if ruleset is None:
+        if strategy not in _STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not any(exps[rule[0]] >= rule[1] for exps in p.nums for rule in ruleset[1]):
+        rules = self._rule_tails()[1]
+        if not any(exps[rule[0]] >= rule[1] for exps in p.nums for rule in rules):
             # already canonical: no conversion, no copy
-            elem = QuotElem(self, p, _trusted=True)
+            elem = _elem(self, p)
             if not with_cofactors:
                 return elem
             zero = MultiPoly.zero(self.varset)
-            return elem, (zero, zero if len(ruleset[1]) > 1 else None)
+            return elem, (zero, zero if len(rules) > 1 else None)
         current, den, packing = _packed(p)
         return self._to_elem(*self._rewrite(current, den, packing, strategy, with_cofactors))
 
@@ -519,19 +522,20 @@ class RingPresentation(ReadableDocument):
         that are new to the map since the last test at this width (module
         docstring).
         """
-        td, rules = self._rule_tails()[strategy]
+        td, rules = self._rule_tails()
+        order = _STRATEGIES[strategy]
         cofactors = [{} for _ in rules] if with_cofactors else []
         # the keys not yet tested, for their guard bits and reducibility, at this width
         fresh = current
         while True:
-            packed = self._packed_rules(strategy, packing)
+            packed = self._packed_rules(packing)
             if packed is None or reduce(or_, fresh, 0) & packing.guard:
                 # a key could carry in this pass: run it at double width
                 cofactors = [packing.widen(cof)[0] for cof in cofactors]
                 current, packing = packing.widen(current)
                 fresh = current
                 continue
-            todo = _reducible(fresh, packed, packing.mask)
+            todo = _reducible(fresh, packed[::order], packing.mask)
             if not todo:
                 return current, den, packing, cofactors if with_cofactors else None
             popped = [(current.pop(key), key, rule) for key, rule in todo]
@@ -583,7 +587,7 @@ class RingPresentation(ReadableDocument):
         def poly(terms: dict[int, int]) -> MultiPoly:
             return _from_terms(self.varset, _unpacked(terms, packing), den)
 
-        elem = QuotElem(self, poly(current), _trusted=True)
+        elem = _elem(self, poly(current))
         if cofactors is None:
             return elem
         # the pair (A, B), with B None where there is no second relation
@@ -600,10 +604,10 @@ class RingPresentation(ReadableDocument):
         return self.normal_form(source)
 
     def zero(self) -> QuotElem:
-        return QuotElem(self, MultiPoly.zero(self.varset), _trusted=True)
+        return _elem(self, MultiPoly.zero(self.varset))
 
     def one(self) -> QuotElem:
-        return QuotElem(self, MultiPoly.constant(self.varset, 1), _trusted=True)
+        return _elem(self, MultiPoly.constant(self.varset, 1))
 
     def generator(self, name: str) -> QuotElem:
         return self.element(MultiPoly.variable(self.varset, name))
@@ -646,12 +650,9 @@ class QuotElem:
 
     __slots__ = ("ring", "rep")
 
-    def __init__(self, ring: RingPresentation, rep: MultiPoly, _trusted: bool = False):
+    def __init__(self, ring: RingPresentation, rep: MultiPoly):
         self.ring = ring
-        if _trusted:
-            self.rep = rep
-        else:
-            self.rep = ring.normal_form(rep).rep
+        self.rep = ring.normal_form(rep).rep
 
     def _check_ring(self, other: QuotElem) -> None:
         if self.ring != other.ring:
@@ -663,12 +664,8 @@ class QuotElem:
         if isinstance(other, QuotElem):
             self._check_ring(other)
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuotElem(
-                self.ring,
-                MultiPoly.constant(self.ring.varset, other),
-                _trusted=True,
-            )
+        if _is_scalar(other):
+            return _elem(self.ring, MultiPoly.constant(self.ring.varset, other))
         return None
 
     def __add__(self, other: object) -> QuotElem:
@@ -677,28 +674,28 @@ class QuotElem:
             return NotImplemented
         # sums of canonical representatives are canonical: reducedness is a
         # per-monomial property
-        return QuotElem(self.ring, self.rep + q.rep, _trusted=True)
+        return _elem(self.ring, self.rep + q.rep)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuotElem:
-        return QuotElem(self.ring, -self.rep, _trusted=True)
+        return _elem(self.ring, -self.rep)
 
     def __sub__(self, other: object) -> QuotElem:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuotElem(self.ring, self.rep - q.rep, _trusted=True)
+        return _elem(self.ring, self.rep - q.rep)
 
     def __rsub__(self, other: object) -> QuotElem:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuotElem(self.ring, q.rep - self.rep, _trusted=True)
+        return _elem(self.ring, q.rep - self.rep)
 
     def __mul__(self, other: object) -> QuotElem:
-        if isinstance(other, (int, Fraction)):
-            return QuotElem(self.ring, self.rep * other, _trusted=True)
+        if _is_scalar(other):
+            return _elem(self.ring, self.rep * other)
         q = self._coerce(other)
         if q is None:
             return NotImplemented
@@ -710,7 +707,7 @@ class QuotElem:
         return ladder_power({0: self.ring.one(), 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = self._coerce(other)
         if not isinstance(other, QuotElem):
             return NotImplemented
@@ -783,6 +780,13 @@ class QuotElem:
     @classmethod
     def from_json(cls, ring: RingPresentation, text: str) -> QuotElem:
         return cls.from_json_list(ring, load_json(text, "element", list, "a list of term objects"))
+
+
+def _elem(ring: RingPresentation, rep: MultiPoly) -> QuotElem:
+    """The class of rep, for a rep already canonical in ring: no reduction, no copy."""
+    out = QuotElem.__new__(QuotElem)
+    out.ring, out.rep = ring, rep
+    return out
 
 
 def evaluate_in_ring(p: MultiPoly, env: Mapping[str, QuotElem]) -> QuotElem:

@@ -11,12 +11,16 @@ from lndfilt.checks import (
     _row_rank,
     al_chain_check,
     degree_consistency,
+    graded_property_check,
     graded_relations_check,
     kernel_check,
     random_element,
 )
 from lndfilt.derivations import Derivation
-from lndfilt.rings import RingPresentation, basis_monomials
+from lndfilt.graded import gr_leading
+from lndfilt.rings import RingPresentation, basis_monomials, toy_ring
+
+from util import grid_rings
 
 
 def test_degree_consistency_toy(toy):
@@ -137,3 +141,65 @@ def test_random_element_stays_in_window(toy):
         assert a.degree() is None or a.degree() <= 6
         for exps in a.rep.terms:
             assert exps[0] <= 2
+
+
+def sampled_pairs(ring, samples=60, degree_bound=8, seed=7):
+    """The pairs (a, b) that graded_property_check draws, with both nonzero."""
+    rng = Random(seed)
+    pairs = []
+    for _ in range(samples):
+        a = random_element(ring, rng, degree_bound)
+        b = random_element(ring, rng, degree_bound)
+        if not (a.is_zero() or b.is_zero()):
+            pairs.append((a, b))
+    return pairs
+
+
+def reference_graded_property_witnesses(ring):
+    """graded_property_check's witnesses with every degree computed from the elements again."""
+    witnesses = []
+    for a, b in sampled_pairs(ring):
+        ab = a * b
+        top = gr_leading(a) * gr_leading(b)
+        total = a.degree() + b.degree()
+        if top.part.is_zero():
+            if not (ab.is_zero() or ab.degree() < total):
+                witnesses.append(f"top classes of {a} and {b} cancel but deg({ab}) = {ab.degree()}")
+        elif ab.is_zero() or ab.degree() != total or gr_leading(ab) != top:
+            witnesses.append(f"gr({a})*gr({b}) = {top} but the product's leading class differs")
+        if len(witnesses) >= 5:
+            break
+    return witnesses
+
+
+@pytest.mark.parametrize("ring", [toy_ring(), *grid_rings()], ids=lambda ring: ring.fingerprint())
+def test_graded_property_check_computes_each_degree_once(monkeypatch, ring):
+    # a and b's degrees are their leading classes' grades, and the product's
+    # leading class carries its degree: one monomial_degree call per term of
+    # a, b, the product of their top slices and ab; the reference, which
+    # computes every degree again, walks a, b and (when the tops do not
+    # cancel) ab once more, and reaches the same verdicts
+    ring._rule_tails()
+    once = extra = 0
+    for a, b in sampled_pairs(ring):
+        ab = a * b
+        ga, gb = gr_leading(a), gr_leading(b)
+        product = ring.normal_form(ga.part * gb.part)
+        once += len(a.rep.nums) + len(b.rep.nums) + len(product.rep.nums) + len(ab.rep.nums)
+        extra += len(a.rep.nums) + len(b.rep.nums) + (0 if (ga * gb).is_zero() else len(ab.rep.nums))
+    calls = []
+    original = RingPresentation.monomial_degree
+
+    def counting(self, exps):
+        calls.append(exps)
+        return original(self, exps)
+
+    with monkeypatch.context() as m:
+        m.setattr(RingPresentation, "monomial_degree", counting)
+        report = graded_property_check(ring)
+        checked = len(calls)
+        calls.clear()
+        reference = reference_graded_property_witnesses(ring)
+    assert report.witnesses == reference == []
+    assert checked == once
+    assert len(calls) == once + extra

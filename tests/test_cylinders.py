@@ -465,6 +465,40 @@ def test_each_output_names_a_row_claiming_its_generator(step):
     assert (stage.source, stage.target) == (step.source_ring(), step.target_ring())
 
 
+# the recovery varset of each kind: the generators, then x, t, s, then every
+# row symbol but the last
+RECOVERY_VARSETS = {
+    FullStep: ("X", "S", "Y", "Z", "T", "x", "t", "s", "y", "xz", "yz", "sz"),
+    DanielewskiStep: ("X", "S", "Y", "T", "x", "t", "s", "xy", "sy"),
+}
+
+
+@pytest.mark.parametrize("step", ALL_STEPS, ids=str)
+def test_recovery_varset_is_derived_from_the_rows(step):
+    _, stage = step.solve()
+    symbols = tuple(row.symbol for row in stage.rows)
+    assert symbols[:3] == ("x", "t", "s")
+    names = (*stage.source.varset.names, *symbols[:-1])
+    assert names == RECOVERY_VARSETS[type(step)]
+    assert all(row.expr.varset.names == names for row in stage.rows)
+
+
+@pytest.mark.parametrize("make,_", STEP_PAIRS, ids=["full", "danielewski"])
+def test_a_split_that_disagrees_is_refused(monkeypatch, make, _):
+    # the kind's split of the T-image is checked against the forced T-image
+    step = make()
+    kind = type(step)
+    original = kind._forced
+
+    def shifted(self, *args):
+        images, split, pieces = original(self, *args)
+        return images, split + 1, pieces
+
+    monkeypatch.setattr(kind, "_forced", shifted)
+    with pytest.raises(RuntimeError, match="T-image split disagrees with the solver"):
+        step.solve()
+
+
 @pytest.mark.parametrize("make,make_other", STEP_PAIRS, ids=["full", "danielewski"])
 def test_endos_from_elsewhere_are_solved_for(counters, make, make_other):
     step, other = make(), make_other()

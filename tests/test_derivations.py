@@ -9,7 +9,8 @@ import pytest
 from lndfilt.checks import random_element
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import QuotElem, RingPresentation
+from lndfilt import rings
+from lndfilt.rings import QuotElem, RingPresentation, _elem
 
 from util import (
     DANIELEWSKI_RINGS,
@@ -204,14 +205,15 @@ def test_orbit_builds_no_element_per_application(toy, monkeypatch):
         reads = orbit_reads(D, a, want + 1), orbit_reads(D, a, 2)
         with monkeypatch.context() as m:
             count_applications(m, calls)
-            for cls, name in [(Derivation, "apply"), (QuotElem, "__init__")]:
+            # the one element is built canonical, through the private builder
+            for cls, name in [(Derivation, "apply"), (QuotElem, "__init__"), (rings, "_elem")]:
                 m.setattr(cls, name, counting(name, getattr(cls, name)))
             calls.clear()
             assert D.degree(a) == want
             assert calls == {"_orbit": 1, "steps": want + 1, "table reads": reads[0]}
             calls.clear()
             D.iterate(a, 2)
-            assert calls == {"_orbit": 1, "steps": 2, "table reads": reads[1], "__init__": 1}
+            assert calls == {"_orbit": 1, "steps": 2, "table reads": reads[1], "_elem": 1}
 
 
 def test_cylinder_variable_in_kernel(toy):
@@ -258,7 +260,7 @@ def test_orbit_across_a_field_carry(monkeypatch, ring, shift, text):
     D = canonical_derivation(ring)
     a = _x_shifted(ring, shift, text)
     orbit = reference_orbit(D, a.rep)
-    elems = [QuotElem(ring, MultiPoly(ring.varset, terms), _trusted=True) for terms in orbit]
+    elems = [_elem(ring, MultiPoly(ring.varset, terms)) for terms in orbit]
     widths = count_widenings(monkeypatch)
     applied = [a]
     while not applied[-1].is_zero():

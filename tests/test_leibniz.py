@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import QuotElem
+from lndfilt.rings import QuotElem, _elem
 from util import (
     DANIELEWSKI_RINGS,
     RATIONAL_RINGS,
@@ -59,7 +59,7 @@ def reference_orbit(D, p):
 
     def reduced(q):
         rep, _ = reference_normal_form(ring, q, "s_first")
-        return QuotElem(ring, MultiPoly(ring.varset, rep), _trusted=True)
+        return _elem(ring, MultiPoly(ring.varset, rep))
 
     orbit = [reduced(p)]
     while not orbit[-1].is_zero():

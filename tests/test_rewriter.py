@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lndfilt.polynomials import MultiPoly, parse_poly
+from lndfilt.polynomials import MultiPoly, _Packing, parse_poly
 from lndfilt.rings import RingPresentation, evaluate_in_ring
 from util import (
     RATIONAL_RINGS,
@@ -33,7 +33,7 @@ def ring_and_poly(draw):
 
 def test_rational_rings_have_a_tail_denominator():
     for ring in RATIONAL_RINGS:
-        td, _ = ring._rule_tails()["s_first"]
+        td, _ = ring._rule_tails()
         assert td > 1
 
 
@@ -133,3 +133,21 @@ def test_evaluate_in_ring_across_a_field_carry(monkeypatch, ring):
     assert got.rep.terms == want
     assert max(exps[0] for exps in want) >= 2**15
     assert [w for w, _ in widths] == [16]
+
+
+def test_strategies_share_one_packed_rule_table_per_width(monkeypatch):
+    # a strategy is only the order the rules are tried in: both read one
+    # rule set, packed once per width
+    widths = []
+    original = _Packing.table
+
+    def counting(packing, rows):
+        widths.append(packing.width)
+        return original(packing, rows)
+
+    monkeypatch.setattr(_Packing, "table", counting)
+    ring = RingPresentation.full(2, 2, ["X^2", "X", "0"], ["X", "0"])
+    for text in ("S^4*Y^3 + Z^2", "X^200*S^4*Y^3 + X*Z^2"):
+        p = parse_poly(text, ring.varset)
+        assert ring.normal_form(p, "s_first") == ring.normal_form(p, "y_first")
+    assert sorted(widths) == [8, 16]

@@ -1,12 +1,15 @@
 """Quotient rings: canonical forms, rewriting soundness, basis enumeration."""
 
 import json
+import operator
 import time
 from fractions import Fraction
 
 import pytest
 
 from lndfilt.checks import random_element
+from lndfilt.derivations import canonical_derivation
+from lndfilt.graded import gr_leading
 from lndfilt.polynomials import MAX_EXPONENT, MAX_RATIONAL_DIGITS, MultiPoly, VarSet, parse_poly
 from lndfilt.rings import QuotElem, RingPresentation, basis_monomials, evaluate_in_ring, toy_ring
 
@@ -551,3 +554,29 @@ def test_rule_that_keeps_the_measure_is_rejected(toy):
     # the check runs when the tails are built
     for ring in mixed_small_rings():
         ring._rule_tails()
+
+
+def test_a_bool_is_not_a_scalar(toy):
+    # one scalar test: an int or a Fraction, never a bool
+    s = toy.element("S")
+    for a in (s.rep, s):
+        # an equality test does not raise; a bool is just not equal
+        assert not a == True  # noqa: E712
+        assert a != False  # noqa: E712
+        assert a not in [True, False]
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, True)
+            with pytest.raises(TypeError):
+                op(True, a)
+        # the scalars themselves still work
+        assert a * 2 == 2 * a == a + a
+        assert a * Fraction(1, 2) + Fraction(1, 2) * a - 1 + 1 == a
+    for base in (s.rep, s, gr_leading(s)):
+        with pytest.raises(ValueError, match="exponent must be a non-negative integer, got True"):
+            base ** True
+    with pytest.raises(ValueError, match="iteration count must be a non-negative integer, got True"):
+        canonical_derivation(toy).iterate(s, True)
+    with pytest.raises(TypeError):
+        MultiPoly.constant(toy.varset, True)
+    assert toy.element("3") == 3 and toy.element("3").rep == 3

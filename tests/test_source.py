@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import lndfilt
 from lndfilt import polynomials
 from lndfilt.checks import random_element
-from lndfilt.rings import RingPresentation, toy_ring
+from lndfilt.rings import QuotElem, RingPresentation, toy_ring
 from util import DANIELEWSKI_RINGS, RATIONAL_RINGS
 
 SOURCES = sorted(Path(lndfilt.__file__).parent.glob("*.py"))
@@ -270,3 +271,34 @@ def test_one_top_slice():
     assert callers(graded, "_graded") == {
         "GradedElem.__add__", "GradedElem.__neg__", "GradedElem.__mul__", "GradedElem.__pow__", "gr_leading",
     }
+
+
+def test_one_step_algorithm():
+    # the shared solve is written once, on the private base of both step
+    # kinds; a kind states only its formulas, and no kind spells out its
+    # recovery varset
+    cylinders = ast.parse((Path(lndfilt.__file__).parent / "cylinders.py").read_text(encoding="utf-8"))
+    defined = {}
+    for cls in cylinders.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    defined.setdefault(node.name, set()).add(cls.name)
+    for name in ("solve", "source_ring", "target_ring"):
+        assert defined[name] == {"_Step"}
+    for kind in ("FullStep", "DanielewskiStep"):
+        assert calls(definition(cylinders, kind), "VarSet") == 0
+    split = [
+        node for node in ast.walk(cylinders)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RuntimeError"
+        and any(isinstance(arg, ast.Constant) and arg.value == "T-image split disagrees with the solver" for arg in node.args)
+    ]
+    assert len(split) == 1
+    assert callers(definition(cylinders, "_Step"), "RuntimeError") == {"solve"}
+
+
+def test_no_trusted_flag():
+    # a QuotElem from outside is always reduced; canonical-by-construction
+    # elements go through the module-private builder rings._elem
+    assert not any("_trusted" in path.read_text(encoding="utf-8") for path in SOURCES)
+    assert list(inspect.signature(QuotElem).parameters) == ["ring", "rep"]

@@ -18,7 +18,7 @@ from lndfilt.automorphisms import AutParams, verify_auto
 from lndfilt.checks import al_chain_check, degree_consistency, kernel_check
 from lndfilt.derivations import Derivation, canonical_derivation
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import QuotElem, RingPresentation
+from lndfilt.rings import QuotElem, RingPresentation, _elem
 
 from util import DANIELEWSKI_RINGS, RATIONAL_RINGS, count_applications, grid_rings, orbit_reads
 
@@ -38,7 +38,7 @@ def canonical_monomials(ring: RingPresentation) -> list[QuotElem]:
     heads = ring._rule_heads()
     ranges = [range(heads.get(k, 3)) for k in range(len(ring.varset))]
     return [
-        QuotElem(ring, MultiPoly.monomial(ring.varset, exps), _trusted=True)
+        _elem(ring, MultiPoly.monomial(ring.varset, exps))
         for exps in product(*ranges)
     ]
 

@@ -31,10 +31,17 @@ step and stage, so verify_step(solve_step(step), step) solves once and
 builds each ring once; verify_step solves the step itself only for an
 endomorphism that no solve of an equal step built.
 verify_step certifies an endomorphism through three independent routes:
-exact relation transport (one substitute_all call), the forced congruence
-(atomic steps), and a recovery chain that rebuilds every target generator
-from the images; every check runs on every call, whichever solve the stage
-came from.  Two kinds of entry are derived, not computed again:
+exact relation transport (one substitute_all call, which also moves the
+displacement's lhs), the forced congruence (atomic steps), and a recovery
+chain that rebuilds every target generator from the images; every check
+runs on every call, whichever solve the stage came from.  The recovery
+chain is a straight-line program, and its rows are evaluated in one
+substitute_all call, each row at the claims of the rows before it rather
+than at their values.  By induction on the rows, the rows so evaluated all
+pass exactly when the rows evaluated one by one do, so a passing
+certificate is the sequential one; when any row fails, the rows run one by
+one (the sequential fallback), and the certificate records their verdicts.
+See _recovery_verdicts.  Two kinds of entry are derived, not computed again:
 
 * the full family's eliminated three-variable relation transported onto
   the target's follows from the two relation transports (S -> Q - X^e*Z
@@ -55,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -447,14 +455,20 @@ def _eliminated_transport(
 
 
 def _transport_checks(
-    endo: PolyEndo, source: RingPresentation, target: RingPresentation
+    endo: PolyEndo,
+    source: RingPresentation,
+    target: RingPresentation,
+    moved: Sequence[MultiPoly] | None = None,
 ) -> list[dict]:
     """Each defining relation of source pushed through endo onto target's.
 
-    A ring with a second relation eliminates S with it, and adds the entry
+    moved holds the relations' images when the caller pushed them through
+    endo already, in the one call that also moved its own polynomials.  A
+    ring with a second relation eliminates S with it, and adds the entry
     that the two transports imply (_eliminated_transport).
     """
-    moved = substitute_all(source.relation_polys(), endo.images)
+    if moved is None:
+        moved = substitute_all(source.relation_polys(), endo.images)
     checks = [
         _identity_entry(f"relation-transport-{k}", got, rt)
         for k, (got, rt) in enumerate(zip(moved, target.relation_polys()), start=1)
@@ -465,25 +479,93 @@ def _transport_checks(
     return checks
 
 
+def _reads_earlier_rows_only(stage: RecoveryStage) -> bool:
+    """Whether each row reads only generators and the rows before it.
+
+    Also whether every row symbol is new: no generator and no other row
+    takes it.  Every solve builds its stage so; a stage built by hand may
+    break either.
+    """
+    known = set(stage.source.varset.names)
+    for row in stage.rows:
+        used = compress(row.expr.varset.names, map(any, zip(*row.expr.nums)))
+        if row.symbol in known or not known.issuperset(used):
+            return False
+        known.add(row.symbol)
+    return True
+
+
+def _sequential_recovery(stage: RecoveryStage, values: dict) -> list[bool]:
+    """Each row's verdict, the rows evaluated one by one on the values before them.
+
+    values maps the generators to their reduced images; each row's value is
+    added under its symbol.  A row that reads a name with no value yet
+    raises ValueError, from evaluate_in_ring.
+    """
+    target = stage.target
+    verdicts = []
+    for row in stage.rows:
+        val = evaluate_in_ring(row.expr, values)
+        values[row.symbol] = val
+        verdicts.append(val == target.normal_form(row.claimed))
+    return verdicts
+
+
+def _recovery_verdicts(stage: RecoveryStage, values: dict) -> list[bool]:
+    """Each stage-1 row's verdict: its value on the generators' reduced images equals its claim.
+
+    The rows form a straight-line program, value_k = expr_k(g, value_1, ...,
+    value_(k-1)) for the reduced images g, and row k passes when
+    value_k = claim_k, the normal form of its claimed product of generators.
+    All rows are evaluated in one substitute_all call in the target ring,
+    at the images g with each row symbol j set to claim_j instead of
+    value_j: batch_k = expr_k(g, claim_1, ..., claim_(k-1)).  When every
+    batch_k = claim_k, every value_k = claim_k, by induction on k: row 1
+    reads only g, so value_1 = batch_1 = claim_1; and if value_j = claim_j
+    for all j < k, then value_k = expr_k(g, claim_1, ..., claim_(k-1)) =
+    batch_k = claim_k.  Conversely, when every value_k = claim_k, batch_k
+    is value_k for every k.  So the batched verdicts all pass exactly when
+    the sequential ones do, and then they are the same verdicts.  The
+    induction needs each row to read only g and earlier rows, under symbols
+    of their own (_reads_earlier_rows_only).  When that premise fails, or
+    any batched verdict fails, the rows run one by one
+    (_sequential_recovery), whose verdicts, and errors, are then the
+    certificate's: the pattern of _eliminated_transport.
+    """
+    if _reads_earlier_rows_only(stage):
+        target = stage.target
+        claims = [target.normal_form(row.claimed) for row in stage.rows]
+        env = {**values, **{row.symbol: claim for row, claim in zip(stage.rows, claims)}}
+        got = substitute_all([row.expr for row in stage.rows], env)
+        if got == claims:
+            return [True] * len(claims)
+    return _sequential_recovery(stage, values)
+
+
 def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     """Certify one atomic step's endomorphism against its endpoint rings.
 
     stage is the step's recovery stage, which also holds its endpoint rings
-    and its displacement.  Two kinds of entry are derived, not computed:
-    the eliminated-relation entry follows from the two relation transports
-    (_eliminated_transport), and the stage-2 row of generator nm is the
-    verdict of stage-1 row nm.lower(), which claims the generator and holds
-    the value the stage-2 row would compare.
+    and its displacement.  endo is applied once, in one substitute_all call,
+    to the source's relations and the displacement's lhs.  Two kinds of
+    entry are derived, not computed: the eliminated-relation entry follows
+    from the two relation transports (_eliminated_transport), and the
+    stage-2 row of generator nm is the verdict of stage-1 row nm.lower(),
+    which claims the generator and holds the value the stage-2 row would
+    compare.  The stage-1 rows are evaluated in one call, at the rows'
+    claims; a passing batch proves the sequential chain passes, and any
+    failing row sends the rows through the sequential chain instead, which
+    then gives every verdict (_recovery_verdicts).
     """
     source, target = stage.source, stage.target
     vs = source.varset
     if vs != endo.varset:
         raise ValueError("source, target and endomorphism must share one varset")
     cert = IsoCertificate(source=source, target=target, endo=endo)
-    cert.checks = _transport_checks(endo, source, target)
-
     lhs, rhs, unit = stage.displacement
-    moved = endo.apply(lhs)
+    *transported, moved = substitute_all([*source.relation_polys(), lhs], endo.images)
+    cert.checks = _transport_checks(endo, source, target, transported)
+
     residue = target.normal_form(moved + unit * _v(vs, "T"))
     cert.checks += [
         _identity_entry("displacement-identity", moved, rhs),
@@ -491,20 +573,17 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     ]
 
     # recovery: rebuild every target generator in the target quotient
-    values: dict = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
-    verdicts = {}
-    rows = []
-    for row in stage.rows:
-        val = evaluate_in_ring(row.expr, values)
-        values[row.symbol] = val
-        verdicts[row.symbol] = val == target.normal_form(row.claimed)
-        rows.append(
-            {
-                "element": str(row.claimed),
-                "expression": f"{row.symbol} := {row.expr}",
-                "pass": verdicts[row.symbol],
-            }
-        )
+    values = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
+    passes = _recovery_verdicts(stage, values)
+    rows = [
+        {
+            "element": str(row.claimed),
+            "expression": f"{row.symbol} := {row.expr}",
+            "pass": ok,
+        }
+        for row, ok in zip(stage.rows, passes)
+    ]
+    verdicts = {row.symbol: ok for row, ok in zip(stage.rows, passes)}
     cert.recovery.append({"stage": 1, "entries": rows})
     final_rows = [
         {

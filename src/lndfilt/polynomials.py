@@ -207,7 +207,8 @@ class ReadableDocument(Document):
 def ladder_power(ladder: dict[int, T], k: int, product: Callable[[T, T], T] = mul) -> T:
     """ladder[k], for a ladder {exponent: power} that holds at least the first power.
 
-    This is the package's one power routine.  A missing power is the
+    This is the package's one power routine (MultiPoly.__pow__ raises a
+    one-term polynomial by exponent arithmetic instead).  A missing power is the
     product of the largest lower power in the ladder and the power that
     remains, so that the powers 1, 2, ..., k cost one product each; when that
     lower power is under half of k, it is built as by squaring instead: an
@@ -499,6 +500,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> MultiPoly:
+        if len(self.nums) == 1 and type(k) is int and k >= 0:
+            # (c/b)*x^u acts by exponent arithmetic, as a single-term image
+            # does in substitute_all: (c/b)^k * x^(k*u), in lowest terms
+            # since c and b are coprime
+            ((u, c),) = self.nums.items()
+            return _from_terms(self.varset, {tuple([e * k for e in u]): c**k}, self.den**k)
         # the unit is one validated term, as in variable: no cleaning pass
         return ladder_power({0: _from_terms(self.varset, {(0,) * len(self.varset): 1}), 1: self}, k)
 
@@ -510,6 +517,9 @@ class MultiPoly:
         return self.varset == other.varset and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
+        # a constant equals its scalar (__eq__), so it hashes as the scalar
+        if not any(map(any, self.nums)):
+            return hash(Fraction(self.nums.get((0,) * len(self.varset), 0), self.den))
         return hash((self.varset, self.den, frozenset(self.nums.items())))
 
     # ---------------------------------------------------------- calculus etc.

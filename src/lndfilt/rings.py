@@ -714,7 +714,9 @@ class QuotElem:
         return self.ring == other.ring and self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.rep))
+        # equal elements have equal representatives, and a constant's
+        # representative hashes as the scalar it equals (MultiPoly.__hash__)
+        return hash(self.rep)
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()

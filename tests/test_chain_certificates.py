@@ -27,7 +27,7 @@ from lndfilt.cylinders import (
     compose_danielewski_chain,
 )
 from lndfilt.polynomials import MultiPoly, VarSet
-from lndfilt.rings import RingPresentation, evaluate_in_ring
+from lndfilt.rings import QuotElem, RingPresentation, evaluate_in_ring
 
 SIZE_P = ["1", "0", "X^2", "0"]
 
@@ -300,7 +300,7 @@ def test_composite_images_are_never_reduced(monkeypatch):
     reduced = [target.normal_form(img).rep for img in composite]
     reduced_args, evaluated_envs = [], []
     normal_form = RingPresentation.normal_form
-    evaluate = cylinders.evaluate_in_ring
+    evaluate, evaluate_all = cylinders.evaluate_in_ring, cylinders.substitute_all
 
     def spy_normal_form(ring, p, *args, **kwargs):
         reduced_args.append(p)
@@ -310,8 +310,16 @@ def test_composite_images_are_never_reduced(monkeypatch):
         evaluated_envs.append(list(env.values()))
         return evaluate(p, env)
 
+    def spy_evaluate_all(polys, env):
+        # the ring-element evaluations: the batched recovery rows
+        values = list(env.values())
+        if all(isinstance(v, QuotElem) for v in values):
+            evaluated_envs.append(values)
+        return evaluate_all(polys, env)
+
     monkeypatch.setattr(RingPresentation, "normal_form", spy_normal_form)
     monkeypatch.setattr(cylinders, "evaluate_in_ring", spy_evaluate)
+    monkeypatch.setattr(cylinders, "substitute_all", spy_evaluate_all)
     again, _ = compose_chain(1, 1, 3)
     assert again == endo
     assert reduced_args and evaluated_envs

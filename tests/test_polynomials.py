@@ -8,7 +8,7 @@ from operator import mul
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lndfilt.polynomials import (
     MultiPoly,
@@ -173,12 +173,25 @@ def test_ring_axioms(a, b, c):
     assert a - a == MultiPoly.zero(XSYZ)
 
 
-@given(_polys(), st.integers(min_value=0, max_value=5))
+def _one_term_polys():
+    # a single term c*x^u (a constant when u = 0), or the zero polynomial
+    terms = st.builds(lambda u, c: {u: c}, _exps(), _coeffs().filter(bool))
+    return st.one_of(terms, st.just({})).map(lambda t: MultiPoly(XSYZ, t))
+
+
+@given(st.one_of(_polys(), _one_term_polys()), st.integers(min_value=0, max_value=5))
+@example(MultiPoly(XSYZ, {(2, 0, 1, 0): Fraction(-3, 4)}), 0)
+@example(MultiPoly(XSYZ, {(2, 0, 1, 0): Fraction(-3, 4)}), 1)
+@example(MultiPoly(XSYZ, {(0, 0, 0, 0): Fraction(-5, 2)}), 3)
+@example(MultiPoly.zero(XSYZ), 0)
+@example(MultiPoly.zero(XSYZ), 2)
 def test_power_matches_repeated_product(a, k):
     expected = MultiPoly.constant(XSYZ, 1)
     for _ in range(k):
         expected = expected * a
-    assert a ** k == expected
+    got = a ** k
+    assert got == expected
+    assert (got.nums, got.den) == (expected.nums, expected.den)
 
 
 def test_power_costs_binary_exponentiation_products(monkeypatch):
@@ -216,6 +229,69 @@ def test_power_of_a_unit_at_a_huge_exponent():
     assert one ** 2**2000 == one
     unit = toy_ring().one()
     assert unit ** 2**2000 == unit
+
+
+def test_one_term_powers_take_no_product(monkeypatch):
+    # (c/b)*x^u raised to k is (c/b)^k * x^(k*u): exponent arithmetic, as a
+    # single-term image acts in substitute_all
+    bases = [P(text) for text in ("X", "-2/3*X^2*Z", "7/5", "-1")]
+    expected = []
+    for base in bases:
+        powers = [MultiPoly.constant(XSYZ, 1)]
+        for _ in range(64):
+            powers.append(powers[-1] * base)
+        expected.append(powers)
+    x, minus_y = P("X"), P("-Y")
+    products = []
+    real = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    got = [[base ** k for k in range(65)] for base in bases]
+    huge, odd = x ** 2**2000, minus_y ** (2**2000 + 1)
+    assert products == []
+    assert got == expected
+    assert huge.nums == {(2**2000, 0, 0, 0): 1} and huge.den == 1
+    assert odd.nums == {(0, 0, 2**2000 + 1, 0): -1} and odd.den == 1
+
+
+@pytest.mark.parametrize("text", ["X", "-2/3*X^2*Z", "7/5", "X + 1", "0"])
+def test_refused_exponents(text):
+    for k in (True, False, -1, -(2**70), 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError, match=f"exponent must be a non-negative integer, got {re.escape(repr(k))}"):
+            P(text) ** k
+
+
+def _scalars():
+    return st.one_of(st.integers(min_value=-(10**30), max_value=10**30), _coeffs())
+
+
+@given(_scalars(), _polys())
+def test_equal_values_hash_equal(c, a):
+    # a constant polynomial and a constant element equal their scalar, so
+    # they hash as it does; every other equal pair hashes equal too
+    toy = toy_ring()
+    elem = toy.element(c)
+    for value in (MultiPoly.constant(XSYZ, c), elem, elem.rep, toy.element(str(c))):
+        assert value == c and hash(value) == hash(c)
+        assert value in {c} and c in {value}
+    assert hash(Fraction(c)) == hash(c)
+    copy = MultiPoly(XSYZ, a.terms)
+    assert copy == a and hash(copy) == hash(a)
+    elem = toy.normal_form(a)
+    twin = toy.element(a + 0)
+    assert twin == elem and hash(twin) == hash(elem)
+
+
+def test_constant_elements_are_found_in_sets():
+    toy = toy_ring()
+    assert toy.element("3") in {3} and toy.element("3").rep in {3}
+    assert toy.element("0") in {0} and toy.zero() in {0} and MultiPoly.zero(XSYZ) in {0}
+    assert toy.element("1/2") in {Fraction(1, 2)} and toy.one() in {1}
+    assert toy.element("S") not in {0, 1}
 
 
 def test_scalar_coercion():

@@ -245,7 +245,16 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     cylinders = trees["cylinders"]
     assert "_transport_checks" not in callers(cylinders, "apply")
     assert "_transport_checks" in callers(cylinders, "substitute_all")
-    assert [arg.arg for arg in definition(cylinders, "_transport_checks").args.args] == ["endo", "source", "target"]
+    assert [arg.arg for arg in definition(cylinders, "_transport_checks").args.args] == [
+        "endo", "source", "target", "moved",
+    ]
+    # a step's certificate applies its map in one call, to the relations and
+    # the displacement's lhs together, and evaluates its recovery rows in one
+    # more; only the sequential fallback evaluates a row on its own
+    assert "_verify" not in callers(cylinders, "apply")
+    assert calls(definition(cylinders, "_verify"), "substitute_all") == 1
+    assert calls(definition(cylinders, "_recovery_verdicts"), "substitute_all") == 1
+    assert callers(cylinders, "evaluate_in_ring") == {"_sequential_recovery"}
     # the step solvers and build_auto pass no identity images
     assert not any(isinstance(node, ast.Name) and node.id == "ident" for node in ast.walk(cylinders))
     # the row named nm.lower() rebuilds generator nm; no field restates it

@@ -212,7 +212,12 @@ def compose_params(ring: RingPresentation, outer: AutParams, inner: AutParams) -
 
 
 def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
-    """Full verification: relations, degree preservation, two-sided inverse."""
+    """Full verification: relations, degree preservation, two-sided inverse.
+
+    A ring outside the family raises ValueError, as build_auto does; only
+    inadmissible parameters are recorded as witnesses.
+    """
+    _require_normalized(ring)
     report = CheckReport(check="automorphism", ring=ring.fingerprint(), bound=0)
     witnesses = report.witnesses
     try:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
-from .derivations import Derivation, canonical_derivation
+from .derivations import BudgetExceededError, Derivation, canonical_derivation
 from .graded import graded_generators, gr_leading, hat_ideal_tops
 from .polynomials import Document, MultiPoly, parse_poly
 from .rings import QuotElem, RingPresentation, _elem, basis_monomials
@@ -87,7 +87,7 @@ def degree_consistency(
         expected = a.degree()
         try:
             got = D.degree(a)
-        except Exception as err:  # budget blowups are findings, not crashes
+        except BudgetExceededError as err:  # budget blowups are findings, not crashes
             witnesses.append(f"element {a}: iteration failed: {err}")
             continue
         if got != expected:

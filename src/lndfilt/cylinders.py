@@ -72,6 +72,7 @@ from .polynomials import (
     MultiPoly,
     ReadableDocument,
     VarSet,
+    _count,
     images_json,
     parse_poly,
     read_object,
@@ -268,7 +269,10 @@ class _Step:
 
 @dataclass(frozen=True)
 class FullStep(_Step):
-    """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2."""
+    """One twist increment e -> e+1 over the fixed base P = S^2 + 1, Q = Y^2.
+
+    n and e are checked when the step is made: each must be an int >= 1.
+    """
 
     n: int
     e: int
@@ -276,10 +280,8 @@ class FullStep(_Step):
     _ROWS = ("y", "xz", "yz", "sz", "z")
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.e < 1:
-            raise ValueError("the twist step starts at e >= 1")
+        _count(self.n, "n", 1)
+        _count(self.e, "e", 1)
 
     def _ring(self, step: int) -> RingPresentation:
         return RingPresentation.full(self.n, self.e + step, _TWIST_P, _TWIST_Q, cylinder=True)
@@ -310,19 +312,20 @@ class FullStep(_Step):
 
 @dataclass(frozen=True)
 class DanielewskiStep(_Step):
-    """One size increment n -> n+1 for a fixed P = S^d + X*Qt(X,S) + c, c != 0."""
+    """One size increment n -> n+1 for a fixed P = S^d + X*Qt(X,S) + c, c != 0.
+
+    n and P are checked when the step is made, through the source ring (n an
+    int >= 1, P's coefficients polynomials in X); p_coeffs holds them as that
+    ring does.
+    """
 
     n: int
     p_coeffs: tuple
 
     _ROWS = ("xy", "sy", "y")
 
-    def __init__(self, n: int, p_coeffs: Sequence):
-        ring = RingPresentation.danielewski(max(n, 1), p_coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p_coeffs", ring.p_coeffs)
-        if n < 1:
-            raise ValueError("n must be >= 1")
+    def __post_init__(self):
+        object.__setattr__(self, "p_coeffs", RingPresentation.danielewski(self.n, self.p_coeffs).p_coeffs)
         c = self.constant()
         if c == 0:
             raise ValueError("P must have a nonzero constant term")
@@ -715,8 +718,7 @@ def _compose_steps(steps: list) -> tuple[PolyEndo, IsoCertificate]:
 
 def compose_chain(n: int, e_from: int, e_to: int) -> tuple[PolyEndo, IsoCertificate]:
     """The composed isomorphism R(n, e_from)[T] -> R(n, e_to)[T]."""
-    if e_to <= e_from or e_from < 1:
-        raise ValueError("need e_to > e_from >= 1")
+    _count(e_to, "e_to", _count(e_from, "e_from", 1) + 1)
     steps = [FullStep(n, e) for e in range(e_from, e_to)]
     return _compose_steps(steps)
 
@@ -725,8 +727,7 @@ def compose_danielewski_chain(
     n_from: int, n_to: int, p_coeffs: Sequence
 ) -> tuple[PolyEndo, IsoCertificate]:
     """The composed isomorphism B(n_from, P)[T] -> B(n_to, P)[T]."""
-    if n_to <= n_from or n_from < 1:
-        raise ValueError("need n_to > n_from >= 1")
+    _count(n_to, "n_to", _count(n_from, "n_from", 1) + 1)
     steps = [DanielewskiStep(n, p_coeffs) for n in range(n_from, n_to)]
     return _compose_steps(steps)
 
@@ -740,7 +741,7 @@ def cancellation_report(n: int, e1: int, e2: int) -> dict:
     graded algebras), compared rather than assumed to differ.  The bases
     are the certificate's endpoint rings without T.
     """
-    if e1 == e2:
+    if _count(e1, "e1", 1) == _count(e2, "e2", 1):
         raise ValueError("the two twists must differ")
     lo, hi = min(e1, e2), max(e1, e2)
     endo, cert = compose_chain(n, lo, hi)

@@ -60,19 +60,12 @@ from math import gcd, lcm
 from operator import or_
 from typing import Mapping
 
-from .polynomials import MultiPoly, _Packing, _packed
+from .polynomials import MultiPoly, _count, _Packing, _packed
 from .rings import QuotElem, RingPresentation
 
 
 class BudgetExceededError(RuntimeError):
     """Iterating the derivation did not reach zero within the given budget."""
-
-
-def _count(k: object, what: str) -> int:
-    """k, a step count; ValueError unless it is an int >= 0 (a bool is not)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {k!r}")
-    return k
 
 
 def _chain_rule(p: MultiPoly, images: Mapping[str, MultiPoly]) -> MultiPoly:

@@ -12,7 +12,7 @@ built here are homogeneous by construction and go through _graded unchecked.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, ladder_power
+from .polynomials import MultiPoly, _count, ladder_power
 from .rings import QuotElem, RingPresentation
 
 
@@ -26,8 +26,7 @@ class GradedElem:
     __slots__ = ("ring", "grade", "part")
 
     def __init__(self, ring: RingPresentation, grade: int, part: MultiPoly):
-        if isinstance(grade, bool) or not isinstance(grade, int) or grade < 0:
-            raise ValueError(f"grade must be an integer >= 0, got {grade!r}")
+        _count(grade, "grade")
         ring._require_own(part)
         for exps in part.nums:
             got = ring.monomial_degree(exps)

@@ -124,6 +124,13 @@ def _is_scalar(c: object) -> bool:
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
+def _count(value: object, what: str, least: int = 0) -> int:
+    """The package's one count test: value, an int >= least (a bool is not); else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _require_scalar(c: object, exps: tuple[int, ...]) -> None:
     """TypeError unless the coefficient c of the term at exps is a scalar (_is_scalar)."""
     if not _is_scalar(c):
@@ -222,8 +229,7 @@ def ladder_power(ladder: dict[int, T], k: int, product: Callable[[T, T], T] = mu
     k/2), so the powers to build form one path, at most twice the bit length
     of k long: it is walked down first, then built up in that order.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
+    _count(k, "exponent")
     path = []
     j = k
     while j not in ladder:
@@ -379,9 +385,9 @@ class MultiPoly:
     exponent tuples to nonzero ints, den is a positive int, and the gcd of den
     and all numerators is 1, so each polynomial has exactly one (nums, den).
     The zero polynomial has nums == {} and den == 1.  ``terms`` is a fresh
-    dict of the same terms with Fraction coefficients, for printing and
-    tests.  Instances are treated as immutable; all operations return fresh
-    polynomials.
+    dict of the same terms with Fraction coefficients, for tests and the
+    benchmark's counters.  Instances are treated as immutable; all
+    operations return fresh polynomials.
     """
 
     __slots__ = ("varset", "nums", "den")
@@ -542,10 +548,10 @@ class MultiPoly:
 
     def rename(self, target: VarSet) -> MultiPoly:
         """Transport to a varset that contains all variables used here."""
-        if not self.varset.names:
-            # no images: substitute_all would keep the empty varset
-            return MultiPoly.constant(target, self.constant_value())
-        return self.substitute({nm: MultiPoly.variable(target, nm) for nm in self.varset.names})
+        images = {nm: MultiPoly.variable(target, nm) for nm in self.varset.names if nm in target}
+        moved = self.substitute(images)
+        # with no images, substitute_all returns a constant over this varset
+        return moved if images else MultiPoly.constant(target, moved.constant_value())
 
     def divide_exact(self, divisor: MultiPoly) -> MultiPoly:
         """Exact division by a single-term divisor; raises if any term fails.

@@ -77,6 +77,7 @@ from .polynomials import (
     MultiPoly,
     ReadableDocument,
     VarSet,
+    _count,
     _format_coeff,
     _from_terms,
     _is_scalar,
@@ -164,10 +165,8 @@ class RingPresentation(ReadableDocument):
     ):
         if family not in ("full", "danielewski"):
             raise ValueError(f"unknown family {family!r}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-            raise ValueError(f"e must be an integer >= 0, got {e!r}")
+        _count(n, "n", 1)
+        _count(e, "e")
         if not isinstance(cylinder, bool):
             raise ValueError(f"cylinder must be true or false, got {cylinder!r}")
         self.n = n
@@ -770,9 +769,7 @@ class QuotElem:
                 raise ValueError(f"element term lacks its coefficient 'c': {entry!r}")
             exps = tuple(entry.get(k, 0) for k in keys)
             for k, e in zip(keys, exps):
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise ValueError(f"exponent {k!r} must be an integer >= 0, got {e!r}")
-                if e > MAX_EXPONENT:
+                if _count(e, f"exponent {k!r}") > MAX_EXPONENT:
                     raise ValueError(f"exponent {k!r} is larger than {MAX_EXPONENT}")
             c = read_rational(entry["c"], "element coefficient")
             if c:

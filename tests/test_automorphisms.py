@@ -1,5 +1,6 @@
 """The scaling-and-shift automorphism family and its verification."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from lndfilt.automorphisms import (
 )
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import RingPresentation, toy_ring
-from util import X_ONLY
+from util import OUTSIDE_AUTOMORPHISM_FAMILY, X_ONLY
 
 
 R21 = RingPresentation.full(2, 1, ["1", "0"], ["0", "0"])  # P = S^2 + 1
@@ -33,12 +34,13 @@ def test_check_params_accepts_sign_flip():
 
 
 def test_check_params_requires_normalized_ring():
-    with pytest.raises(ValueError, match="Q = Y\\^m"):
-        check_params(RingPresentation.full(2, 1, ["0", "0"], ["1", "0"]), AutParams.make(1, 1))
-    with pytest.raises(ValueError, match="f_{d-1} = 0"):
-        check_params(RingPresentation.full(2, 1, ["0", "X"], ["0", "0"]), AutParams.make(1, 1))
-    with pytest.raises(ValueError, match="full family"):
-        check_params(RingPresentation.danielewski(1, ["1", "0"]), AutParams.make(1, 1))
+    # a ring outside the family is refused by every entry point alike;
+    # verify_auto records only parameter violations as witnesses
+    for data, message in OUTSIDE_AUTOMORPHISM_FAMILY:
+        ring = RingPresentation.from_json_dict(data)
+        for entry in (check_params, build_auto, verify_auto):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry(ring, AutParams.make(1, 1))
 
 
 def test_zero_scalars_rejected():

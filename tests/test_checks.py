@@ -35,6 +35,22 @@ def test_degree_consistency_danielewski():
     assert report.passed, report.witnesses
 
 
+def test_degree_consistency_records_only_budget_overruns(toy, monkeypatch):
+    # a budget overrun is a finding about the ring; any other error is a
+    # fault in the program and propagates
+    monkeypatch.setattr(Derivation, "default_budget", lambda self, a: 0)
+    report = degree_consistency(toy, samples=20, rng=Random(7))
+    assert report.witnesses
+    assert all("iteration failed: derivation budget 0 exceeded" in w for w in report.witnesses)
+
+    def broken(self, a, bound=None):
+        raise TypeError("broken degree")
+
+    monkeypatch.setattr(Derivation, "degree", broken)
+    with pytest.raises(TypeError, match="broken degree"):
+        degree_consistency(toy, samples=20, rng=Random(7))
+
+
 def test_kernel_check_toy(toy):
     report = kernel_check(toy, degree_bound=8, x_cap=4)
     assert report.passed, report.witnesses

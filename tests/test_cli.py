@@ -16,6 +16,7 @@ from lndfilt.cylinders import DanielewskiStep, FullStep
 from lndfilt.cli import MAX_CHAIN_STEPS, MAX_DERIVATION_APPLICATIONS, MAX_FILTRATION_INDEX, MAX_SUITE_BOUND, main
 from lndfilt.derivations import Derivation
 from lndfilt.rings import QuotElem, toy_ring
+from util import OUTSIDE_AUTOMORPHISM_FAMILY
 
 
 def run(capsys, *argv):
@@ -209,6 +210,16 @@ def test_auto_with_invalid_parameters(capsys, tmp_path, ring_file):
     code, out, _ = run(capsys, "auto-verify", "--ring", ring_file, "--params", str(params))
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("data,message", OUTSIDE_AUTOMORPHISM_FAMILY, ids=["cylinder", "danielewski", "Q", "f_d-1"])
+def test_auto_commands_refuse_a_ring_outside_the_family(capsys, tmp_path, data, message):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(data))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambda": "1", "mu": "1"}))
+    for command in ("auto-build", "auto-verify"):
+        assert run(capsys, command, "--ring", str(ring), "--params", str(params)) == (2, "", f"error: {message}\n")
 
 
 def test_auto_verify_with_non_strict_params_is_usage_error(capsys, tmp_path, ring_file):

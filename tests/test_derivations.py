@@ -172,9 +172,9 @@ def test_step_counts_are_refused_before_any_step(toy, monkeypatch, bad):
     for text in ("S*Y", "0"):
         a = toy.element(text)
         if bad is not None:  # None asks degree for its default budget
-            with pytest.raises(ValueError, match=re.escape(f"degree bound must be a non-negative integer, got {bad!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"degree bound must be an integer >= 0, got {bad!r}")):
                 D.degree(a, bad)
-        with pytest.raises(ValueError, match=re.escape(f"iteration count must be a non-negative integer, got {bad!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"iteration count must be an integer >= 0, got {bad!r}")):
             D.iterate(a, bad)
     monkeypatch.undo()
     assert D.degree(toy.element("7"), 0) == 0

@@ -155,5 +155,5 @@ def test_power_is_the_repeated_product(rng):
             for k in range(6):
                 assert g ** k == product
                 product = product * g
-    with pytest.raises(ValueError, match="non-negative integer"):
+    with pytest.raises(ValueError, match="exponent must be an integer >= 0, got -1"):
         g ** -1

@@ -219,7 +219,7 @@ def test_power_costs_binary_exponentiation_products(monkeypatch):
             assert calls[cls] == (k.bit_length() + bin(k).count("1") - 2 if k else 0), (cls, k)
             want = MultiPoly(XSYZ, {(i, 0, 0, 0): comb(k, i) for i in range(k + 1)})
             assert (got.rep if cls is QuotElem else got) == want
-    with pytest.raises(ValueError, match="exponent must be a non-negative integer, got -1"):
+    with pytest.raises(ValueError, match="exponent must be an integer >= 0, got -1"):
         bases[MultiPoly] ** -1
 
 
@@ -261,7 +261,7 @@ def test_one_term_powers_take_no_product(monkeypatch):
 @pytest.mark.parametrize("text", ["X", "-2/3*X^2*Z", "7/5", "X + 1", "0"])
 def test_refused_exponents(text):
     for k in (True, False, -1, -(2**70), 2.0, Fraction(2), "2"):
-        with pytest.raises(ValueError, match=f"exponent must be a non-negative integer, got {re.escape(repr(k))}"):
+        with pytest.raises(ValueError, match=f"exponent must be an integer >= 0, got {re.escape(repr(k))}"):
             P(text) ** k
 
 
@@ -461,8 +461,17 @@ def test_rename_transports_between_varsets():
     p = parse_poly("X^2 + 1", small)
     q = p.rename(XSYZ)
     assert q == P("X^2 + 1")
+    # a variable that is not used need not be in the target
+    assert parse_poly("X^2 + 1", VarSet(("X", "S"))).rename(small) == p
+    # a constant lands in the target, also when no name is shared
+    for source in (VarSet(()), VarSet(("S",)), XSYZ):
+        three = MultiPoly.constant(source, 3).rename(small)
+        assert three.varset == small and three == parse_poly("3", small)
+    # a used variable must be in the target
     with pytest.raises(ValueError):
         P("S").rename(small)
+    with pytest.raises(ValueError):
+        parse_poly("S + 1", VarSet(("S",))).rename(small)
 
 
 @settings(max_examples=150, deadline=None)

@@ -311,3 +311,31 @@ def test_no_trusted_flag():
     # elements go through the module-private builder rings._elem
     assert not any("_trusted" in path.read_text(encoding="utf-8") for path in SOURCES)
     assert list(inspect.signature(QuotElem).parameters) == ["ring", "rep"]
+
+
+def count_tests(tree: ast.AST, scope: str = "") -> list[str]:
+    """The enclosing definition of every `isinstance(v, bool) or not isinstance(v, int) or ...` under tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += count_tests(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            tests = [ast.unparse(value) for value in node.values]
+            if any(t.startswith("isinstance(") and t.endswith(", bool)") for t in tests) and any(
+                t.startswith("not isinstance(") and t.endswith(", int)") for t in tests
+            ):
+                found.append(scope)
+        found += count_tests(node, scope)
+    return found
+
+
+def test_one_count_test():
+    # every integer parameter is refused by polynomials._count; the only
+    # other copy checks a whole exponent tuple, with its length, and names
+    # the term
+    found = sorted(
+        f"{path.name}:{scope}" for path in SOURCES for scope in count_tests(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert found == ["polynomials.py:MultiPoly.__init__", "polynomials.py:_count"]
+    assert lndfilt.derivations._count is polynomials._count

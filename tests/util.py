@@ -225,6 +225,25 @@ DANIELEWSKI_RINGS = [
 ]
 
 
+# ring JSON outside the automorphism family, each with the message that
+# refuses it: a cylinder, a danielewski ring, Q != Y^m and f_{d-1} != 0
+OUTSIDE_AUTOMORPHISM_FAMILY = [
+    (
+        {"family": "full", "n": 2, "e": 1, "P": ["1", "0"], "Q": ["0", "0"], "cylinder": True},
+        "automorphisms act on the base ring, not its cylinder",
+    ),
+    ({"family": "danielewski", "n": 1, "P": ["1", "0"]}, "the automorphism family lives on the full family"),
+    (
+        {"family": "full", "n": 2, "e": 1, "P": ["0", "0"], "Q": ["1", "0"]},
+        "the automorphism family needs Q = Y^m (all g_j = 0)",
+    ),
+    (
+        {"family": "full", "n": 2, "e": 1, "P": ["0", "X"], "Q": ["0", "0"]},
+        "the automorphism family needs f_{d-1} = 0",
+    ),
+]
+
+
 # fixed rings with rational tails, so that td != 1 is always covered
 RATIONAL_RINGS = [
     RingPresentation.danielewski(1, ["3/4", "1/2*X", "0"]),

@@ -31,23 +31,32 @@ step and stage, so verify_step(solve_step(step), step) solves once and
 builds each ring once; verify_step solves the step itself only for an
 endomorphism that no solve of an equal step built.
 verify_step certifies an endomorphism through three independent routes:
-exact relation transport (one substitute_all call, which also moves the
-displacement's lhs), the forced congruence (atomic steps), and a recovery
-chain that rebuilds every target generator from the images; every check
-runs on every call, whichever solve the stage came from.  The recovery
-chain is a straight-line program, and its rows are evaluated in one
-substitute_all call, each row at the claims of the rows before it rather
-than at their values.  By induction on the rows, the rows so evaluated all
-pass exactly when the rows evaluated one by one do, so a passing
-certificate is the sequential one; when any row fails, the rows run one by
-one (the sequential fallback), and the certificate records their verdicts.
-See _recovery_verdicts.  Two kinds of entry are derived, not computed again:
+exact relation transport, the forced congruence (atomic steps), and a
+recovery chain that rebuilds every target generator from the images; every
+check runs on every call, whichever solve the stage came from.  The
+recovery chain is a straight-line program.  One substitute_all call, at
+the endomorphism's own polynomial images with each row symbol bound to its
+row's claimed product of generators, moves the source relations, the
+displacement's lhs and the recovery rows; each row's value is then reduced
+once in the target and compared with its claim.  The normal form is a ring
+homomorphism onto the quotient, so these verdicts are those of the rows
+evaluated in the target at the reduced images and the earlier rows'
+claims; by induction on the rows, they all pass exactly when the rows
+evaluated one by one do, so a passing certificate is the sequential one.
+When any row fails, the images are reduced and the rows run one by one
+(the sequential fallback), and the certificate records their verdicts.
+See _recovery_verdicts.  Three kinds of entry are derived, not computed
+again:
 
 * the full family's eliminated three-variable relation transported onto
   the target's follows from the two relation transports (S -> Q - X^e*Z
   kills the second relation, in which S enters only as -S, and the
   eliminated relation is by definition the first one with S so replaced),
   so it is expanded only when a transport fails; see _eliminated_transport;
+* the recovery row t := -(A*B - X*T)/unit claims T, and its value is
+  -phi(lhs)/unit, which is T in the target exactly when the displacement
+  congruence holds, so it takes that entry's verdict; see _derives_t, which
+  checks that the stage's t row is that expression;
 * each stage-2 recovery row compares a recovered generator with the
   generator, which the stage-1 row claiming that generator has already
   done, so it takes that row's verdict; see _verify.
@@ -76,6 +85,7 @@ from .polynomials import (
     images_json,
     parse_poly,
     read_object,
+    relabel,
     substitute_all,
 )
 from .rings import _X_ONLY, RingPresentation, evaluate_in_ring
@@ -83,6 +93,10 @@ from .rings import _X_ONLY, RingPresentation, evaluate_in_ring
 
 class PolyEndo(ReadableDocument):
     """An algebra endomorphism of a polynomial ring, given on the variables.
+
+    images holds exactly one image per variable, over the same varset; a
+    missing image, an image over another varset and an image for a name
+    outside the varset each raise ValueError.
 
     An endomorphism built by a step's solve also holds that step and the
     solve's RecoveryStage (slot _solved), for verify_step; every other
@@ -103,6 +117,9 @@ class PolyEndo(ReadableDocument):
             if img.varset != varset:
                 raise ValueError(f"image of {nm!r} uses varset {img.varset!r}")
             got[nm] = img
+        if len(got) != len(images):
+            stray = [nm for nm in images if nm not in got]
+            raise ValueError(f"images for names outside {varset!r}: {stray}")
         self.images = got
         self._solved: tuple[_Step, RecoveryStage] | None = None
 
@@ -250,7 +267,8 @@ class _Step:
         m = {nm: _v(mixed, nm) for nm in mixed.names}
         # the solver pieces, moved into the recovery varset: generator nm
         # becomes row nm.lower() where that row is a variable
-        moved = substitute_all(list(pieces), {nm: m.get(nm.lower(), m[nm]) for nm in vs.names})
+        rows_of = {nm: nm.lower() for nm in vs.names if nm.lower() in mixed}
+        moved = [relabel(piece, mixed, rows_of) for piece in pieces]
         exprs = (
             m["X"],
             Fraction(-1) / unit * (m[a] * m[b] - m["X"] * m["T"]),
@@ -514,51 +532,106 @@ def _sequential_recovery(stage: RecoveryStage, values: dict) -> list[bool]:
     return verdicts
 
 
-def _recovery_verdicts(stage: RecoveryStage, values: dict) -> list[bool]:
+def _derives_t(stage: RecoveryStage, row: RecoveryRow) -> bool:
+    """Whether row is t := -lhs/unit claiming T, so that the displacement congruence is its verdict.
+
+    (lhs, rhs, unit) is the stage's displacement.  Such a row reads only
+    generators, so its value at the images is -phi(lhs)/unit, and that is T
+    in the target exactly when nf(phi(lhs) + unit*T) = 0, since unit != 0
+    and nf is linear: the test of the displacement-congruence entry, which
+    _verify computes anyway.  Every solve builds its t row so; a t row of a
+    stage built by hand that differs is evaluated with the other rows.
+    """
+    lhs, _, unit = stage.displacement
+    home = row.expr.varset
+    return (
+        row.symbol == "t"
+        and row.claimed == _v(stage.source.varset, "T")
+        and unit != 0
+        and all(nm in home for nm in lhs.varset.names)
+        and unit * row.expr == -lhs.rename(home)
+    )
+
+
+def _batched_rows(stage: RecoveryStage) -> list[RecoveryRow] | None:
+    """The stage-1 rows that _verify evaluates in its one call, or None.
+
+    None when the batch's premise fails (_reads_earlier_rows_only), so that
+    the rows can only run one by one; else every row but the one whose
+    verdict is the displacement congruence's (_derives_t).
+    """
+    if not _reads_earlier_rows_only(stage):
+        return None
+    return [row for row in stage.rows if not _derives_t(stage, row)]
+
+
+def _recovery_verdicts(
+    stage: RecoveryStage,
+    endo: PolyEndo,
+    batch: list[RecoveryRow] | None,
+    values: Sequence[MultiPoly],
+    congruent: bool,
+) -> list[bool]:
     """Each stage-1 row's verdict: its value on the generators' reduced images equals its claim.
 
     The rows form a straight-line program, value_k = expr_k(g, value_1, ...,
-    value_(k-1)) for the reduced images g, and row k passes when
-    value_k = claim_k, the normal form of its claimed product of generators.
-    All rows are evaluated in one substitute_all call in the target ring,
-    at the images g with each row symbol j set to claim_j instead of
-    value_j: batch_k = expr_k(g, claim_1, ..., claim_(k-1)).  When every
-    batch_k = claim_k, every value_k = claim_k, by induction on k: row 1
-    reads only g, so value_1 = batch_1 = claim_1; and if value_j = claim_j
-    for all j < k, then value_k = expr_k(g, claim_1, ..., claim_(k-1)) =
-    batch_k = claim_k.  Conversely, when every value_k = claim_k, batch_k
-    is value_k for every k.  So the batched verdicts all pass exactly when
-    the sequential ones do, and then they are the same verdicts.  The
-    induction needs each row to read only g and earlier rows, under symbols
-    of their own (_reads_earlier_rows_only).  When that premise fails, or
-    any batched verdict fails, the rows run one by one
+    value_(k-1)) for the reduced images g, and row k passes when value_k is
+    claim_k, its claimed product of generators, in the target.  values holds
+    batch_k = expr_k(phi, claim_1, ..., claim_(k-1)) for each row of batch
+    (_batched_rows), evaluated by _verify as polynomials, at the
+    endomorphism's own images phi and with each row symbol j set to claim_j
+    instead of value_j.
+
+    * Evaluated at polynomials: nf, the normal form in the target, is a
+      ring homomorphism onto the quotient, so nf(batch_k) = expr_k(g,
+      nf(claim_1), ..., nf(claim_(k-1))), the same row evaluated in the
+      target at the reduced images and claims; and row k's batched verdict
+      is nf(batch_k - claim_k) = 0, that is nf(batch_k) = nf(claim_k), with
+      one reduction.
+    * The batch proves the chain: when every batch_k is claim_k in the
+      target, every value_k is, by induction on k.  Row 1 reads only g, so
+      value_1 = nf(batch_1) = claim_1; and if value_j = claim_j for all
+      j < k, then value_k = expr_k(g, claim_1, ..., claim_(k-1)) =
+      nf(batch_k) = claim_k.  Conversely, when every value_k is claim_k,
+      nf(batch_k) is value_k for every k.  So the batched verdicts all pass
+      exactly when the sequential ones do, and then they are the same
+      verdicts.  The induction needs each row to read only g and earlier
+      rows, under symbols of their own (_reads_earlier_rows_only).
+    * A row t := -lhs/unit claiming T is left out of the batch, and
+      congruent, the displacement-congruence verdict, is its batched
+      verdict (_derives_t gives the proof and checks the premise).
+
+    When the premise fails (batch None), or any batched verdict fails, the
+    generators' images are reduced and the rows run one by one
     (_sequential_recovery), whose verdicts, and errors, are then the
     certificate's: the pattern of _eliminated_transport.
     """
-    if _reads_earlier_rows_only(stage):
-        target = stage.target
-        claims = [target.normal_form(row.claimed) for row in stage.rows]
-        env = {**values, **{row.symbol: claim for row, claim in zip(stage.rows, claims)}}
-        got = substitute_all([row.expr for row in stage.rows], env)
-        if got == claims:
-            return [True] * len(claims)
-    return _sequential_recovery(stage, values)
+    target = stage.target
+    if batch is not None and (congruent or len(batch) == len(stage.rows)):
+        diffs = (value - row.claimed for row, value in zip(batch, values))
+        if all(target.normal_form(diff).is_zero() for diff in diffs):
+            return [True] * len(stage.rows)
+    reduced = {nm: target.normal_form(endo.images[nm]) for nm in stage.source.varset.names}
+    return _sequential_recovery(stage, reduced)
 
 
 def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     """Certify one atomic step's endomorphism against its endpoint rings.
 
     stage is the step's recovery stage, which also holds its endpoint rings
-    and its displacement.  endo is applied once, in one substitute_all call,
-    to the source's relations and the displacement's lhs.  Two kinds of
-    entry are derived, not computed: the eliminated-relation entry follows
-    from the two relation transports (_eliminated_transport), and the
-    stage-2 row of generator nm is the verdict of stage-1 row nm.lower(),
-    which claims the generator and holds the value the stage-2 row would
-    compare.  The stage-1 rows are evaluated in one call, at the rows'
-    claims; a passing batch proves the sequential chain passes, and any
-    failing row sends the rows through the sequential chain instead, which
-    then gives every verdict (_recovery_verdicts).
+    and its displacement.  One substitute_all call, at endo's images with
+    each row symbol bound to its row's claim, moves the source's relations,
+    the displacement's lhs and the stage-1 recovery rows (_batched_rows).
+    Three kinds of entry are derived, not computed: the eliminated-relation
+    entry follows from the two relation transports (_eliminated_transport);
+    the row t := -lhs/unit takes the displacement congruence's verdict
+    (_derives_t); and the stage-2 row of generator nm is the verdict of
+    stage-1 row nm.lower(), which claims the generator and holds the value
+    the stage-2 row would compare.  Each batched row is reduced once and
+    compared with its claim; a passing batch proves the sequential chain
+    passes, and any failing row sends the rows through the sequential chain
+    instead, on the reduced images, which then gives every verdict
+    (_recovery_verdicts).
     """
     source, target = stage.source, stage.target
     vs = source.varset
@@ -566,9 +639,14 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
         raise ValueError("source, target and endomorphism must share one varset")
     cert = IsoCertificate(source=source, target=target, endo=endo)
     lhs, rhs, unit = stage.displacement
-    *transported, moved = substitute_all([*source.relation_polys(), lhs], endo.images)
-    cert.checks = _transport_checks(endo, source, target, transported)
+    relations = source.relation_polys()
+    batch = _batched_rows(stage)
+    env = endo.images if batch is None else {**endo.images, **{row.symbol: row.claimed for row in stage.rows}}
+    got = substitute_all([*relations, lhs, *(row.expr for row in batch or ())], env)
+    r = len(relations)
+    cert.checks = _transport_checks(endo, source, target, got[:r])
 
+    moved = got[r]
     residue = target.normal_form(moved + unit * _v(vs, "T"))
     cert.checks += [
         _identity_entry("displacement-identity", moved, rhs),
@@ -576,8 +654,7 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     ]
 
     # recovery: rebuild every target generator in the target quotient
-    values = {nm: target.normal_form(endo.images[nm]) for nm in vs.names}
-    passes = _recovery_verdicts(stage, values)
+    passes = _recovery_verdicts(stage, endo, batch, got[r + 1 :], residue.is_zero())
     rows = [
         {
             "element": str(row.claimed),

@@ -547,11 +547,8 @@ class MultiPoly:
         return substitute_all([self], images)[0]
 
     def rename(self, target: VarSet) -> MultiPoly:
-        """Transport to a varset that contains all variables used here."""
-        images = {nm: MultiPoly.variable(target, nm) for nm in self.varset.names if nm in target}
-        moved = self.substitute(images)
-        # with no images, substitute_all returns a constant over this varset
-        return moved if images else MultiPoly.constant(target, moved.constant_value())
+        """Transport to a varset that contains all variables used here; see relabel."""
+        return relabel(self, target)
 
     def divide_exact(self, divisor: MultiPoly) -> MultiPoly:
         """Exact division by a single-term divisor; raises if any term fails.
@@ -767,6 +764,39 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
         return ring._to_elem(*ring._rewrite(total, den, packing, "s_first"))
 
     return [evaluate(p, top) for p, top in zip(polys, tops)]
+
+
+def relabel(p: MultiPoly, target: VarSet, names: Mapping[str, str] | None = None) -> MultiPoly:
+    """p with each variable nm moved to the variable names.get(nm, nm) of target.
+
+    This is the package's one relabel routine, for MultiPoly.rename and for
+    the step solve's move into the recovery varset.  Each exponent moves to
+    its new variable's position in target; the numerators, their order and
+    the denominator stay as they are, so the result is substitute_all at the
+    plain-variable images nm -> that variable, with no packing and no
+    product.  A variable that p does not use need not have a place in
+    target; a used one without a place raises ValueError ("unknown
+    variable"), and so do two variables sent to one.
+    """
+    names = names or {}
+    # picks[j]: the position in p's varset of target variable j; len(p.varset),
+    # the position of a zero appended to every exponent tuple, for the rest
+    source = len(p.varset)
+    picks = [source] * len(target)
+    for k, nm in enumerate(p.varset.names):
+        new = names.get(nm, nm)
+        if new in target:
+            j = target.index(new)
+            if picks[j] != source:
+                raise ValueError(f"relabel sends {p.varset.names[picks[j]]!r} and {nm!r} to {new!r}")
+            picks[j] = k
+        elif any(exps[k] for exps in p.nums):
+            target.index(new)  # raises: a used variable needs a place
+    nums = {}
+    for exps, n in p.nums.items():
+        padded = (*exps, 0)
+        nums[tuple([padded[k] for k in picks])] = n
+    return _from_terms(target, nums, p.den)
 
 
 def _times(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

@@ -311,10 +311,12 @@ def test_composite_images_are_never_reduced(monkeypatch):
         return evaluate(p, env)
 
     def spy_evaluate_all(polys, env):
-        # the ring-element evaluations: the batched recovery rows
+        # the recovery evaluations: each step's one call, which binds the row
+        # symbols beside the generators' polynomial images, and any call at
+        # ring elements; the composite's relation transports bind neither
         values = list(env.values())
-        if all(isinstance(v, QuotElem) for v in values):
-            evaluated_envs.append(values)
+        if set(env) - set(target.varset.names) or any(isinstance(v, QuotElem) for v in values):
+            evaluated_envs.append([v.rep if isinstance(v, QuotElem) else v for v in values])
         return evaluate_all(polys, env)
 
     monkeypatch.setattr(RingPresentation, "normal_form", spy_normal_form)
@@ -324,7 +326,9 @@ def test_composite_images_are_never_reduced(monkeypatch):
     assert again == endo
     assert reduced_args and evaluated_envs
     assert not any(p == img for p in reduced_args for img in composite)
-    assert not any(v.rep == rep for env in evaluated_envs for v in env for rep in reduced)
+    # no composite image, reduced or not, is ever an evaluation image
+    images = composite + reduced
+    assert not any(v == img for env in evaluated_envs for v in env for img in images)
 
 
 XST = VarSet(("X", "S", "T"))

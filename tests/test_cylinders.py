@@ -383,6 +383,19 @@ def test_poly_endo_validates_images():
         PolyEndo(vs, images)
 
 
+def test_poly_endo_refuses_images_outside_its_varset():
+    endo = solve_step(FullStep(1, 1))
+    vs = endo.varset
+    x, t = (MultiPoly.variable(vs, nm) for nm in ("X", "T"))
+    with pytest.raises(ValueError, match=r"outside VarSet\('X', 'S', 'Y', 'Z', 'T'\): \['Q', 't'\]"):
+        PolyEndo(vs, {**endo.images, "Q": x, "t": t})
+    # as the JSON reader does
+    data = endo.to_json_dict()
+    data["images"]["t"] = "T"
+    with pytest.raises(ValueError, match="exactly"):
+        PolyEndo.from_json_dict(data)
+
+
 # ------------------------------------------------- one solve per certificate
 
 

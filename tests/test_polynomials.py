@@ -18,10 +18,12 @@ from lndfilt.polynomials import (
     _format_coeff,
     ladder_power,
     parse_poly,
+    relabel,
     substitute_all,
 )
+from lndfilt.cylinders import DanielewskiStep, FullStep
 from lndfilt.rings import QuotElem, toy_ring
-from util import fresh_power_substitute, reference_rename, renamings
+from util import fractions, fresh_power_substitute, reference_rename, renamings
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
 
@@ -480,6 +482,78 @@ def test_rename_matches_the_exponent_loop(case):
     p, target = case
     assert p.rename(target) == reference_rename(p, target)
     assert str(p.rename(target)) == str(reference_rename(p, target))
+
+
+@st.composite
+def relabellings(draw):
+    """A polynomial, a target varset and a map sending some variables to lower-case names.
+
+    The source varset may be empty, and the target may lack a place for one
+    variable, used or not.
+    """
+    pool = ["A", "B", "C", "D"]
+    source = VarSet(draw(st.permutations(pool))[: draw(st.integers(0, 4))])
+    names = {nm: nm.lower() for nm in source.names if draw(st.booleans())}
+    places = [names.get(nm, nm) for nm in source.names]
+    extra = draw(st.lists(st.sampled_from(["F", *names]), unique=True))
+    target = list(draw(st.permutations(places + extra)))
+    if target and draw(st.booleans()):
+        del target[draw(st.integers(0, len(target) - 1))]
+    exps = st.tuples(*[st.integers(0, 4)] * len(source))
+    terms = draw(st.dictionaries(exps, fractions, max_size=5))
+    return MultiPoly(source, terms), VarSet(target), names
+
+
+@st.composite
+def solve_moves(draw):
+    """A polynomial in the generators, moved as the step solve moves its pieces.
+
+    The target is a step's recovery varset, where generator nm becomes row
+    nm.lower() if that row is a variable there.
+    """
+    step = draw(st.sampled_from([FullStep(1, 1), DanielewskiStep(1, ["1", "0"])]))
+    endo, stage = step.solve()
+    source, target = endo.varset, stage.rows[0].expr.varset
+    exps = st.tuples(*[st.integers(0, 4)] * len(source))
+    terms = draw(st.dictionaries(exps, fractions, max_size=5))
+    names = {nm: nm.lower() for nm in source.names if nm.lower() in target}
+    return MultiPoly(source, terms), target, names
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(relabellings(), solve_moves()))
+@example((MultiPoly(VarSet(()), {(): 3}), VarSet(("A",)), {}))
+@example((MultiPoly(VarSet(()), {}), VarSet(()), {}))
+@example((parse_poly("A*B + 1", VarSet(("A", "B"))), VarSet(("A",)), {}))
+def test_relabel_equals_substitution_at_plain_variables(case):
+    p, target, names = case
+    images = {
+        nm: MultiPoly.variable(target, names.get(nm, nm)) for nm in p.varset.names if names.get(nm, nm) in target
+    }
+    try:
+        want = substitute_all([p], images)[0]
+    except ValueError:
+        with pytest.raises(ValueError, match="unknown variable"):
+            relabel(p, target, names)
+        if not names:
+            with pytest.raises(ValueError, match="unknown variable"):
+                p.rename(target)
+        return
+    if not images:
+        # with no images, substitute_all returns the constant over p's varset
+        want = MultiPoly.constant(target, want.constant_value())
+    got = relabel(p, target, names)
+    assert got.varset == target
+    assert (list(got.nums.items()), got.den) == (list(want.nums.items()), want.den)
+    assert str(got) == str(want)
+    if not names:
+        assert p.rename(target) == got
+
+
+def test_relabel_refuses_two_variables_in_one_place():
+    p = parse_poly("A + B", VarSet(("A", "B")))
+    with pytest.raises(ValueError, match="sends 'A' and 'B' to 'C'"):
+        relabel(p, VarSet(("C",)), {"A": "C", "B": "C"})
 
 
 def test_varset_mismatch_raises():

@@ -19,6 +19,7 @@ from lndfilt.cylinders import (
     FullStep,
     IsoCertificate,
     PolyEndo,
+    RecoveryStage,
     _identity_entry,
     _transport_checks,
     _verify,
@@ -26,7 +27,7 @@ from lndfilt.cylinders import (
     verify_step,
 )
 from lndfilt.polynomials import MultiPoly
-from lndfilt.rings import evaluate_in_ring
+from lndfilt.rings import RingPresentation, evaluate_in_ring
 
 P_SHAPES = [
     ["1", "0"],
@@ -188,3 +189,95 @@ def test_repeated_row_symbols_take_the_sequential_chain():
         cert = _verify(endo, doubled)
         assert cert.passed is passed
         assert cert.to_json() == sequential_certificate(endo, doubled).to_json()
+
+
+# ------------------------------------------------ one evaluation pass per step
+
+
+def _spy(monkeypatch):
+    """Record cylinders' substitute_all calls, evaluate_in_ring calls and normal_form arguments."""
+    seen = {"substitute_all": [], "evaluate_in_ring": 0, "normal_form": []}
+    evaluate_all, normal_form = cylinders.substitute_all, RingPresentation.normal_form
+
+    def spy_evaluate_all(polys, images):
+        seen["substitute_all"].append((list(polys), dict(images)))
+        return evaluate_all(polys, images)
+
+    def spy_evaluate(p, env):
+        seen["evaluate_in_ring"] += 1
+        return evaluate_in_ring(p, env)
+
+    def spy_normal_form(ring, p, *args, **kwargs):
+        seen["normal_form"].append(p)
+        return normal_form(ring, p, *args, **kwargs)
+
+    monkeypatch.setattr(cylinders, "substitute_all", spy_evaluate_all)
+    monkeypatch.setattr(cylinders, "evaluate_in_ring", spy_evaluate)
+    monkeypatch.setattr(RingPresentation, "normal_form", spy_normal_form)
+    return seen
+
+
+def _evaluated(seen) -> list[MultiPoly]:
+    return [p for polys, _ in seen["substitute_all"] for p in polys]
+
+
+@pytest.mark.parametrize("step", MUTATED, ids=str)
+def test_a_passing_step_is_certified_in_one_evaluation_pass(monkeypatch, step):
+    seen = _spy(monkeypatch)
+    cert = verify_step(solve_step(step), step)
+    assert cert.passed
+    endo, stage = cert.endo, cert.endo._solved[1]
+    # one call, at the map's own polynomial images and the rows' claims
+    ((polys, images),) = seen["substitute_all"]
+    assert all(isinstance(img, MultiPoly) for img in images.values())
+    assert {nm: images[nm] for nm in endo.varset.names} == endo.images
+    assert seen["evaluate_in_ring"] == 0
+    # no generator image is reduced, and the t row is not evaluated
+    assert not any(p == img for p in seen["normal_form"] for img in endo.images.values())
+    (t,) = [row for row in stage.rows if row.symbol == "t"]
+    assert not any(p is t.expr for p in polys)
+    # the relations, the displacement's lhs and every row but t
+    assert len(polys) == len(stage.source.relation_polys()) + 1 + len(stage.rows) - 1
+
+
+def _with_row(stage: RecoveryStage, symbol: str, expr: MultiPoly) -> RecoveryStage:
+    """stage with the expression of its row named symbol replaced by expr."""
+    return replace(stage, rows=tuple(replace(row, expr=expr) if row.symbol == symbol else row for row in stage.rows))
+
+
+@pytest.mark.parametrize("step", MUTATED, ids=str)
+def test_a_t_row_that_is_not_the_displacement_is_evaluated(monkeypatch, step):
+    endo, stage = step.solve()
+    (t,) = [row for row in stage.rows if row.symbol == "t"]
+    # the source's first relation reads S, and the map moves it into the
+    # target's ideal, so the row still claims T rightly
+    rel = stage.source.relation_polys()[0]
+    assert any(exps[stage.source.varset.index("S")] for exps in rel.nums)
+    seen = _spy(monkeypatch)
+    for expr, passed in ((2 * t.expr, False), (t.expr + rel.rename(t.expr.varset), True)):
+        seen["substitute_all"].clear()
+        hand = _with_row(stage, "t", expr)
+        cert = _verify(endo, hand)
+        assert cert.passed is passed
+        assert cert.to_json() == sequential_certificate(endo, hand).to_json()
+        assert any(p is expr for p in _evaluated(seen))
+
+
+@pytest.mark.parametrize("step", MUTATED, ids=str)
+def test_a_tampered_t_image_gets_the_sequential_verdicts(step):
+    endo, stage = step.solve()
+    tampered = PolyEndo(endo.varset, {**endo.images, "T": endo.images["T"] + 1})
+    # the rows that read the T-image itself, besides t: none of them fails
+    # when it takes the tamper back, so only the congruence (the t row's
+    # verdict) fails among the batched entries
+    (reader,) = [
+        row for row in stage.rows
+        if row.symbol != "t" and any(exps[row.expr.varset.index("T")] for exps in row.expr.nums)
+    ]
+    for hand in (stage, _with_row(stage, reader.symbol, reader.expr - 1)):
+        cert = _verify(tampered, hand)
+        checks = {c["name"]: c["pass"] for c in cert.checks}
+        assert checks["displacement-congruence"] is False
+        assert all(ok for name, ok in checks.items() if name.startswith("relation-transport"))
+        assert not cert.passed
+        assert cert.to_json() == sequential_certificate(tampered, hand).to_json()

@@ -227,9 +227,14 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
         name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
         for name in ("polynomials", "automorphisms", "cylinders")
     }
+    # a relabelling moves exponent positions, through one routine that
+    # rename and the step solve share; rename holds no loop of its own
     rename = definition(trees["polynomials"], "MultiPoly.rename")
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(rename))
-    assert "MultiPoly.rename" in callers(trees["polynomials"], "substitute")
+    relabellers = set()
+    for path in package.glob("*.py"):
+        relabellers |= callers(ast.parse(path.read_text(encoding="utf-8")), "relabel")
+    assert relabellers == {"MultiPoly.rename", "_Step.solve"}
     automorphisms = trees["automorphisms"]
     assert "verify_auto" not in callers(automorphisms, "apply")
     assert "verify_auto" not in callers(automorphisms, "evaluate_in_ring")
@@ -248,12 +253,13 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     assert [arg.arg for arg in definition(cylinders, "_transport_checks").args.args] == [
         "endo", "source", "target", "moved",
     ]
-    # a step's certificate applies its map in one call, to the relations and
-    # the displacement's lhs together, and evaluates its recovery rows in one
-    # more; only the sequential fallback evaluates a row on its own
+    # a step's certificate applies its map in one call, to the relations,
+    # the displacement's lhs and the recovery rows together; only the
+    # sequential fallback evaluates a row on its own, at ring elements
     assert "_verify" not in callers(cylinders, "apply")
     assert calls(definition(cylinders, "_verify"), "substitute_all") == 1
-    assert calls(definition(cylinders, "_recovery_verdicts"), "substitute_all") == 1
+    assert calls(definition(cylinders, "_recovery_verdicts"), "substitute_all") == 0
+    assert calls(definition(cylinders, "_Step.solve"), "substitute_all") == 0
     assert callers(cylinders, "evaluate_in_ring") == {"_sequential_recovery"}
     # the step solvers and build_auto pass no identity images
     assert not any(isinstance(node, ast.Name) and node.id == "ident" for node in ast.walk(cylinders))

@@ -553,34 +553,22 @@ def _derives_t(stage: RecoveryStage, row: RecoveryRow) -> bool:
     )
 
 
-def _batched_rows(stage: RecoveryStage) -> list[RecoveryRow] | None:
-    """The stage-1 rows that _verify evaluates in its one call, or None.
-
-    None when the batch's premise fails (_reads_earlier_rows_only), so that
-    the rows can only run one by one; else every row but the one whose
-    verdict is the displacement congruence's (_derives_t).
-    """
-    if not _reads_earlier_rows_only(stage):
-        return None
-    return [row for row in stage.rows if not _derives_t(stage, row)]
-
-
 def _recovery_verdicts(
     stage: RecoveryStage,
     endo: PolyEndo,
     batch: list[RecoveryRow] | None,
     values: Sequence[MultiPoly],
-    congruent: bool,
+    derived: bool,
 ) -> list[bool]:
     """Each stage-1 row's verdict: its value on the generators' reduced images equals its claim.
 
     The rows form a straight-line program, value_k = expr_k(g, value_1, ...,
     value_(k-1)) for the reduced images g, and row k passes when value_k is
     claim_k, its claimed product of generators, in the target.  values holds
-    batch_k = expr_k(phi, claim_1, ..., claim_(k-1)) for each row of batch
-    (_batched_rows), evaluated by _verify as polynomials, at the
-    endomorphism's own images phi and with each row symbol j set to claim_j
-    instead of value_j.
+    batch_k = expr_k(phi, claim_1, ..., claim_(k-1)) for each row of batch,
+    evaluated by _verify as polynomials, at the endomorphism's own images
+    phi and with each row symbol j set to claim_j instead of value_j; batch
+    is None when the rows can only run one by one.
 
     * Evaluated at polynomials: nf, the normal form in the target, is a
       ring homomorphism onto the quotient, so nf(batch_k) = expr_k(g,
@@ -598,8 +586,9 @@ def _recovery_verdicts(
       verdicts.  The induction needs each row to read only g and earlier
       rows, under symbols of their own (_reads_earlier_rows_only).
     * A row t := -lhs/unit claiming T is left out of the batch, and
-      congruent, the displacement-congruence verdict, is its batched
-      verdict (_derives_t gives the proof and checks the premise).
+      derived is its batched verdict, the displacement congruence's
+      (_derives_t gives the proof and checks the premise); derived is True
+      when no row is left out.
 
     When the premise fails (batch None), or any batched verdict fails, the
     generators' images are reduced and the rows run one by one
@@ -607,7 +596,7 @@ def _recovery_verdicts(
     certificate's: the pattern of _eliminated_transport.
     """
     target = stage.target
-    if batch is not None and (congruent or len(batch) == len(stage.rows)):
+    if batch is not None and derived:
         diffs = (value - row.claimed for row, value in zip(batch, values))
         if all(target.normal_form(diff).is_zero() for diff in diffs):
             return [True] * len(stage.rows)
@@ -621,7 +610,8 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     stage is the step's recovery stage, which also holds its endpoint rings
     and its displacement.  One substitute_all call, at endo's images with
     each row symbol bound to its row's claim, moves the source's relations,
-    the displacement's lhs and the stage-1 recovery rows (_batched_rows).
+    the displacement's lhs and the stage-1 recovery rows, when each row
+    reads only generators and earlier rows (_reads_earlier_rows_only).
     Three kinds of entry are derived, not computed: the eliminated-relation
     entry follows from the two relation transports (_eliminated_transport);
     the row t := -lhs/unit takes the displacement congruence's verdict
@@ -640,8 +630,11 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     cert = IsoCertificate(source=source, target=target, endo=endo)
     lhs, rhs, unit = stage.displacement
     relations = source.relation_polys()
-    batch = _batched_rows(stage)
-    env = endo.images if batch is None else {**endo.images, **{row.symbol: row.claimed for row in stage.rows}}
+    batch, env, t_row = None, endo.images, None
+    if _reads_earlier_rows_only(stage):
+        t_row = next((row for row in stage.rows if _derives_t(stage, row)), None)
+        batch = [row for row in stage.rows if row is not t_row]
+        env = {**endo.images, **{row.symbol: row.claimed for row in stage.rows}}
     got = substitute_all([*relations, lhs, *(row.expr for row in batch or ())], env)
     r = len(relations)
     cert.checks = _transport_checks(endo, source, target, got[:r])
@@ -654,7 +647,8 @@ def _verify(endo: PolyEndo, stage: RecoveryStage) -> IsoCertificate:
     ]
 
     # recovery: rebuild every target generator in the target quotient
-    passes = _recovery_verdicts(stage, endo, batch, got[r + 1 :], residue.is_zero())
+    derived = t_row is None or residue.is_zero()
+    passes = _recovery_verdicts(stage, endo, batch, got[r + 1 :], derived)
     rows = [
         {
             "element": str(row.claimed),

@@ -306,8 +306,12 @@ def test_composite_images_are_never_reduced(monkeypatch):
         reduced_args.append(p)
         return normal_form(ring, p, *args, **kwargs)
 
+    def record(values):
+        # representatives of ring elements, so that every image compares as a polynomial
+        evaluated_envs.append([v.rep if isinstance(v, QuotElem) else v for v in values])
+
     def spy_evaluate(p, env):
-        evaluated_envs.append(list(env.values()))
+        record(env.values())
         return evaluate(p, env)
 
     def spy_evaluate_all(polys, env):
@@ -316,7 +320,7 @@ def test_composite_images_are_never_reduced(monkeypatch):
         # ring elements; the composite's relation transports bind neither
         values = list(env.values())
         if set(env) - set(target.varset.names) or any(isinstance(v, QuotElem) for v in values):
-            evaluated_envs.append([v.rep if isinstance(v, QuotElem) else v for v in values])
+            record(values)
         return evaluate_all(polys, env)
 
     monkeypatch.setattr(RingPresentation, "normal_form", spy_normal_form)

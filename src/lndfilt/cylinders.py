@@ -88,7 +88,7 @@ from .polynomials import (
     relabel,
     substitute_all,
 )
-from .rings import _X_ONLY, RingPresentation, evaluate_in_ring
+from .rings import _VARSETS, _X_ONLY, RingPresentation, evaluate_in_ring
 
 
 class PolyEndo(ReadableDocument):
@@ -226,11 +226,28 @@ class _Step:
     and solver pieces (_forced); and its recovery rows after s (_ROWS,
     _rows).  The solve does the rest once: S -> S + H with H = X^k*T for
     k = n + e of the source ring (e = 0 on a danielewski ring),
-    L = (P(X, S+H) - P)/X^n, the forced T-image, the split check, the
-    recovery varset and the rows x, t and s.
+    L = (P(X, S+H) - P)/X^n, the forced T-image, the split check and the
+    rows x, t and s.  Each kind's recovery varset is built once, when the
+    kind is defined (__init_subclass__).
     """
 
     _ROWS: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        """The kind's row symbols, its recovery varset and that varset's variables, read off _ROWS.
+
+        The recovery varset holds the generators, then x, t, s and every row
+        but the last: the rows that later rows read.  Each generator nm has
+        the row nm.lower() (stage 2 reads its verdict), so the generators are
+        the cylinder variables with a one-letter row.  _ROWS_OF sends
+        generator nm to row nm.lower() where that row is a variable.
+        """
+        super().__init_subclass__(**kwargs)
+        cls._SYMBOLS = ("x", "t", "s", *cls._ROWS)
+        generators = [nm for nm in _VARSETS[4, True].names if nm.lower() in cls._SYMBOLS]
+        mixed = cls._RECOVERY = VarSet((*generators, *cls._SYMBOLS[:-1]))
+        cls._RECOVERY_VARS = {nm: _v(mixed, nm) for nm in mixed.names}
+        cls._ROWS_OF = {nm: nm.lower() for nm in generators if nm.lower() in mixed}
 
     def source_ring(self) -> RingPresentation:
         return self._ring(0)
@@ -241,10 +258,9 @@ class _Step:
     def solve(self) -> tuple[PolyEndo, RecoveryStage]:
         """The step isomorphism and its recovery stage, every division checked exact.
 
-        The recovery varset holds the generators, then x, t, s and every row
-        of the kind but the last: the rows that later rows read.  A row's
-        claim is the product of the generators its letters name, so row "xz"
-        claims X*Z.
+        The rows live over the kind's recovery varset (__init_subclass__).  A
+        row's claim is the product of the generators its letters name, so
+        row "xz" claims X*Z.
         """
         src, tgt = self.source_ring(), self.target_ring()
         vs = src.varset
@@ -262,13 +278,9 @@ class _Step:
         if images["T"] != g[a] * g[b] + split:
             raise RuntimeError("T-image split disagrees with the solver")
 
-        symbols = ("x", "t", "s", *self._ROWS)
-        mixed = VarSet((*vs.names, *symbols[:-1]))
-        m = {nm: _v(mixed, nm) for nm in mixed.names}
-        # the solver pieces, moved into the recovery varset: generator nm
-        # becomes row nm.lower() where that row is a variable
-        rows_of = {nm: nm.lower() for nm in vs.names if nm.lower() in mixed}
-        moved = [relabel(piece, mixed, rows_of) for piece in pieces]
+        m = self._RECOVERY_VARS
+        # the solver pieces, moved into the recovery varset
+        moved = [relabel(piece, self._RECOVERY, self._ROWS_OF) for piece in pieces]
         exprs = (
             m["X"],
             Fraction(-1) / unit * (m[a] * m[b] - m["X"] * m["T"]),
@@ -277,7 +289,7 @@ class _Step:
         )
         rows = tuple(
             RecoveryRow(sym, expr, reduce(mul, (g[ch.upper()] for ch in sym)))
-            for sym, expr in zip(symbols, exprs, strict=True)
+            for sym, expr in zip(self._SYMBOLS, exprs, strict=True)
         )
         stage = RecoveryStage(src, tgt, rows, (g[a] * g[b] - x * t, rhs, unit))
         endo = PolyEndo(vs, images)

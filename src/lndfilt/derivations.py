@@ -233,11 +233,11 @@ class Derivation:
                     terms = {k: v // g for k, v in out.items()}
         return terms, den, packing, steps
 
-    def _integer_terms(self, a: QuotElem) -> tuple[dict[int, int], int, _Packing]:
-        """a's representative, packed, as integer numerators over one denominator."""
+    def _integer_terms(self, a: QuotElem, top: int | None = None) -> tuple[dict[int, int], int, _Packing]:
+        """a's representative, packed, as integer numerators over one denominator; top as in _packed."""
         if a.ring != self.ring:
             raise ValueError("element belongs to a different ring")
-        return _packed(a.rep)
+        return _packed(a.rep, top)
 
     def apply(self, a: QuotElem) -> QuotElem:
         return self.ring._to_elem(*self._orbit(*self._integer_terms(a), 1)[:3])
@@ -254,10 +254,11 @@ class Derivation:
         return self.ring._to_elem(terms, den, packing)
 
     def default_budget(self, a: QuotElem) -> int:
-        """A safe nilpotency budget from the ambient size of a."""
-        if a.is_zero():
-            return 1
-        total = max(map(sum, a.rep.nums))
+        """A safe nilpotency budget from the ambient size of a: max weight * total degree + 1."""
+        return self._budget(max(map(sum, a.rep.nums), default=0))
+
+    def _budget(self, total: int) -> int:
+        """default_budget of an element whose largest total degree is total (0 for zero)."""
         return max(self.ring.weights) * total + 1
 
     def degree(self, a: QuotElem, bound: int | None = None) -> int | None:
@@ -271,8 +272,11 @@ class Derivation:
         D^(bound+1)(a) exactly.  A bound that is not an int >= 0 is refused
         with ValueError before any step.
         """
-        bound = self.default_budget(a) if bound is None else _count(bound, "degree bound")
-        terms, den, packing = self._integer_terms(a)
+        # one walk over a's exponents: its largest total degree gives the
+        # default budget, and bounds every exponent for the packing
+        total = max(map(sum, a.rep.nums), default=0)
+        bound = self._budget(total) if bound is None else _count(bound, "degree bound")
+        terms, den, packing = self._integer_terms(a, total)
         if not terms:
             return None
         terms, den, packing, steps = self._orbit(terms, den, packing, bound + 1)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat, starmap
 from math import gcd, lcm
-from operator import add, getitem, mul
+from operator import add, getitem, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Scalar = Union[int, Fraction]
@@ -67,23 +67,27 @@ class _PowerTexts(dict):
         return text
 
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
 class VarSet:
     """An ordered set of variable names.
 
     Two polynomials interoperate only when their variable sets are equal
     (same names, same order); mixing them raises ValueError rather than
-    guessing an embedding.
+    guessing an embedding.  Rings of one shape share one VarSet object
+    (rings.py), so equality first tests identity.
     """
 
     __slots__ = ("names", "_index", "_texts")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
+        for nm in names:
+            if not isinstance(nm, str) or not _NAME_RE.fullmatch(nm):
+                raise ValueError(f"invalid variable name: {nm!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
-        for nm in names:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", nm):
-                raise ValueError(f"invalid variable name: {nm!r}")
         self.names = names
         self._index = {nm: k for k, nm in enumerate(names)}
         self._texts: tuple[_PowerTexts, ...] | None = None
@@ -110,7 +114,7 @@ class VarSet:
         return iter(self.names)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarSet) and self.names == other.names
+        return self is other or (isinstance(other, VarSet) and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -324,9 +328,13 @@ def _packing(top: int, nvars: int) -> _Packing:
     return _fields(8 << (top.bit_length() // 8).bit_length(), nvars)
 
 
-def _packed(p: MultiPoly) -> tuple[dict[int, int], int, _Packing]:
-    """p's numerators under keys in the narrowest packing, p's denominator, and that packing."""
-    packing = _packing(max(map(max, p.nums), default=0), len(p.varset))
+def _packed(p: MultiPoly, top: int | None = None) -> tuple[dict[int, int], int, _Packing]:
+    """p's numerators under keys in the narrowest packing that holds top, p's denominator, and that packing.
+
+    top bounds every exponent of p; by default it is p's largest exponent."""
+    if top is None:
+        top = max(map(max, p.nums), default=0)
+    packing = _packing(top, len(p.varset))
     return dict(zip(packing.keys(p.nums), p.nums.values())), p.den, packing
 
 
@@ -452,7 +460,7 @@ class MultiPoly:
         return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def _check_same_varset(self, other: MultiPoly) -> None:
-        if self.varset != other.varset:
+        if self.varset is not other.varset and self.varset != other.varset:
             raise ValueError(f"varset mismatch: {self.varset!r} vs {other.varset!r}")
 
     # ------------------------------------------------------------ arithmetic
@@ -465,15 +473,19 @@ class MultiPoly:
             return MultiPoly.constant(self.varset, other)
         return None
 
+    def _combine(self, q: MultiPoly, sign: int) -> MultiPoly:
+        """self + sign*q, sign +-1: the one sum of __add__, __sub__ and __rsub__, q's terms after self's."""
+        den = lcm(self.den, q.den)
+        up, uq = den // self.den, sign * (den // q.den)
+        acc = dict(self.nums) if up == 1 else {e: n * up for e, n in self.nums.items()}
+        _add_terms(acc, q.nums.items() if uq == 1 else ((e, n * uq) for e, n in q.nums.items()))
+        return _from_terms(self.varset, acc, den)
+
     def __add__(self, other: object) -> MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        den = lcm(self.den, q.den)
-        up, uq = den // self.den, den // q.den
-        acc = dict(self.nums) if up == 1 else {e: n * up for e, n in self.nums.items()}
-        _add_terms(acc, q.nums.items() if uq == 1 else ((e, n * uq) for e, n in q.nums.items()))
-        return _from_terms(self.varset, acc, den)
+        return self._combine(q, 1)
 
     __radd__ = __add__
 
@@ -484,13 +496,13 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return self._combine(q, -1)
 
     def __rsub__(self, other: object) -> MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q._combine(self, -1)
 
     def __mul__(self, other: object) -> MultiPoly:
         if isinstance(other, MultiPoly):
@@ -516,10 +528,10 @@ class MultiPoly:
         return ladder_power({0: _from_terms(self.varset, {(0,) * len(self.varset): 1}), 1: self}, k)
 
     def __eq__(self, other: object) -> bool:
-        if _is_scalar(other):
-            other = MultiPoly.constant(self.varset, other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.constant(self.varset, other)
         return self.varset == other.varset and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
@@ -564,8 +576,8 @@ class MultiPoly:
         scale = divisor.den if dn > 0 else -divisor.den
         acc: dict[tuple[int, ...], int] = {}
         for exps, n in self.nums.items():
-            out = tuple(a - b for a, b in zip(exps, dexps))
-            if any(e < 0 for e in out):
+            out = tuple(map(sub, exps, dexps))
+            if min(out, default=0) < 0:
                 raise ValueError(
                     f"non-exact division: term {_from_terms(self.varset, {exps: n}, self.den)} "
                     f"not divisible by {divisor}"
@@ -746,7 +758,12 @@ def substitute_all(polys: Sequence[MultiPoly], images: Mapping[str, E]) -> list[
             key = sum([exps[k] * u for k, u in shifts])
             for k, c, b, t in weights:
                 n *= c ** exps[k] * b ** (t - exps[k])
-            _add_terms(groups.setdefault(tuple([exps[k] for k, _ in powered]), {}), ((key, n),))
+            group = groups.setdefault(tuple([exps[k] for k, _ in powered]), {})
+            s = group.get(key, 0) + n
+            if s:
+                group[key] = s
+            else:
+                del group[key]
         total: dict[int, int] = {}
         for pattern, group in groups.items():
             factor = unit

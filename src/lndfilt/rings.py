@@ -94,6 +94,14 @@ from .polynomials import (
 )
 
 _X_ONLY = VarSet(("X",))
+# the varsets of the four ring shapes, keyed by (number of base variables,
+# cylinder): X and S, then the new variable of each relation (Y, and Z where Q
+# is given), then T on a cylinder; every ring of a shape holds its one VarSet
+_VARSETS = {
+    (size, cylinder): VarSet(("X", "S", "Y", "Z")[:size] + ("T",) * cylinder)
+    for size in (3, 4)
+    for cylinder in (False, True)
+}
 
 CoeffLike = Union[str, int, MultiPoly]
 
@@ -187,10 +195,9 @@ class RingPresentation(ReadableDocument):
             raise ValueError("danielewski rings have no Q")
         elif e != 0:
             raise ValueError("danielewski rings have no twist exponent e")
-        # X and S, then the new variable of each relation: Y, and Z where Q is
-        # given; a danielewski ring is the full construction's one-relation prefix
+        # a danielewski ring is the full construction's one-relation prefix
         size = 3 + bool(self.q_coeffs)
-        self.varset = VarSet(("X", "S", "Y", "Z")[:size] + ("T",) * cylinder)
+        self.varset = _VARSETS[size, cylinder]
         self.weights = (0, 1, self.d, self.m * self.d)[:size] + (0,) * cylinder
         self._tails: _RuleSet | None = None
         # the canonical derivation, built by derivations.canonical_derivation
@@ -422,8 +429,13 @@ class RingPresentation(ReadableDocument):
         """
         derived = []
         for index, (head, rel) in enumerate(self._relations()):
-            scale = Fraction(rel.den, rel.nums[head])
-            tail = MultiPoly.monomial(self.varset, head) - rel * scale
+            # rel = nums/den has the head coefficient c/den, c = nums[head], so
+            # head - rel*(den/c) = head - nums/c is -nums/c less its head term:
+            # the numerators -sign(c)*n over |c|, in rel's term order
+            c = rel.nums[head]
+            scale = Fraction(rel.den, c)
+            sign = -1 if c > 0 else 1
+            tail = _from_terms(self.varset, {e: sign * n for e, n in rel.nums.items() if e != head}, abs(c))
             self._check_rule_drops(head, tail)
             var = next(k for k, power in enumerate(head) if power)
             derived.append((var, head[var], tail, index, scale))
@@ -464,7 +476,7 @@ class RingPresentation(ReadableDocument):
 
     def _require_own(self, p: MultiPoly) -> None:
         """ValueError unless p is a polynomial over this ring's varset."""
-        if p.varset != self.varset:
+        if p.varset is not self.varset and p.varset != self.varset:
             raise ValueError(f"polynomial varset {p.varset!r} does not match ring {self.varset!r}")
 
     def normal_form(

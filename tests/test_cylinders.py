@@ -496,6 +496,17 @@ def test_recovery_varset_is_derived_from_the_rows(step):
     assert all(row.expr.varset.names == names for row in stage.rows)
 
 
+def test_rings_of_one_shape_and_steps_of_one_kind_share_their_varsets():
+    # one VarSet object per ring shape, and one recovery varset per step kind
+    for one, other in ((FullStep(1, 1), FullStep(3, 2)), (DanielewskiStep(2, SIZE_P), DanielewskiStep(5, SIZE_P))):
+        assert one.source_ring().varset is other.target_ring().varset
+        rows = [row for step in (one, other) for row in step.solve()[1].rows]
+        assert len({id(row.expr.varset) for row in rows}) == 1
+    toy, other = RingPresentation.full(2, 1, ["0", "0"], ["0", "0"]), RingPresentation.full(1, 2, ["X", "0", "0"], ["1", "0"])
+    assert toy.varset is other.varset is toy.base().varset
+    assert toy.varset is not toy.with_cylinder().varset
+
+
 @pytest.mark.parametrize("make,_", STEP_PAIRS, ids=["full", "danielewski"])
 def test_a_split_that_disagrees_is_refused(monkeypatch, make, _):
     # the kind's split of the T-image is checked against the forced T-image
@@ -527,6 +538,8 @@ def test_endos_from_elsewhere_are_solved_for(counters, make, make_other):
         "composed": endo.compose(identity),
         "other step": solve_step(other),
     }
+    # read from JSON, the endomorphism holds a fresh VarSet of equal names
+    assert cases["json"].varset is not vs and cases["json"].varset == vs
     for name, candidate in cases.items():
         counters.clear()
         cert = verify_step(candidate, step)

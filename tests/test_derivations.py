@@ -3,12 +3,13 @@
 import re
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from lndfilt.checks import random_element
 from lndfilt.derivations import BudgetExceededError, Derivation, canonical_derivation
-from lndfilt.polynomials import MultiPoly
+from lndfilt.polynomials import MultiPoly, _packed
 from lndfilt import rings
 from lndfilt.rings import QuotElem, RingPresentation, _elem
 
@@ -159,6 +160,39 @@ def test_budget_exceeded(toy):
         D.degree(toy.generator("Z"), bound=2)
     # the default budget is always sufficient
     assert D.degree(toy.generator("Z")) == 4
+
+
+def two_walk_budget(D, a) -> int:
+    """default_budget as it was computed before degree took it from its one walk."""
+    if a.is_zero():
+        return 1
+    return max(D.ring.weights) * max(map(sum, a.rep.nums)) + 1
+
+
+@pytest.mark.parametrize("ring", grid_rings() + DANIELEWSKI_RINGS, ids=str)
+def test_degree_takes_budget_and_packing_from_one_walk(ring):
+    # degree reads the default budget and its packing off one walk over the
+    # exponents (the largest total degree bounds every exponent); the values,
+    # and the budget error's text, are those of a budget from the sums and an
+    # orbit packed from the largest exponent
+    rng = Random(repr(ring))
+    D = canonical_derivation(ring)
+    elems = [ring.zero(), ring.one(), *(random_element(ring, rng, 10) for _ in range(12))]
+    for a in elems:
+        budget = two_walk_budget(D, a)
+        assert D.default_budget(a) == budget
+        want = None
+        if not a.is_zero():
+            terms, den, packing, steps = D._orbit(*_packed(a.rep), budget + 1)
+            assert not terms
+            want = steps - 1
+        assert D.degree(a) == want
+        if want:
+            for bound in (0, want - 1):
+                message = f"derivation budget {bound} exceeded on {a}; still nonzero: {D.iterate(a, bound + 1)}"
+                with pytest.raises(BudgetExceededError) as err:
+                    D.degree(a, bound)
+                assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [-1, -(2**70), True, False, 1.0, "2", Fraction(1), None], ids=repr)

@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 from operator import mul
+from random import Random
 from unittest.mock import patch
 
 import pytest
@@ -16,6 +17,7 @@ from lndfilt.polynomials import (
     VarSet,
     _Parser,
     _format_coeff,
+    _from_terms,
     ladder_power,
     parse_poly,
     relabel,
@@ -23,7 +25,7 @@ from lndfilt.polynomials import (
 )
 from lndfilt.cylinders import DanielewskiStep, FullStep
 from lndfilt.rings import QuotElem, toy_ring
-from util import fractions, fresh_power_substitute, reference_rename, renamings
+from util import fractions, fresh_power_substitute, random_fraction, random_poly, reference_rename, renamings
 
 XSYZ = VarSet(("X", "S", "Y", "Z"))
 
@@ -449,8 +451,59 @@ def test_substitute_all_checks_images():
     assert substitute_all([P("0"), P("X^3")], {"X": P("X + 1")}) == [P("0"), P("(X + 1)^3")]
 
 
+def reference_divide_exact(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
+    """divide_exact as it was written with two generators per term."""
+    ((dexps, dn),) = divisor.nums.items()
+    scale = divisor.den if dn > 0 else -divisor.den
+    acc = {}
+    for exps, n in p.nums.items():
+        out = tuple(a - b for a, b in zip(exps, dexps))
+        if any(e < 0 for e in out):
+            raise ValueError(
+                f"non-exact division: term {_from_terms(p.varset, {exps: n}, p.den)} not divisible by {divisor}"
+            )
+        acc[out] = n * scale
+    return _from_terms(p.varset, acc, p.den * abs(dn))
+
+
+def stored(p: MultiPoly) -> tuple:
+    """p's (varset, den, nums), with the terms in their stored order."""
+    return p.varset, p.den, list(p.nums.items())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_direct_subtraction_and_division_match_the_composed_forms(seed):
+    # a - b is one pass over both operands now; it must store exactly what
+    # a + (-b) stores, and so must the scalar forms, c an int or a Fraction
+    rng = Random(seed)
+    a, b = random_poly(rng, XSYZ), random_poly(rng, XSYZ)
+    assert stored(a - b) == stored(a + (-b))
+    assert stored(a - a) == stored(a + (-a)) == stored(MultiPoly.zero(XSYZ))
+    for c in (0, 1, -3, rng.randint(-9, 9), random_fraction(rng), Fraction(7, 4)):
+        assert stored(a - c) == stored(a + (-c))
+        assert stored(c - a) == stored(MultiPoly.constant(XSYZ, c) + (-a))
+    # exact division by a one-term divisor of either sign, also a constant
+    monomial = MultiPoly.monomial(XSYZ, [rng.randint(0, 2) for _ in XSYZ], random_fraction(rng))
+    for divisor in (monomial, -monomial, MultiPoly.constant(XSYZ, random_fraction(rng))):
+        product = a * divisor
+        assert stored(product.divide_exact(divisor)) == stored(reference_divide_exact(product, divisor))
+        assert product.divide_exact(divisor) == a
+        try:
+            want = stored(reference_divide_exact(b, divisor))
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                b.divide_exact(divisor)
+            assert str(got.value) == str(err)
+        else:
+            assert stored(b.divide_exact(divisor)) == want
+
+
 def test_divide_exact():
     p = P("X^3*Y + 2*X^2*S")
+    xy = VarSet(("X", "Y"))
+    with pytest.raises(ValueError) as err:
+        parse_poly("X^2*Y + X*Y^2", xy).divide_exact(parse_poly("Y^2", xy))
+    assert str(err.value) == "non-exact division: term X^2*Y not divisible by Y^2"
     assert p.divide_exact(P("X^2")) == P("X*Y + 2*S")
     with pytest.raises(ValueError, match="non-exact division"):
         P("X^2 + S").divide_exact(P("X"))
@@ -567,3 +620,7 @@ def test_varset_rejects_duplicates_and_bad_names():
         VarSet(("X", "X"))
     with pytest.raises(ValueError):
         VarSet(("X", "2Y"))
+    # a name that is not a str is refused by the class, not by the regex module
+    for names, bad in (([1], "1"), (["X", None], "None")):
+        with pytest.raises(ValueError, match=rf"^invalid variable name: {bad}$"):
+            VarSet(names)

@@ -538,6 +538,44 @@ def test_rule_tails_built_once_per_ring(monkeypatch, rng):
     assert builds == [ring, twin]
 
 
+TAIL_RINGS = [
+    ring
+    for base in grid_rings() + RATIONAL_RINGS + DANIELEWSKI_RINGS
+    for ring in (base.base(), base.with_cylinder())
+]
+
+
+@pytest.mark.parametrize("ring", TAIL_RINGS, ids=str)
+def test_rule_tails_follow_the_relation_formula(monkeypatch, ring):
+    # each rule is head -> head - rel*(rel.den/c), c the head's numerator in
+    # rel, computed here with MultiPoly arithmetic: the s-rule's head has a
+    # negative coefficient in X^n*Y - P and the y-rule's a positive one in
+    # Q - X^e*Z - S, and the rational rings give P and Q denominators
+    checked = []
+    original = RingPresentation._check_rule_drops
+
+    def counting(self, head, tail):
+        checked.append((head, tail))
+        return original(self, head, tail)
+
+    monkeypatch.setattr(RingPresentation, "_check_rule_drops", counting)
+    td, rules = ring._rule_tails()
+    relations = ring._relations()
+    assert len(rules) == len(relations) == len(checked)
+    vs = ring.varset
+    for k, ((var, power, tail, index, scale), (head, rel)) in enumerate(zip(rules, relations)):
+        c = rel.nums[head]
+        want = MultiPoly.monomial(vs, head) - rel * Fraction(rel.den, c)
+        assert index == k and head == tuple(power if j == var else 0 for j in range(len(vs)))
+        # numerators over td, in the term order of the arithmetic
+        assert [texps for texps, _ in tail] == list(want.nums)
+        assert MultiPoly(vs, {texps: Fraction(n, td) for texps, n in tail}) == want
+        assert Fraction(scale, td) == Fraction(rel.den, c)
+        # the termination check ran on this very tail
+        assert checked[k][0] == head and checked[k][1] == want
+        assert list(checked[k][1].nums) == list(want.nums)
+
+
 def test_rule_that_keeps_the_measure_is_rejected(toy):
     vs = toy.varset
     s_head = (0, 2, 0, 0)

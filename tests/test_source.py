@@ -312,6 +312,20 @@ def test_one_step_algorithm():
     assert callers(definition(cylinders, "_Step"), "RuntimeError") == {"solve"}
 
 
+def test_varsets_are_built_once_per_ring_shape_and_step_kind():
+    # every ring reads its varset from the one table of the four ring shapes,
+    # and each step kind builds its recovery varset once, when the kind is
+    # defined; so neither a ring construction nor a solve makes a VarSet
+    package = Path(lndfilt.__file__).parent
+    rings, cylinders = (ast.parse((package / name).read_text(encoding="utf-8")) for name in ("rings.py", "cylinders.py"))
+    assert calls(definition(rings, "RingPresentation.__init__"), "VarSet") == 0
+    assert calls(definition(cylinders, "_Step.solve"), "VarSet") == 0
+    # the module-level tables of rings.py (scope "") and, in cylinders.py,
+    # the per-kind build and the JSON reader
+    assert callers(rings, "VarSet") == {""}
+    assert callers(cylinders, "VarSet") == {"_Step.__init_subclass__", "PolyEndo.from_json_dict"}
+
+
 def test_no_trusted_flag():
     # a QuotElem from outside is always reduced; canonical-by-construction
     # elements go through the module-private builder rings._elem

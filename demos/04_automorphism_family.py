@@ -33,7 +33,8 @@ for nm in ("X", "S", "Y", "Z"):
 
 # verify_auto re-checks everything from scratch: the defining relations
 # are preserved, the degrees of the generator images match the canonical
-# weights, and the inverse parameters really invert.
+# weights, and the inverse parameters really invert: both composites fix X
+# and S, and so, since both maps preserve the relations, Y and Z as well.
 report = verify_auto(ring, params)
 print(report)
 

@@ -20,6 +20,12 @@ where a(x) is an arbitrary polynomial,
 
 Both divisions are exact precisely under the stated congruences; build_auto
 performs them as exact polynomial divisions and fails loudly otherwise.
+
+verify_auto certifies such a map phi with its inverse psi.  Its independent
+entries are phi's relation residuals, the degrees of phi's images, and both
+composites psi.phi and phi.psi on X and S; the composites' entries on Y and Z
+are derived from those (the lemma in verify_auto's docstring), and are
+computed only when the lemma's premise fails.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .polynomials import (
 from .rings import _X_ONLY, QuotElem, RingPresentation, evaluate_in_ring
 
 _X = MultiPoly.variable(_X_ONLY, "X")
+# verify_auto computes the inverse on _FIXED and derives it on _DERIVED
+_FIXED, _DERIVED = ("X", "S"), ("Y", "Z")
 
 
 def _coerce_scalar(value: int | str | Fraction, what: str) -> Fraction:
@@ -214,6 +222,37 @@ def compose_params(ring: RingPresentation, outer: AutParams, inner: AutParams) -
 def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
     """Full verification: relations, degree preservation, two-sided inverse.
 
+    Let phi be the map of params and psi the map of inverse_params, built
+    from its own parameters.  The independent entries are phi's relation
+    residuals, the degrees of phi's images, and both composites psi.phi
+    (left) and phi.psi (right) on X and S.  The composites' entries on Y and
+    Z are derived from those by the lemma below, and are computed only when
+    its premise fails.
+
+    Lemma.  Let theta be a ring endomorphism of a full-family ring A with
+    theta(X) = X and theta(S) = S.  Then theta(Y) = Y and theta(Z) = Z.
+
+    Proof.  In A, X^n*Y = P(X, S) and X^e*Z = Q(X, Y) - S.  So
+    X^n*theta(Y) = theta(P(X, S)) = P(X, S) = X^n*Y, and then
+    X^e*theta(Z) = theta(Q(X, Y) - S) = Q(X, Y) - S = X^e*Z.  X is a
+    nonzerodivisor in A: no rewrite rule's head (S^d, Y^m) bounds the
+    exponent of X, so X^k times a canonical representative is canonical,
+    and it is zero only when the representative is (tests/test_rings.py
+    checks this on its grids).  When e = 0, Z = Q(X, Y) - S directly.
+
+    Premise.  psi.phi and phi.psi are ring endomorphisms of A when phi and
+    psi each send both relations into the ideal, that is, when all four
+    relation residuals vanish.  psi's residuals are part of the premise and
+    are never reported.
+
+    So each side is evaluated in one substitute_all call: at phi's images,
+    the relations (phi's residuals) and psi's X and S images (phi.psi on X
+    and S); at psi's images, the relations (psi's residuals) and phi's X and
+    S images (psi.phi on X and S).  A side whose premise and X and S entries
+    all hold passes on Y and Z; any other side expands its composite through
+    _images_after, so the witnesses, their texts and their order are those of
+    the direct check on every input.
+
     A ring outside the family raises ValueError, as build_auto does; only
     inadmissible parameters are recorded as witnesses.
     """
@@ -225,8 +264,12 @@ def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
     except ValueError as err:
         witnesses.append(str(err))
         return report
+    # only the composites' images are read, so their parameters are not composed
+    inv = build_auto(ring, inverse_params(ring, params))
     relations = ring.relation_polys()
-    for rel, residual in zip(relations, substitute_all(relations, auto.images)):
+    k = len(relations)
+    at_auto = substitute_all(relations + [inv.images[nm].rep for nm in _FIXED], auto.images)
+    for rel, residual in zip(relations, at_auto):
         if not residual.is_zero():
             witnesses.append(f"relation {rel} maps to {residual}")
 
@@ -237,12 +280,19 @@ def verify_auto(ring: RingPresentation, params: AutParams) -> CheckReport:
         if got != want:
             witnesses.append(f"degree of image of {nm} is {got}, expected {want}")
 
-    # only the composites' images are read, so their parameters are not composed
-    inv = build_auto(ring, inverse_params(ring, params))
-    sides = (("left", inv._images_after(auto)), ("right", auto._images_after(inv)))
+    at_inv = substitute_all(relations + [auto.images[nm].rep for nm in _FIXED], inv.images)
+    premise = all(residual.is_zero() for residual in at_auto[:k] + at_inv[:k])
+    held = {}
+    for side, outer, inner, moved in (("left", inv, auto, at_inv[k:]), ("right", auto, inv, at_auto[k:])):
+        fixes = {nm: got == ring.generator(nm) for nm, got in zip(_FIXED, moved)}
+        if premise and all(fixes.values()):
+            fixes |= dict.fromkeys(_DERIVED, True)  # the lemma
+        else:
+            images = outer._images_after(inner)
+            fixes |= {nm: images[nm] == ring.generator(nm) for nm in _DERIVED}
+        held[side] = fixes
     for nm in ring.varset.names:
-        generator = ring.generator(nm)
-        for side, images in sides:
-            if images[nm] != generator:
+        for side, fixes in held.items():
+            if not fixes[nm]:
                 witnesses.append(f"inverse fails on {nm} ({side})")
     return report

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from lndfilt.automorphisms import (
 )
 from lndfilt.polynomials import MultiPoly
 from lndfilt.rings import RingPresentation, toy_ring
-from util import OUTSIDE_AUTOMORPHISM_FAMILY, X_ONLY
+from util import OUTSIDE_AUTOMORPHISM_FAMILY, X_ONLY, reference_verify_auto
 
 
 R21 = RingPresentation.full(2, 1, ["1", "0"], ["0", "0"])  # P = S^2 + 1
@@ -123,6 +124,110 @@ def test_verify_auto_witnesses_a_tampered_image(toy, monkeypatch):
         "inverse fails on S (right)",
         "inverse fails on Y (right)",
         "inverse fails on Z (right)",
+    ]
+
+
+# rings with Q = Y^m and f_{d-1} = 0: the toy ring, P = S^2 + 1 (f_0 != 0),
+# e = 0 with n = 2, the bench's R(1, 2; d = 2, m = 3), and d = 3 with f_0 = X^2
+NORMALIZED_RINGS = [
+    toy_ring(),
+    R21,
+    RingPresentation.full(2, 0, ["0", "0"], ["0", "0"]),
+    RingPresentation.full(1, 2, ["0", "0"], ["0", "0", "0"]),
+    RingPresentation.full(1, 1, ["X^2", "0", "0"], ["0", "0"]),
+]
+
+
+def seeded_admissible_params(ring, rng, count):
+    """count seeded admissible parameters: lam = t^(d*m-1) and mu = t^(n*m)
+    satisfy mu^(d*m-1) = lam^(n*m), and check_params decides the congruences."""
+    found = []
+    while len(found) < count:
+        t = rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        shift = MultiPoly(X_ONLY, {(k,): rng.randint(-3, 3) for k in range(rng.randint(0, 3))})
+        params = AutParams.make(t ** (ring.d * ring.m - 1), t ** (ring.n * ring.m), shift)
+        if not check_params(ring, params):
+            found.append(params)
+    return found
+
+
+@pytest.mark.parametrize("ring", NORMALIZED_RINGS, ids=str)
+def test_verify_auto_matches_the_direct_check(ring):
+    for params in seeded_admissible_params(ring, Random(str(ring)), 4):
+        report = verify_auto(ring, params)
+        assert report.passed, (params, report.witnesses)
+        assert report.witnesses == reference_verify_auto(ring, params)
+    # inadmissible parameters report their violations alike
+    bad = AutParams.make(2, 3, "X")
+    assert verify_auto(ring, bad).witnesses == reference_verify_auto(ring, bad) != []
+
+
+def patch_image(monkeypatch, target, name, change):
+    """Let build_auto hand out the map of target with change applied to its image of name."""
+    true_build = automorphisms.build_auto
+
+    def tampered(ring, p):
+        auto = true_build(ring, p)
+        if p == target:
+            auto.images[name] = ring.element(change(auto.images[name].rep))
+        return auto
+
+    monkeypatch.setattr(automorphisms, "build_auto", tampered)
+
+
+@pytest.mark.parametrize("ring, params", [
+    (toy_ring(), AutParams.make(8, 16, "1 + X")),
+    (R21, AutParams.make(-1, 1, "X + 3*X^2")),
+])
+def test_every_single_term_deletion_reports_as_the_direct_check(ring, params, monkeypatch):
+    # each term of each image of phi and of its inverse psi, deleted in turn:
+    # the report equals the direct check's, and the check fails
+    maps = {"phi": params, "psi": inverse_params(ring, params)}
+    assert maps["phi"] != maps["psi"]
+    deletions = 0
+    for target in maps.values():
+        auto = build_auto(ring, target)
+        for nm in ring.varset.names:
+            for exps, c in auto.images[nm].rep.terms.items():
+                term = MultiPoly(ring.varset, {exps: c})
+                with monkeypatch.context() as patched:
+                    patch_image(patched, target, nm, lambda rep: rep - term)
+                    witnesses = verify_auto(ring, params).witnesses
+                    assert witnesses == reference_verify_auto(ring, params), (target, nm, term)
+                assert witnesses, (target, nm, term)
+                deletions += 1
+    assert deletions == 2 * sum(len(build_auto(ring, params).images[nm].rep.terms) for nm in "XSYZ")
+
+
+def test_a_map_tampered_on_y_fails_on_y_and_z(toy, monkeypatch):
+    # phi's Y image moved by X: the relations fail while both composites
+    # still fix X and S, so the lemma's premise fails and the composites are
+    # expanded on Y and Z, as the direct check does
+    params = AutParams.make(8, 16, "1 + X")
+    patch_image(monkeypatch, params, "Y", lambda rep: rep + MultiPoly.variable(toy.varset, "X"))
+    witnesses = verify_auto(toy, params).witnesses
+    assert witnesses == reference_verify_auto(toy, params)
+    assert witnesses == [
+        "relation X^2*Y - S^2 maps to 64*X^3",
+        "relation -X*Z + Y^2 - S maps to 1/32*X^7 + 1/16*X^6 + 1/32*X^5 + X^3*S + X^2*S + X^2 + 8*X*Y",
+        "inverse fails on Y (left)",
+        "inverse fails on Y (right)",
+        "inverse fails on Z (right)",
+    ]
+
+
+def test_an_inverse_tampered_on_y_fails_on_y_and_z(toy, monkeypatch):
+    # psi's Y image moved by X: only psi's residuals, which are never
+    # reported, show that the premise fails
+    params = AutParams.make(8, 16, "1 + X")
+    inverse = inverse_params(toy, params)
+    patch_image(monkeypatch, inverse, "Y", lambda rep: rep + MultiPoly.variable(toy.varset, "X"))
+    witnesses = verify_auto(toy, params).witnesses
+    assert witnesses == reference_verify_auto(toy, params)
+    assert witnesses == [
+        "inverse fails on Y (left)",
+        "inverse fails on Y (right)",
+        "inverse fails on Z (left)",
     ]
 
 

@@ -546,6 +546,22 @@ TAIL_RINGS = [
 
 
 @pytest.mark.parametrize("ring", TAIL_RINGS, ids=str)
+def test_x_is_a_nonzerodivisor(ring, rng):
+    # the premise of verify_auto's lemma: no rule's head bounds the exponent
+    # of X, so X^k times a canonical representative is canonical, and
+    # X^k*a = 0 only when a = 0 (on a twin, so the shared ring builds no
+    # rule tails before the test below counts their build)
+    ring = RingPresentation.from_json_dict(ring.to_json_dict())
+    x = MultiPoly.variable(ring.varset, "X")
+    for a in [ring.zero()] + [ring.normal_form(random_poly(rng, ring.varset)) for _ in range(8)]:
+        for k in range(5):
+            moved = x ** k * a.rep
+            got = ring.normal_form(moved)
+            assert got.rep == moved
+            assert got.is_zero() == a.is_zero()
+
+
+@pytest.mark.parametrize("ring", TAIL_RINGS, ids=str)
 def test_rule_tails_follow_the_relation_formula(monkeypatch, ring):
     # each rule is head -> head - rel*(rel.den/c), c the head's numerator in
     # rel, computed here with MultiPoly arithmetic: the s-rule's head has a

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lndfilt
-from lndfilt import polynomials
+from lndfilt import automorphisms, polynomials
+from lndfilt.automorphisms import AutParams
 from lndfilt.checks import random_element
 from lndfilt.rings import QuotElem, RingPresentation, toy_ring
 from util import DANIELEWSKI_RINGS, RATIONAL_RINGS
@@ -238,11 +241,16 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     automorphisms = trees["automorphisms"]
     assert "verify_auto" not in callers(automorphisms, "apply")
     assert "verify_auto" not in callers(automorphisms, "evaluate_in_ring")
-    # verify_auto reads only the images of its two composites: one
-    # substitute_all call each, through the helper that compose uses too, and
-    # no composed parameters
+    # verify_auto evaluates at each map once, the relations with the other
+    # map's X and S images; a composite is expanded, through the helper that
+    # compose uses too and with no composed parameters, only in the else
+    # branch of the one test of the lemma's premise
+    verify = definition(automorphisms, "verify_auto")
+    assert calls(verify, "substitute_all") == 2
     assert callers(automorphisms, "_images_after") == {"verify_auto", "RingAutomorphism.compose"}
-    assert calls(definition(automorphisms, "verify_auto"), "_images_after") == 2
+    (fallback,) = [node for node in ast.walk(verify) if isinstance(node, ast.If) and calls(node, "_images_after")]
+    assert "premise" in {node.id for node in ast.walk(fallback.test) if isinstance(node, ast.Name)}
+    assert calls(verify, "_images_after") == calls(ast.Module(fallback.orelse, []), "_images_after") == 1
     assert calls(definition(automorphisms, "RingAutomorphism._images_after"), "substitute_all") == 1
     assert "verify_auto" not in callers(automorphisms, "compose")
     assert "verify_auto" not in callers(automorphisms, "compose_params")
@@ -267,6 +275,43 @@ def test_maps_are_applied_through_the_one_evaluation_routine():
     stage = definition(cylinders, "RecoveryStage")
     fields = {node.target.id for node in stage.body if isinstance(node, ast.AnnAssign)}
     assert fields == {"source", "target", "rows", "displacement"}
+
+
+@pytest.mark.parametrize("ring, params", [
+    (toy_ring(), AutParams.make(8, 16, "1 + X")),
+    (RingPresentation.full(1, 2, ["0", "0"], ["0", "0", "0"]), AutParams.make(-1, -1, "1 - X^2")),
+])
+def test_a_passing_verify_auto_evaluates_no_composite_on_y_or_z(ring, params, monkeypatch):
+    # the inverse is computed on X and S only: one call at each map, of the
+    # relations and the other map's X and S images, and no expansion
+    built, evaluated = [], []
+    true_build, true_substitute = automorphisms.build_auto, automorphisms.substitute_all
+
+    def build(ring, p):
+        built.append(true_build(ring, p))
+        return built[-1]
+
+    def substitute(polys, images):
+        evaluated.append((list(polys), images))
+        return true_substitute(polys, images)
+
+    def expand(outer, inner):
+        raise AssertionError("a composite was expanded")
+
+    monkeypatch.setattr(automorphisms, "build_auto", build)
+    monkeypatch.setattr(automorphisms, "substitute_all", substitute)
+    monkeypatch.setattr(automorphisms.RingAutomorphism, "_images_after", expand)
+    assert automorphisms.verify_auto(ring, params).passed
+    phi, psi = built
+    assert psi.params == automorphisms.inverse_params(ring, params)
+    at_maps = [(polys, images) for polys, images in evaluated if images in (phi.images, psi.images)]
+    relations = ring.relation_polys()
+    assert at_maps == [
+        (relations + [psi.images["X"].rep, psi.images["S"].rep], phi.images),
+        (relations + [phi.images["X"].rep, phi.images["S"].rep], psi.images),
+    ]
+    derived = [auto.images[nm].rep for auto in built for nm in ("Y", "Z")]
+    assert not any(p in derived for polys, _ in evaluated for p in polys)
 
 
 def test_one_top_slice():

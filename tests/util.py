@@ -392,3 +392,41 @@ def count_applications(monkeypatch, calls) -> None:
 def orbit_reads(derivation, a, k: int) -> int:
     """The step-table reads of k applications of the derivation from a."""
     return sum(len(derivation.iterate(a, i).rep.nums) for i in range(k))
+
+
+def reference_verify_auto(ring: RingPresentation, params) -> list:
+    """The witnesses of verify_auto as it was before it derived Y and Z.
+
+    Both inverse composites are expanded on all four generators.  The maps
+    come from automorphisms.build_auto and automorphisms.inverse_params,
+    looked up on every call, so a test that patches either patches this
+    reference too.
+    """
+    from lndfilt import automorphisms
+    from lndfilt.derivations import canonical_derivation
+    from lndfilt.polynomials import substitute_all
+
+    automorphisms._require_normalized(ring)
+    witnesses = []
+    try:
+        auto = automorphisms.build_auto(ring, params)
+    except ValueError as err:
+        return [str(err)]
+    relations = ring.relation_polys()
+    for rel, residual in zip(relations, substitute_all(relations, auto.images)):
+        if not residual.is_zero():
+            witnesses.append(f"relation {rel} maps to {residual}")
+    D = canonical_derivation(ring)
+    expected = {"X": 0, "S": 1, "Y": ring.d, "Z": ring.m * ring.d}
+    for nm, want in expected.items():
+        got = D.degree(auto.images[nm])
+        if got != want:
+            witnesses.append(f"degree of image of {nm} is {got}, expected {want}")
+    inv = automorphisms.build_auto(ring, automorphisms.inverse_params(ring, params))
+    sides = (("left", inv._images_after(auto)), ("right", auto._images_after(inv)))
+    for nm in ring.varset.names:
+        generator = ring.generator(nm)
+        for side, images in sides:
+            if images[nm] != generator:
+                witnesses.append(f"inverse fails on {nm} ({side})")
+    return witnesses
